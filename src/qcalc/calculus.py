@@ -27,7 +27,7 @@ import numpy as np
 from .errors import BuildError, PathError, UndersampledError
 from .fields import CovectorField, ScalarField, require_same_sample
 from .geometry import SCHEMA_VERSION, PolylinePath, SetSample
-from .metric import predecessor_array
+from .metric import _check_vertex, predecessor_array
 
 #: bucket sups below this are treated as exactly zero in modulus fits
 _EXACT_TOL = 1e-13
@@ -143,6 +143,8 @@ def reconstruct(
 def whitney_remainder(f: ScalarField, A: CovectorField, x: int, y: int) -> float:
     """First-order Taylor remainder |f(y) - f(x) - A(x)(y - x)|."""
     sample = require_same_sample(f, A)
+    for v in (x, y):
+        _check_vertex(sample, v)
     pts = sample.points_array
     return float(abs(f.values[y] - f.values[x] - A.covectors[x] @ (pts[y] - pts[x])))
 
@@ -151,6 +153,7 @@ def oscillation(A: CovectorField, x: int, radius: float) -> float:
     """Sup of |A(w) - A(x)| over sample points w in the closed ball around x."""
     if radius < 0:
         raise BuildError("radius must be nonnegative")
+    _check_vertex(A.sample, x)
     pts = A.sample.points_array
     d = np.linalg.norm(pts - pts[x], axis=1)
     mask = d <= radius
@@ -199,6 +202,17 @@ def verify_remainder_bound(
     below k |x-y| times the oscillation of A over the closed ball of radius
     k |x-y| around x, plus ``tol``.  The caller must pass an admissible k
     (at least the chord-arc constant of the sample).
+
+    Each source row x is evaluated as whole arrays over y, with these
+    deterministic tie rules:
+
+    * ``max_ratio`` only moves on a strictly larger ratio, so the first
+      pair in row-major (x, y) order wins a tie; a zero bound gives ratio
+      inf for a nonzero remainder and 0 otherwise, and a NaN ratio never
+      wins;
+    * per unordered pair {i < j} the buffers keep the direction with the
+      strictly larger slack lhs - rhs, so (i, j) wins a slack tie;
+    * violations are listed in sorted (x, y) order.
     """
     if sample is None:
         sample = f.sample
@@ -217,10 +231,10 @@ def verify_remainder_bound(
     up_bound = np.zeros(n_unordered)
     up_idx = np.zeros((n_unordered, 2), dtype=int)
     up_slack = np.full(n_unordered, -np.inf)
-
-    def flat(i: int, j: int) -> int:
-        # index of unordered pair {i<j} in row-major upper-triangle order
-        return i * nv - i * (i + 1) // 2 + (j - i - 1)
+    # the unordered pair {i < j} sits at row_base[i] + j in row-major
+    # upper-triangle order
+    ar = np.arange(nv)
+    row_base = ar * nv - ar * (ar + 1) // 2 - ar - 1
 
     for x in range(nv):
         d = np.linalg.norm(pts - pts[x], axis=1)
@@ -233,27 +247,35 @@ def verify_remainder_bound(
         osc = prefix[np.maximum(pos, 0)]
         lhs = np.abs(vals - vals[x] - (pts - pts[x]) @ cov[x])
         rhs = k * d * osc
-        for y in range(nv):
-            if y == x:
-                continue
-            l, r = float(lhs[y]), float(rhs[y])
-            if l > r + tol:
-                violations.append((x, y, l, r))
-            if r > 0:
-                ratio = l / r
-            else:
-                ratio = math.inf if l > 0 else 0.0
-            if ratio > max_ratio:
-                max_ratio = ratio
-                max_pair = (x, y)
-            key = flat(min(x, y), max(x, y))
-            slack = l - r
-            if slack > up_slack[key]:
-                up_slack[key] = slack
-                up_d[key] = d[y]
-                up_rem[key] = l
-                up_bound[key] = r
-                up_idx[key] = (x, y)
+
+        bad = np.nonzero(lhs > rhs + tol)[0]
+        bad = bad[bad != x]
+        violations.extend(zip([x] * len(bad), bad.tolist(),
+                              lhs[bad].tolist(), rhs[bad].tolist()))
+
+        # the diagonal y = x has lhs = rhs = 0 and so ratio 0
+        with np.errstate(divide="ignore", invalid="ignore"):
+            ratio = np.where(rhs > 0, lhs / rhs, np.where(lhs > 0, np.inf, 0.0))
+        ratio[np.isnan(ratio)] = 0.0
+        best = int(np.argmax(ratio))
+        if ratio[best] > max_ratio:
+            max_ratio = float(ratio[best])
+            max_pair = (x, best)
+
+        # the y > x entries are the pair's first visit, the y < x entries
+        # the second; either replaces the stored direction only on a
+        # strictly larger slack
+        slack = lhs - rhs
+        for keys, ys in ((row_base[x] + ar[x + 1 :], ar[x + 1 :]),
+                         (row_base[:x] + x, ar[:x])):
+            take = slack[ys] > up_slack[keys]
+            keys, ys = keys[take], ys[take]
+            up_slack[keys] = slack[ys]
+            up_d[keys] = d[ys]
+            up_rem[keys] = lhs[ys]
+            up_bound[keys] = rhs[ys]
+            up_idx[keys, 0] = x
+            up_idx[keys, 1] = ys
     violations.sort()
     return RemainderBoundReport(
         k=float(k),

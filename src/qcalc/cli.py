@@ -230,7 +230,7 @@ def dispatch(config: RunConfig) -> tuple[int, dict | None]:
 
     if cmd == "k-estimate":
         sample = load_sample(opt["set"])
-        if opt.get("sample"):
+        if opt["sample"] is not None:
             report = metric.estimate_chord_arc(
                 sample, "sampled", seed=config.seed, pair_budget=opt["sample"]
             )

@@ -22,11 +22,16 @@ from .geometry import SCHEMA_VERSION, PolylinePath, SetSample
 _TIE_TOL = 1e-12
 
 
+def _check_vertex(sample: SetSample, v: int) -> None:
+    """Reject vertex indices outside 0..nv-1 (no wrap-around from the end)."""
+    if not 0 <= v < sample.vertex_count:
+        raise BuildError(f"vertex {v} out of range")
+
+
 def _single_source(sample: SetSample, source: int) -> np.ndarray:
     """Dijkstra distances from one vertex (nonnegative edge weights)."""
+    _check_vertex(sample, source)
     nv = sample.vertex_count
-    if not 0 <= source < nv:
-        raise BuildError(f"vertex {source} out of range")
     dist = np.full(nv, np.inf)
     dist[source] = 0.0
     heap: list[tuple[float, int]] = [(0.0, source)]
@@ -75,8 +80,7 @@ def geodesic_distance(sample: SetSample, i: int, j: int) -> float:
     symmetric in (i, j).
     """
     for v in (i, j):
-        if not 0 <= v < sample.vertex_count:
-            raise BuildError(f"vertex {v} out of range")
+        _check_vertex(sample, v)
     if i == j:
         return 0.0
     lo, hi = min(i, j), max(i, j)
@@ -89,8 +93,7 @@ def geodesic_distance(sample: SetSample, i: int, j: int) -> float:
 def shortest_path(sample: SetSample, i: int, j: int) -> PolylinePath:
     """A length-minimizing vertex path from i to j, deterministic under ties."""
     for v in (i, j):
-        if not 0 <= v < sample.vertex_count:
-            raise BuildError(f"vertex {v} out of range")
+        _check_vertex(sample, v)
     if i == j:
         return PolylinePath.from_vertices(sample, [i])
     dist = _single_source(sample, i)

@@ -296,6 +296,21 @@ def test_oscillation_rejects_negative_radius(gasket2):
         oscillation(A, 0, -0.1)
 
 
+@pytest.mark.parametrize("x", [-1, 15])
+def test_oscillation_rejects_out_of_range_vertex(gasket2, x):
+    A = CovectorField.constant(gasket2, (1.0, 0.0))
+    with pytest.raises(BuildError, match=f"vertex {x} out of range"):
+        oscillation(A, x, 0.5)
+
+
+@pytest.mark.parametrize("x, y", [(0, -1), (-1, 0), (0, 15)])
+def test_whitney_remainder_rejects_out_of_range_vertex(gasket2, x, y):
+    f = ScalarField.from_function(gasket2, lambda p: p[0])
+    A = CovectorField.constant(gasket2, (1.0, 0.0))
+    with pytest.raises(BuildError, match="out of range"):
+        whitney_remainder(f, A, x, y)
+
+
 # ---------------------------------------------------------------------------
 # verify_remainder_bound
 

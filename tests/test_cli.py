@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import hashlib
 import json
 import math
 import subprocess
@@ -72,6 +73,15 @@ def test_k_estimate_sampled_records_seed(workspace):
                     paths["out"])
     assert code == 0
     assert doc["method"] == "sampled" and doc["seed"] == 7
+
+
+@pytest.mark.parametrize("budget", ["0", "-3"])
+def test_k_estimate_rejects_nonpositive_sample(workspace, budget, capsys):
+    sample, paths = workspace
+    assert main(["k-estimate", paths["set"], "--sample", budget]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "positive pair_budget" in captured.err
 
 
 def test_geodesic_writes_path(workspace, tmp_path):
@@ -355,3 +365,33 @@ def test_reports_are_byte_identical_across_runs(tmp_path):
         assert open(a, "rb").read() == open(b, "rb").read(), cmd
         doc = json.load(open(a))
         assert doc.get("schema_version", doc.get("version")) == 1, cmd
+
+
+# sha256 of remainder-check stdout and of its --csv file on gasket 4 for
+# f = x^2 + xy - y^2/2 with its exact gradient; k = 2.5 passes, k = 0.6 fails
+REMAINDER_DIGESTS = {
+    "2.5": (0, "3b3760c4aea810ebcd93a284c2d7b16bdaec5432dbe8dd44e8027e3532ae685c",
+            "d6ccaffc887474bb383228e83c41c7656d23a59288da2c40d51dcceb164049c1"),
+    "0.6": (1, "5895041183991e0c0dba23012594686eea950b9e22a2d43836a7a8a82169de60",
+            "09e749ac6b21fa2599e8cda0d681b5bb3c1417159d9d22399cc2162a4b25a2e7"),
+}
+
+
+@pytest.mark.parametrize("k", sorted(REMAINDER_DIGESTS))
+def test_remainder_check_bytes_are_pinned(tmp_path, capsys, k):
+    sample = build_gasket(4)
+    set_path = str(tmp_path / "g4.json")
+    dump_sample(sample, set_path)
+    f = ScalarField.from_function(sample, lambda p: p[0] ** 2 + p[0] * p[1] - 0.5 * p[1] ** 2)
+    A = CovectorField.from_function(sample, lambda p: (2 * p[0] + p[1], p[0] - p[1]))
+    fp, ap = str(tmp_path / "f.json"), str(tmp_path / "A.json")
+    dump_field(f, fp)
+    dump_field(A, ap)
+    csv_path = tmp_path / "pairs.csv"
+    capsys.readouterr()
+    code = main(["remainder-check", set_path, fp, ap, "--k", k, "--csv", str(csv_path)])
+    stdout = capsys.readouterr().out.encode()
+    expect_code, stdout_digest, csv_digest = REMAINDER_DIGESTS[k]
+    assert code == expect_code
+    assert hashlib.sha256(stdout).hexdigest() == stdout_digest
+    assert hashlib.sha256(csv_path.read_bytes()).hexdigest() == csv_digest

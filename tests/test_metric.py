@@ -14,6 +14,7 @@ from qcalc.geometry import SetSample, build_gasket, build_polyline
 from qcalc.metric import (
     estimate_chord_arc,
     geodesic_distance,
+    predecessor_array,
     shortest_path,
     verify_local_to_global,
 )
@@ -88,6 +89,17 @@ def test_geodesic_out_of_range():
     s = build_polyline([(0, 0), (1, 0)])
     with pytest.raises(BuildError):
         geodesic_distance(s, 0, 9)
+
+
+@pytest.mark.parametrize("call", [
+    lambda s: geodesic_distance(s, -1, 0),
+    lambda s: shortest_path(s, 0, -2),
+    lambda s: predecessor_array(s, 2),
+])
+def test_vertex_index_checks_name_the_vertex(call):
+    s = build_polyline([(0, 0), (1, 0)])
+    with pytest.raises(BuildError, match=r"vertex -?\d+ out of range"):
+        call(s)
 
 
 def test_disconnected_sample_raises():
