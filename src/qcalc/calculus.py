@@ -24,13 +24,17 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import BuildError, PathError, UndersampledError
+from .errors import BuildError, PathError, QcalcError, UndersampledError
 from .fields import CovectorField, ScalarField, require_same_sample
 from .geometry import SCHEMA_VERSION, PolylinePath, SetSample
 from .metric import _check_vertex, predecessor_array
 
 #: bucket sups below this are treated as exactly zero in modulus fits
 _EXACT_TOL = 1e-13
+#: LSQR stopping tolerances of ``discrete_gradient`` (atol = btol)
+_LSQR_TOL = 1e-14
+#: LSQR iteration cap of ``discrete_gradient`` per vertex unknown
+_LSQR_ITERS_PER_UNKNOWN = 4
 
 
 def _fsum(parts: Sequence) -> float | complex:
@@ -500,26 +504,99 @@ def fit_holder_modulus(
 def discrete_gradient(sample: SetSample, f: ScalarField) -> CovectorField:
     """Lift per-edge differences of f to vertex covectors by least squares.
 
-    Solves the global system asking the trapezoid edge integral of the
-    lifted field to reproduce f's difference across every edge.  On samples
-    with more vertex unknowns than edges the system is consistent and the
-    reconstruction round-trip is exact up to rounding.
+    Each edge (u, v) gives one equation: the trapezoid integral
+    0.5 (A(u) + A(v)) . (v - u) of the lifted field A must equal
+    f(v) - f(u).  The system need not be consistent (the gasket edge system
+    at level 5 has 732 unknowns, 729 rows and rank 649), so the result is
+    its minimum-norm least-squares solution, the one ``np.linalg.lstsq``
+    returns.  It is found matrix-free by LSQR (Paige & Saunders 1982)
+    started from zero, with atol = btol = 1e-14; only the edge index arrays
+    are stored, never the ne x (nv n) design matrix.  A complex f is solved
+    as two real systems.  If LSQR has not converged after
+    4 nv n iterations, a QcalcError is raised rather than returning an
+    unconverged field.
     """
     require_same_sample(sample, f)
     pts = sample.points_array
     nv, n = sample.vertex_count, sample.ambient_dim
-    ne = sample.edge_count
-    design = np.zeros((ne, nv * n))
-    rhs = np.empty(ne, dtype=f.values.dtype)
-    for row, (u, v, _) in enumerate(sample.edges):
-        half = 0.5 * (pts[v] - pts[u])
-        design[row, u * n : u * n + n] = half
-        design[row, v * n : v * n + n] = half
-        rhs[row] = f.values[v] - f.values[u]
+    uv = np.array([e[:2] for e in sample.edges], dtype=np.intp).reshape(-1, 2)
+    u, v = uv[:, 0], uv[:, 1]
+    half = 0.5 * (pts[v] - pts[u])
+
+    def forward(X: np.ndarray) -> np.ndarray:
+        # np.take gathers rows several times faster than X[u] here
+        return np.einsum("ij,ij->i", half, X.take(u, axis=0) + X.take(v, axis=0))
+
+    def adjoint(r: np.ndarray) -> np.ndarray:
+        w = half * r[:, None]
+        return np.stack([np.bincount(u, w[:, c], nv) + np.bincount(v, w[:, c], nv)
+                         for c in range(n)], axis=1)
+
+    rhs = f.values[v] - f.values[u]
+    iter_cap = max(1, int(_LSQR_ITERS_PER_UNKNOWN * nv * n))
+
+    def solve(b: np.ndarray) -> np.ndarray:
+        x, converged, rnorm = _lsqr(forward, adjoint, b, (nv, n), iter_cap)
+        if not converged:
+            raise QcalcError(
+                f"discrete_gradient: LSQR did not converge in {iter_cap} iterations "
+                f"on a sample with nv={nv}, ne={len(b)}; residual reached {rnorm:.3e}"
+            )
+        return x
+
     if np.iscomplexobj(rhs):
-        sol_re, *_ = np.linalg.lstsq(design, rhs.real, rcond=None)
-        sol_im, *_ = np.linalg.lstsq(design, rhs.imag, rcond=None)
-        sol = sol_re + 1j * sol_im
+        sol = solve(rhs.real) + 1j * solve(rhs.imag)
     else:
-        sol, *_ = np.linalg.lstsq(design, rhs, rcond=None)
-    return CovectorField(sample, sol.reshape(nv, n))
+        sol = solve(rhs)
+    return CovectorField(sample, sol)
+
+
+def _lsqr(forward, adjoint, b: np.ndarray, shape: tuple[int, ...], iter_cap: int):
+    """Minimum-norm least-squares solve of forward(x) = b by LSQR from x = 0.
+
+    ``forward`` maps an array of ``shape`` to the shape of b and ``adjoint``
+    is its transpose.  Stops on LSQR's two standard tests with
+    atol = btol = ``_LSQR_TOL``: a consistent system when
+    |r| <= btol |b| + atol |D| |x|, a least-squares solution when
+    |D^T r| <= atol |D| |r|, where |D| is LSQR's running Frobenius-norm
+    estimate and |r|, |D^T r| are its recurrence estimates.  Returns
+    (x, converged, estimated |r|).
+    """
+    x = np.zeros(shape)
+    bnorm = float(np.linalg.norm(b))
+    if bnorm == 0.0:
+        return x, True, 0.0
+    ub = b / bnorm
+    vb = adjoint(ub)
+    alpha = float(np.linalg.norm(vb))
+    if alpha == 0.0:
+        return x, True, bnorm
+    vb /= alpha
+    w = vb.copy()
+    phibar, rhobar = bnorm, alpha
+    anorm2 = 0.0
+    for _ in range(iter_cap):
+        ub = forward(vb) - alpha * ub
+        beta = float(np.linalg.norm(ub))
+        anorm2 += alpha * alpha + beta * beta
+        if beta > 0.0:
+            ub /= beta
+            vb = adjoint(ub) - beta * vb
+            alpha = float(np.linalg.norm(vb))
+            if alpha > 0.0:
+                vb /= alpha
+        # plane rotation eliminating beta from the bidiagonal
+        rho = math.hypot(rhobar, beta)
+        cs, sn = rhobar / rho, beta / rho
+        theta = sn * alpha
+        rhobar = -cs * alpha
+        phi = cs * phibar
+        phibar = sn * phibar
+        x += (phi / rho) * w
+        w = vb - (theta / rho) * w
+        # phibar estimates |r| and alpha |sn phi| estimates |D^T r|
+        anorm = math.sqrt(anorm2)
+        if (phibar <= _LSQR_TOL * (bnorm + anorm * float(np.linalg.norm(x)))
+                or alpha * abs(sn * phi) <= _LSQR_TOL * anorm * phibar):
+            return x, True, phibar
+    return x, False, phibar

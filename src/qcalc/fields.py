@@ -13,7 +13,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .errors import FieldMismatchError, FormatError
-from .geometry import SCHEMA_VERSION, SetSample, _expect
+from .geometry import SCHEMA_VERSION, SetSample, _expect, _is_finite_number
 
 
 def _coerce(values, shape, what: str) -> np.ndarray:
@@ -118,11 +118,12 @@ def _check_set_ref(doc: dict, sample: SetSample, source: str) -> None:
 
 
 def _parse_value(v, source: str, field: str):
-    if isinstance(v, (int, float)):
+    if _is_finite_number(v):
         return float(v)
-    if isinstance(v, list) and len(v) == 2 and all(isinstance(c, (int, float)) for c in v):
+    if isinstance(v, list) and len(v) == 2 and all(_is_finite_number(c) for c in v):
         return complex(v[0], v[1])
-    raise FormatError(source, field, f"entry {v!r} is neither a number nor [re, im]")
+    raise FormatError(source, field,
+                      f"entry {v!r} is neither a finite number nor [re, im] of finite numbers")
 
 
 def scalar_field_from_dict(doc: dict, sample: SetSample, source: str = "<dict>") -> ScalarField:

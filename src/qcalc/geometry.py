@@ -440,30 +440,43 @@ def _expect(cond: bool, source: str, field: str, message: str) -> None:
         raise FormatError(source, field, message)
 
 
+def _is_index(x) -> bool:
+    """A JSON integer; ``true``/``false`` are not indices."""
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
+def _is_finite_number(x) -> bool:
+    """A JSON number that is a finite double; booleans are not numbers."""
+    if isinstance(x, bool) or not isinstance(x, (int, float)):
+        return False
+    try:
+        return math.isfinite(x)
+    except OverflowError:  # an integer too large for a double
+        return False
+
+
 def sample_from_dict(doc: dict, source: str = "<dict>") -> SetSample:
     _expect(isinstance(doc, dict), source, "<root>", "document must be a JSON object")
     _expect("version" in doc, source, "version", "missing")
     _expect(doc["version"] == SCHEMA_VERSION, source, "version",
             f"unknown version {doc['version']!r}, expected {SCHEMA_VERSION}")
-    _expect(isinstance(doc.get("ambient_dim"), int) and doc["ambient_dim"] >= 1,
+    _expect(_is_index(doc.get("ambient_dim")) and doc["ambient_dim"] >= 1,
             source, "ambient_dim", "must be a positive integer")
     n = doc["ambient_dim"]
     pts = doc.get("points")
     _expect(isinstance(pts, list) and pts, source, "points", "must be a nonempty list")
     for idx, p in enumerate(pts):
         _expect(
-            isinstance(p, list) and len(p) == n
-            and all(isinstance(c, (int, float)) for c in p),
-            source, "points", f"point {idx} is not a list of {n} numbers",
+            isinstance(p, list) and len(p) == n and all(_is_finite_number(c) for c in p),
+            source, "points", f"point {idx} is not a list of {n} finite numbers",
         )
     edges = doc.get("edges")
     _expect(isinstance(edges, list), source, "edges", "must be a list")
     for idx, e in enumerate(edges):
         _expect(
-            isinstance(e, list) and len(e) == 3
-            and isinstance(e[0], int) and isinstance(e[1], int)
-            and isinstance(e[2], (int, float)) and e[2] >= 0,
-            source, "edges", f"edge {idx} is not [i, j, nonnegative length]",
+            isinstance(e, list) and len(e) == 3 and _is_index(e[0]) and _is_index(e[1])
+            and _is_finite_number(e[2]) and e[2] >= 0,
+            source, "edges", f"edge {idx} is not [i, j, nonnegative finite length]",
         )
         _expect(0 <= e[0] < len(pts) and 0 <= e[1] < len(pts), source, "edges",
                 f"edge {idx} index out of range")

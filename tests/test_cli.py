@@ -12,7 +12,8 @@ import pytest
 from qcalc import cli, metric
 from qcalc.calculus import verify_remainder_bound
 from qcalc.cli import emit_pairs_csv, main
-from qcalc.fields import CovectorField, ScalarField, dump_field
+from qcalc.errors import FormatError
+from qcalc.fields import CovectorField, ScalarField, dump_field, load_field
 from qcalc.geometry import build_gasket, build_polyline, dump_sample, load_sample
 
 
@@ -298,6 +299,57 @@ def test_missing_file_exits_two(capsys):
 
 def test_usage_error_exits_two():
     assert main(["definitely-not-a-command"]) == 2
+
+
+@pytest.mark.parametrize("bad", [float("nan"), True], ids=["nan", "true"])
+def test_k_estimate_rejects_bad_coordinate(tmp_path, capsys, bad):
+    set_path = tmp_path / "set.json"
+    set_path.write_text(json.dumps({
+        "version": 1, "ambient_dim": 2, "label": "",
+        "points": [[0.0, 0.0], [1.0, bad], [2.0, 0.0]],
+        "edges": [[0, 1, 1.0], [1, 2, 1.0]],
+    }))
+    assert main(["k-estimate", str(set_path), "--sample", "50"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "set.json" in captured.err and "'points'" in captured.err
+
+
+def test_holder_fit_rejects_nan_field(tmp_path, capsys):
+    seg = build_polyline([(i / 64, 0.0) for i in range(65)])
+    set_path = str(tmp_path / "seg.json")
+    dump_sample(seg, set_path)
+    f = ScalarField.from_function(seg, lambda p: p[0] ** 2)
+    A = CovectorField.from_function(seg, lambda p: (2 * p[0], 0.0))
+    fp, ap = str(tmp_path / "f.json"), str(tmp_path / "A.json")
+    doc = f.as_dict()
+    doc["values"][3] = float("nan")
+    with open(fp, "w") as fh:
+        json.dump(doc, fh)
+    dump_field(A, ap)
+    capsys.readouterr()
+    assert main(["holder-fit", set_path, fp, ap, "--k", "1.0"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "f.json" in captured.err and "'values'" in captured.err
+
+
+@pytest.mark.parametrize("payload,field", [
+    ({"values": [0.0, float("inf"), 1.0]}, "values"),
+    ({"values": [0.0, [1.0, float("nan")], 1.0]}, "values"),
+    ({"values": [0.0, False, 1.0]}, "values"),
+    ({"covectors": [[0.0, 0.0], [float("nan"), 0.0], [1.0, 0.0]]}, "covectors"),
+    ({"covectors": [[0.0, 0.0], [True, 0.0], [1.0, 0.0]]}, "covectors"),
+    ({"covectors": [[0.0, 0.0], [[1.0, -float("inf")], 0.0], [1.0, 0.0]]}, "covectors"),
+], ids=["inf-value", "nan-imag", "false-value", "nan-covector", "true-covector",
+        "inf-imag-covector"])
+def test_field_loader_rejects_non_finite_and_bool(tmp_path, payload, field):
+    sample = build_polyline([(0, 0), (1, 0), (2, 0)])
+    path = tmp_path / "field.json"
+    path.write_text(json.dumps({"version": 1, "set": sample.fingerprint, **payload}))
+    with pytest.raises(FormatError) as err:
+        load_field(str(path), sample)
+    assert err.value.field == field
 
 
 # ---------------------------------------------------------------------------

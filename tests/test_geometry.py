@@ -359,6 +359,29 @@ def test_reader_names_offending_field(corrupt, field):
     assert "fixture.json" in str(err.value)
 
 
+@pytest.mark.parametrize(
+    "key,value,field",
+    [
+        ("points", [[0.0, float("nan")], [1.0, 0.0]], "points"),
+        ("points", [[0.0, 0.0], [float("-inf"), 0.0]], "points"),
+        ("points", [[True, 0.0], [1.0, 0.0]], "points"),
+        ("points", [[10 ** 400, 0.0], [1.0, 0.0]], "points"),
+        ("edges", [[0, 1, float("nan")]], "edges"),
+        ("edges", [[0, 1, float("inf")]], "edges"),
+        ("edges", [[False, True, 1.0]], "edges"),
+        ("ambient_dim", True, "ambient_dim"),
+    ],
+    ids=["nan-coord", "inf-coord", "true-coord", "huge-int-coord", "nan-length",
+         "inf-length", "bool-index", "bool-dim"],
+)
+def test_reader_rejects_non_finite_and_bool_entries(key, value, field):
+    doc = sample_to_dict(build_polyline([(0, 0), (1, 0)]))
+    doc[key] = value
+    with pytest.raises(FormatError) as err:
+        sample_from_dict(doc, source="fixture.json")
+    assert err.value.field == field
+
+
 def test_load_sample_invalid_json(tmp_path):
     path = tmp_path / "bad.json"
     path.write_text("{not json")
