@@ -26,7 +26,7 @@ import numpy as np
 
 from .errors import BuildError, PathError, QcalcError, UndersampledError
 from .fields import CovectorField, ScalarField, require_same_sample
-from .geometry import SCHEMA_VERSION, PolylinePath, SetSample
+from .geometry import SCHEMA_VERSION, PolylinePath, SetSample, row_norms
 from .metric import _check_vertex, predecessor_array
 
 #: bucket sups below this are treated as exactly zero in modulus fits
@@ -159,9 +159,9 @@ def oscillation(A: CovectorField, x: int, radius: float) -> float:
         raise BuildError("radius must be nonnegative")
     _check_vertex(A.sample, x)
     pts = A.sample.points_array
-    d = np.linalg.norm(pts - pts[x], axis=1)
+    d = row_norms(pts - pts[x])
     mask = d <= radius
-    return float(np.max(np.linalg.norm(A.covectors[mask] - A.covectors[x], axis=1)))
+    return float(np.max(row_norms(A.covectors[mask] - A.covectors[x])))
 
 
 @dataclass(frozen=True)
@@ -199,6 +199,7 @@ def verify_remainder_bound(
     sample: SetSample | None = None,
     k: float = 1.0,
     tol: float = 1e-9,
+    pairs: bool = True,
 ) -> RemainderBoundReport:
     """Check the remainder bound for every ordered vertex pair.
 
@@ -217,6 +218,12 @@ def verify_remainder_bound(
     * per unordered pair {i < j} the buffers keep the direction with the
       strictly larger slack lhs - rhs, so (i, j) wins a slack tie;
     * violations are listed in sorted (x, y) order.
+
+    With ``pairs=True`` the report carries the per-unordered-pair buffers
+    ``pair_dist``, ``pair_remainder``, ``pair_bound`` and ``pair_index``
+    (about 48 bytes per unordered pair), which ``qcalc remainder-check
+    --csv`` writes out.  With ``pairs=False`` they are neither allocated nor
+    filled and are ``None``; every other field of the report is the same.
     """
     if sample is None:
         sample = f.sample
@@ -228,29 +235,32 @@ def verify_remainder_bound(
     violations: list[tuple[int, int, float, float]] = []
     max_ratio = 0.0
     max_pair = (0, 0)
-    # per unordered pair, keep the direction with the larger slack
-    n_unordered = nv * (nv - 1) // 2
-    up_d = np.zeros(n_unordered)
-    up_rem = np.zeros(n_unordered)
-    up_bound = np.zeros(n_unordered)
-    up_idx = np.zeros((n_unordered, 2), dtype=int)
-    up_slack = np.full(n_unordered, -np.inf)
-    # the unordered pair {i < j} sits at row_base[i] + j in row-major
-    # upper-triangle order
-    ar = np.arange(nv)
-    row_base = ar * nv - ar * (ar + 1) // 2 - ar - 1
+    up_d = up_rem = up_bound = up_idx = None
+    if pairs:
+        # per unordered pair, keep the direction with the larger slack
+        n_unordered = nv * (nv - 1) // 2
+        up_d = np.zeros(n_unordered)
+        up_rem = np.zeros(n_unordered)
+        up_bound = np.zeros(n_unordered)
+        up_idx = np.zeros((n_unordered, 2), dtype=int)
+        up_slack = np.full(n_unordered, -np.inf)
+        # the unordered pair {i < j} sits at row_base[i] + j in row-major
+        # upper-triangle order
+        ar = np.arange(nv)
+        row_base = ar * nv - ar * (ar + 1) // 2 - ar - 1
 
     for x in range(nv):
-        d = np.linalg.norm(pts - pts[x], axis=1)
-        osc_all = np.linalg.norm(cov - cov[x], axis=1)
+        diff = pts - pts[x]
+        d = row_norms(diff)
+        osc_all = row_norms(cov - cov[x])
         order = np.argsort(d, kind="stable")
         prefix = np.maximum.accumulate(osc_all[order])
         d_sorted = d[order]
         radius = k * d
         pos = np.searchsorted(d_sorted, radius, side="right") - 1
         osc = prefix[np.maximum(pos, 0)]
-        lhs = np.abs(vals - vals[x] - (pts - pts[x]) @ cov[x])
-        rhs = k * d * osc
+        lhs = np.abs(vals - vals[x] - diff @ cov[x])
+        rhs = radius * osc
 
         bad = np.nonzero(lhs > rhs + tol)[0]
         bad = bad[bad != x]
@@ -265,6 +275,8 @@ def verify_remainder_bound(
         if ratio[best] > max_ratio:
             max_ratio = float(ratio[best])
             max_pair = (x, best)
+        if not pairs:
+            continue
 
         # the y > x entries are the pair's first visit, the y < x entries
         # the second; either replaces the stored direction only on a
@@ -332,7 +344,7 @@ def affine_rigidity_test(
     hypothesis holds and the sup-norm fit residual is at most ``tol_out``.
     """
     require_same_sample(sample, f, A)
-    spread = float(np.max(np.linalg.norm(A.covectors - A.covectors.mean(axis=0), axis=1)))
+    spread = float(np.max(row_norms(A.covectors - A.covectors.mean(axis=0))))
     hypothesis_ok = spread <= tol
     pts = sample.points_array
     design = np.hstack([np.ones((sample.vertex_count, 1)), pts])
@@ -370,6 +382,24 @@ class BucketStat:
         }
 
 
+def _row_dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Row-wise dot products, bit for bit ``np.einsum("ij,ij->i", a, b)``.
+
+    A sum of one or two products is the same in any order, so up to two
+    columns the products are added as whole columns; the final ``+ 0.0``
+    turns a -0.0 into 0.0, as einsum's sum starting from 0.0 does.  From
+    three columns on einsum adds in its own SIMD lane order (three columns
+    as (p0 + p2) + p1), so einsum itself is used there.
+    """
+    if a.shape[1] > 2:
+        return np.einsum("ij,ij->i", a, b)
+    acc = a[:, 0] * b[:, 0]
+    if a.shape[1] == 2:
+        acc += a[:, 1] * b[:, 1]
+    acc += 0.0
+    return acc
+
+
 def pair_modulus_profile(
     f: ScalarField, A: CovectorField, min_pairs: int = 8
 ) -> tuple[BucketStat, ...]:
@@ -392,15 +422,15 @@ def pair_modulus_profile(
     counts = np.zeros(nbuckets, dtype=int)
     for i in range(nv - 1):
         diff = pts[i + 1 :] - pts[i]
-        d = np.linalg.norm(diff, axis=1)
+        d = row_norms(diff)
         rem_fwd = np.abs(vals[i + 1 :] - vals[i] - diff @ cov[i])
-        rem_bwd = np.abs(vals[i] - vals[i + 1 :] + np.einsum("ij,ij->i", diff, cov[i + 1 :]))
+        rem_bwd = np.abs(vals[i] - vals[i + 1 :] + _row_dots(diff, cov[i + 1 :]))
         ratio = np.maximum(rem_fwd, rem_bwd) / d
-        da = np.linalg.norm(cov[i + 1 :] - cov[i], axis=1)
+        da = row_norms(cov[i + 1 :] - cov[i])
         octv = np.clip(np.floor(np.log2(d)).astype(int) + offset, 0, nbuckets - 1)
         np.maximum.at(sup_ratio, octv, ratio)
         np.maximum.at(sup_da, octv, da)
-        np.add.at(counts, octv, 1)
+        counts += np.bincount(octv, minlength=nbuckets)
     stats = [
         BucketStat(m - offset, 2.0 ** (m - offset), float(sup_ratio[m]),
                    float(sup_da[m]), int(counts[m]))

@@ -37,6 +37,24 @@ CARPET_LEVEL_CAP = 5
 _SQRT3 = math.sqrt(3.0)
 
 
+def row_norms(diff: np.ndarray) -> np.ndarray:
+    """Euclidean norm of each row, bit for bit ``np.linalg.norm(diff, axis=1)``.
+
+    The squares (``(z.conj() * z).real`` for complex rows, as ``norm`` forms
+    them) are added over the columns in index order, which is the order of
+    numpy's own reduction below 8 columns; from 8 columns on numpy sums
+    pairwise, so its ``np.add.reduce`` is used there.  Column sums avoid
+    the per-row overhead of a reduction over a short axis.
+    """
+    sq = (diff.conj() * diff).real if np.iscomplexobj(diff) else diff * diff
+    if sq.shape[1] >= 8:
+        return np.sqrt(np.add.reduce(sq, axis=1))
+    acc = sq[:, 0].copy()
+    for c in range(1, sq.shape[1]):
+        acc += sq[:, c]
+    return np.sqrt(acc, out=acc)
+
+
 @dataclass(frozen=True)
 class SetSample:
     """A discretized closed subset of R^n as a weighted geometric graph."""
@@ -191,7 +209,7 @@ def validate(sample: SetSample, rel_tol: float = REL_TOL) -> ValidationReport:
             )
     pts = sample.points_array
     for i in range(nv - 1):
-        d = np.linalg.norm(pts[i + 1 :] - pts[i], axis=1)
+        d = row_norms(pts[i + 1 :] - pts[i])
         for off in np.nonzero(d <= DUPLICATE_TOL)[0]:
             j = i + 1 + int(off)
             out.append(Violation("duplicate_points", (i, j), f"points {i} and {j} coincide"))
@@ -455,6 +473,20 @@ def _is_finite_number(x) -> bool:
         return False
 
 
+def _first_coincident_pair(pts: np.ndarray) -> tuple[int, int] | None:
+    """Smallest index pair (i < j) of exactly equal rows, or None.
+
+    One lexicographic sort puts equal rows next to each other (stable, so in
+    index order), so the scan is O(nv log nv).  Rows are compared with
+    ``==``, under which -0.0 and 0.0 coincide.
+    """
+    order = np.lexsort(pts.T)
+    same = np.all(pts[order[1:]] == pts[order[:-1]], axis=1)
+    if not same.any():
+        return None
+    return min(zip(order[:-1][same].tolist(), order[1:][same].tolist()))
+
+
 def sample_from_dict(doc: dict, source: str = "<dict>") -> SetSample:
     _expect(isinstance(doc, dict), source, "<root>", "document must be a JSON object")
     _expect("version" in doc, source, "version", "missing")
@@ -470,6 +502,9 @@ def sample_from_dict(doc: dict, source: str = "<dict>") -> SetSample:
             isinstance(p, list) and len(p) == n and all(_is_finite_number(c) for c in p),
             source, "points", f"point {idx} is not a list of {n} finite numbers",
         )
+    dup = _first_coincident_pair(np.array(pts, dtype=float))
+    if dup is not None:
+        raise FormatError(source, "points", f"points {dup[0]} and {dup[1]} coincide")
     edges = doc.get("edges")
     _expect(isinstance(edges, list), source, "edges", "must be a list")
     for idx, e in enumerate(edges):

@@ -16,7 +16,7 @@ import numpy as np
 
 from .errors import BuildError, DisconnectedSampleError
 from .fields import ScalarField, require_same_sample
-from .geometry import SCHEMA_VERSION, PolylinePath, SetSample
+from .geometry import SCHEMA_VERSION, PolylinePath, SetSample, row_norms
 
 #: relative tolerance for recognizing "dist[u] + w == dist[v]" on float sums
 _TIE_TOL = 1e-12
@@ -141,7 +141,7 @@ def _scan_sources(sample: SetSample, sources: Sequence[int], targets_of) -> tupl
         dist = _single_source(sample, i)[js]
         if not np.all(np.isfinite(dist)):
             raise DisconnectedSampleError("sample is not connected")
-        eu = np.linalg.norm(pts[js] - pts[i], axis=1)
+        eu = row_norms(pts[js] - pts[i])
         ratios = dist / eu
         count += len(js)
         loc = int(np.argmax(ratios))
@@ -250,7 +250,7 @@ def verify_local_to_global(
     l_glob = 0.0
     witness = (0, 0)
     for i in range(nv - 1):
-        d = np.linalg.norm(pts[i + 1 :] - pts[i], axis=1)
+        d = row_norms(pts[i + 1 :] - pts[i])
         df = np.abs(vals[i + 1 :] - vals[i])
         local = d <= radius
         bad = local & (df > C * d + tol)

@@ -17,14 +17,14 @@ import numpy as np
 from .calculus import pair_modulus_profile
 from .errors import UndersampledError, UnderdeterminedNeighborhoodError
 from .fields import CovectorField, ScalarField, require_same_sample
-from .geometry import SCHEMA_VERSION, SetSample
+from .geometry import SCHEMA_VERSION, SetSample, row_norms
 
 
 def _ball_indices(sample: SetSample, x: int, radius: float) -> np.ndarray:
     if radius <= 0:
         raise UnderdeterminedNeighborhoodError("radius must be positive")
     pts = sample.points_array
-    d = np.linalg.norm(pts - pts[x], axis=1)
+    d = row_norms(pts - pts[x])
     idx = np.nonzero(d <= radius)[0]
     if len(idx) < sample.ambient_dim + 1:
         raise UnderdeterminedNeighborhoodError(

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import hashlib
+import io
 import json
 import math
 import subprocess
@@ -315,6 +316,28 @@ def test_k_estimate_rejects_bad_coordinate(tmp_path, capsys, bad):
     assert "set.json" in captured.err and "'points'" in captured.err
 
 
+@pytest.mark.parametrize("command", ["k-estimate", "remainder-check", "holder-fit"])
+def test_coincident_points_exit_two(tmp_path, capsys, command):
+    # vertices 1 and 3 coincide (0.0 and -0.0 are the same coordinate)
+    points = [[0.0, 0.0], [1.0, 0.0], [2.0, 0.0], [1.0, -0.0], [3.0, 0.0]]
+    set_path = tmp_path / "set.json"
+    set_path.write_text(json.dumps({
+        "version": 1, "ambient_dim": 2, "label": "", "points": points,
+        "edges": [[i, i + 1, 1.0] for i in range(4)],
+    }))
+    field = tmp_path / "f.json"
+    field.write_text(json.dumps({"version": 1, "set": "", "values": [0.0] * 5}))
+    cov = tmp_path / "A.json"
+    cov.write_text(json.dumps({"version": 1, "set": "", "covectors": [[0.0, 0.0]] * 5}))
+    args = {"k-estimate": ["--exhaustive"], "remainder-check": [str(field), str(cov), "--k", "2"],
+            "holder-fit": [str(field), str(cov)]}[command]
+    assert main([command, str(set_path), *args]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "set.json" in captured.err and "'points'" in captured.err
+    assert "points 1 and 3 coincide" in captured.err
+
+
 def test_holder_fit_rejects_nan_field(tmp_path, capsys):
     seg = build_polyline([(i / 64, 0.0) for i in range(65)])
     set_path = str(tmp_path / "seg.json")
@@ -365,7 +388,9 @@ def test_emit_pairs_csv_empty_report():
         pair_dist=np.array([]), pair_remainder=np.array([]),
         pair_bound=np.array([]), pair_index=np.zeros((0, 2), dtype=int),
     )
-    assert emit_pairs_csv(empty) == "dist,remainder,bound\n"
+    out = io.StringIO()
+    emit_pairs_csv(empty, out)
+    assert out.getvalue() == "dist,remainder,bound\n"
 
 
 def test_emit_pairs_csv_three_pair_fixture():
@@ -373,8 +398,9 @@ def test_emit_pairs_csv_three_pair_fixture():
     f = ScalarField.from_function(tri, lambda p: p[0] + p[1])
     A = CovectorField.constant(tri, (1.0, 1.0))
     report = verify_remainder_bound(f, A, tri, k=math.sqrt(2))
-    text = emit_pairs_csv(report)
-    assert len(text.splitlines()) == 4  # header + C(3,2) rows
+    out = io.StringIO()
+    emit_pairs_csv(report, out)
+    assert len(out.getvalue().splitlines()) == 4  # header + C(3,2) rows
 
 
 def test_console_entry_point_runs():
@@ -419,6 +445,19 @@ def test_reports_are_byte_identical_across_runs(tmp_path):
         assert doc.get("schema_version", doc.get("version")) == 1, cmd
 
 
+def _gasket_quadratic(tmp_path, level):
+    """Gasket ``level`` on disk with f = x^2 + xy - y^2/2 and its exact gradient."""
+    sample = build_gasket(level)
+    set_path = str(tmp_path / f"g{level}.json")
+    dump_sample(sample, set_path)
+    f = ScalarField.from_function(sample, lambda p: p[0] ** 2 + p[0] * p[1] - 0.5 * p[1] ** 2)
+    A = CovectorField.from_function(sample, lambda p: (2 * p[0] + p[1], p[0] - p[1]))
+    fp, ap = str(tmp_path / "f.json"), str(tmp_path / "A.json")
+    dump_field(f, fp)
+    dump_field(A, ap)
+    return set_path, fp, ap
+
+
 # sha256 of remainder-check stdout and of its --csv file on gasket 4 for
 # f = x^2 + xy - y^2/2 with its exact gradient; k = 2.5 passes, k = 0.6 fails
 REMAINDER_DIGESTS = {
@@ -431,14 +470,7 @@ REMAINDER_DIGESTS = {
 
 @pytest.mark.parametrize("k", sorted(REMAINDER_DIGESTS))
 def test_remainder_check_bytes_are_pinned(tmp_path, capsys, k):
-    sample = build_gasket(4)
-    set_path = str(tmp_path / "g4.json")
-    dump_sample(sample, set_path)
-    f = ScalarField.from_function(sample, lambda p: p[0] ** 2 + p[0] * p[1] - 0.5 * p[1] ** 2)
-    A = CovectorField.from_function(sample, lambda p: (2 * p[0] + p[1], p[0] - p[1]))
-    fp, ap = str(tmp_path / "f.json"), str(tmp_path / "A.json")
-    dump_field(f, fp)
-    dump_field(A, ap)
+    set_path, fp, ap = _gasket_quadratic(tmp_path, 4)
     csv_path = tmp_path / "pairs.csv"
     capsys.readouterr()
     code = main(["remainder-check", set_path, fp, ap, "--k", k, "--csv", str(csv_path)])
@@ -447,3 +479,30 @@ def test_remainder_check_bytes_are_pinned(tmp_path, capsys, k):
     assert code == expect_code
     assert hashlib.sha256(stdout).hexdigest() == stdout_digest
     assert hashlib.sha256(csv_path.read_bytes()).hexdigest() == csv_digest
+    # the pair buffers are only built for --csv; the report must not notice
+    assert main(["remainder-check", set_path, fp, ap, "--k", k]) == expect_code
+    assert capsys.readouterr().out.encode() == stdout
+
+
+# sha256 of the stdout of pair-scan commands on the field above: holder-fit
+# and whitney on gasket 5, the exhaustive chord-arc scan on gasket 4
+SCAN_DIGESTS = {
+    "holder-fit": (5, ["--k", "1.5"], 0,
+                   "5c69da06ad9df660d966250127223487c191240379f0354f3cb5253441ef8709"),
+    "whitney": (5, [], 0,
+                "ab4c91bc71c478c894ec207dd4b8d7b684e3de30572103ffd97f51fd48e21d06"),
+    "k-estimate": (4, ["--exhaustive"], 0,
+                   "56068ce28f35f88d6990bbed32079e1abb4b2969ffeb062fb7108996abb38247"),
+}
+
+
+@pytest.mark.parametrize("command", sorted(SCAN_DIGESTS))
+def test_pair_scan_bytes_are_pinned(tmp_path, capsys, command):
+    level, extra, expect_code, digest = SCAN_DIGESTS[command]
+    set_path, fp, ap = _gasket_quadratic(tmp_path, level)
+    inputs = [set_path] if command == "k-estimate" else [set_path, fp, ap]
+    capsys.readouterr()
+    code = main([command, *inputs, *extra])
+    stdout = capsys.readouterr().out.encode()
+    assert code == expect_code
+    assert hashlib.sha256(stdout).hexdigest() == digest

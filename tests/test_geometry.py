@@ -382,6 +382,32 @@ def test_reader_rejects_non_finite_and_bool_entries(key, value, field):
     assert err.value.field == field
 
 
+@pytest.mark.parametrize(
+    "points,pair",
+    [
+        ([[0.0, 0.0], [1.0, 0.0], [0.0, 0.0]], (0, 2)),
+        ([[0.5, 1.0], [0.0, -0.0], [2.0, 0.0], [0.5, 1.0], [-0.0, 0.0]], (0, 3)),
+        ([[1.0, 0.0], [0.0, -0.0], [2.0, 0.0], [-0.0, 0.0], [0.0, 0.0]], (1, 3)),
+        ([[3.0], [1.0], [2.0], [1.0]], (1, 3)),
+    ],
+    ids=["repeat", "two-repeats", "signed-zeros", "one-dim"],
+)
+def test_reader_rejects_coincident_points(points, pair):
+    doc = {"version": 1, "ambient_dim": len(points[0]), "points": points,
+           "edges": [[i, i + 1, 1.0] for i in range(len(points) - 1)], "label": ""}
+    with pytest.raises(FormatError) as err:
+        sample_from_dict(doc, source="fixture.json")
+    assert err.value.field == "points"
+    assert f"points {pair[0]} and {pair[1]} coincide" in str(err.value)
+
+
+def test_reader_accepts_points_that_differ_in_one_coordinate():
+    doc = {"version": 1, "ambient_dim": 2, "label": "",
+           "points": [[0.0, 0.0], [0.0, 5e-324], [5e-324, 0.0]],
+           "edges": [[0, 1, 5e-324], [0, 2, 5e-324]]}
+    assert sample_from_dict(doc).vertex_count == 3
+
+
 def test_load_sample_invalid_json(tmp_path):
     path = tmp_path / "bad.json"
     path.write_text("{not json")
