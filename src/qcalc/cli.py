@@ -14,10 +14,10 @@ from typing import TextIO
 
 import numpy as np
 
-from . import calculus, clifford, geometry, metric, whitney
+from . import geometry
 from .errors import QcalcError
 from .fields import CovectorField, ScalarField, load_field
-from .geometry import SCHEMA_VERSION, load_sample, path_to_dict, sample_to_dict
+from .geometry import SCHEMA_VERSION, load_sample, path_to_dict, read_json, sample_to_dict
 
 TOLERANCE_DEFAULTS = {
     "ftc": 1e-9,        # pass threshold for the path-integral identity
@@ -179,215 +179,223 @@ def build_parser() -> argparse.ArgumentParser:
     return top
 
 
-def _load_json(path: str) -> dict:
-    from .errors import FormatError
-
-    try:
-        with open(path) as fh:
-            return json.load(fh)
-    except FileNotFoundError as exc:
-        raise UsageError(f"{path}: no such file") from exc
-    except json.JSONDecodeError as exc:
-        raise FormatError(path, "<json>", f"not valid JSON ({exc})") from exc
+def _field(path: str, sample, kind=ScalarField):
+    """The field stored at ``path``, which must be a ``kind`` field."""
+    loaded = load_field(path, sample)
+    if not isinstance(loaded, kind):
+        name, key = ("scalar", "values") if kind is ScalarField else ("covector", "covectors")
+        raise UsageError(f"{path}: expected a {name} field ({key!r})")
+    return loaded
 
 
-def _scalar(path: str, sample) -> ScalarField:
-    f = load_field(path, sample)
-    if not isinstance(f, ScalarField):
-        raise UsageError(f"{path}: expected a scalar field ('values')")
-    return f
+def _set_f_A(opt: dict):
+    """The set sample, scalar field ``f`` and covector field ``A`` named by ``opt``."""
+    sample = load_sample(opt["set"])
+    return sample, _field(opt["f"], sample), _field(opt["A"], sample, CovectorField)
 
 
-def _covector(path: str, sample) -> CovectorField:
-    A = load_field(path, sample)
-    if not isinstance(A, CovectorField):
-        raise UsageError(f"{path}: expected a covector field ('covectors')")
-    return A
+def _verdict(report) -> tuple[int, dict]:
+    return (0 if report.passed else 1), report.as_dict()
+
+
+# Each handler reads its inputs first and imports its kernel module only then,
+# so a subcommand loads just what it uses and a rejected document none of it.
+
+
+def _build(config: RunConfig, opt: dict):
+    shape = opt["shape"]
+    if shape == "gasket":
+        sample = geometry.build_gasket(opt["level"])
+    elif shape == "carpet":
+        sample = geometry.build_carpet(opt["level"])
+    elif shape == "polyline":
+        try:
+            coords = json.loads(opt["coords"])
+        except json.JSONDecodeError as exc:
+            raise UsageError(f"--coords is not valid JSON ({exc})") from exc
+        sample = geometry.build_polyline(coords, closed=opt["closed"])
+    elif shape == "graph":
+        slopes = [float(s) for s in opt["slopes"].split(",") if s.strip()]
+        sample = geometry.build_lipschitz_graph(slopes, opt["step"], opt["span"])
+    else:
+        sample = geometry.build_dumbbell(opt["radius"], opt["neck"], opt["step"])
+    return 0, sample_to_dict(sample)
+
+
+def _k_estimate(config: RunConfig, opt: dict):
+    sample = load_sample(opt["set"])
+    from . import metric
+    if opt["sample"] is None:
+        return 0, metric.estimate_chord_arc(sample, "exhaustive").as_dict()
+    return 0, metric.estimate_chord_arc(
+        sample, "sampled", seed=config.seed, pair_budget=opt["sample"]
+    ).as_dict()
+
+
+def _geodesic(config: RunConfig, opt: dict):
+    sample = load_sample(opt["set"])
+    from . import metric
+    path = metric.shortest_path(sample, opt["i"], opt["j"])
+    doc = {
+        "schema_version": SCHEMA_VERSION,
+        "source": opt["i"],
+        "target": opt["j"],
+        "distance": metric.geodesic_distance(sample, opt["i"], opt["j"]),
+        "path_vertices": list(path.vertices),
+        "path_length": path.length,
+    }
+    if opt.get("path"):
+        with open(opt["path"], "w") as fh:
+            json.dump(path_to_dict(path), fh, sort_keys=True, indent=2)
+            fh.write("\n")
+    return 0, doc
+
+
+def _ftc(config: RunConfig, opt: dict):
+    sample, f, A = _set_f_A(opt)
+    from . import calculus, metric
+    if opt.get("vertices"):
+        chain = [int(v) for v in opt["vertices"].split(",")]
+        path = geometry.PolylinePath.from_vertices(sample, chain)
+    elif opt.get("src") is not None and opt.get("dst") is not None:
+        path = metric.shortest_path(sample, opt["src"], opt["dst"])
+    else:
+        raise UsageError("ftc needs either --vertices or both --from and --to")
+    residual = calculus.verify_ftc(f, A, path)
+    tol = config.tol("ftc")
+    doc = {
+        "schema_version": SCHEMA_VERSION,
+        "path_vertices": list(path.vertices),
+        "residual": residual,
+        "tol": tol,
+        "passed": residual <= tol,
+    }
+    return (0 if doc["passed"] else 1), doc
+
+
+def _reconstruct(config: RunConfig, opt: dict):
+    sample = load_sample(opt["set"])
+    A = _field(opt["A"], sample, CovectorField)
+    from . import calculus
+    rec = calculus.reconstruct(sample, A, opt["base"], opt["value"], defect_tol=config.tol("loop"))
+    return 0, {
+        "schema_version": SCHEMA_VERSION,
+        "basepoint": opt["base"],
+        "base_value": opt["value"],
+        "field": rec.as_dict(),
+        "warning": rec.warning,
+    }
+
+
+def _remainder_check(config: RunConfig, opt: dict):
+    sample, f, A = _set_f_A(opt)
+    from . import calculus
+    report = calculus.verify_remainder_bound(
+        f, A, sample, k=opt["k"], tol=config.tol("remainder"), pairs=bool(config.csv)
+    )
+    if config.csv:
+        with open(config.csv, "w") as fh:
+            emit_pairs_csv(report, fh)
+    return _verdict(report)
+
+
+def _holder_fit(config: RunConfig, opt: dict):
+    sample, f, A = _set_f_A(opt)
+    from . import calculus
+    return 0, calculus.fit_holder_modulus(f, A, sample, k=opt["k"]).as_dict()
+
+
+def _whitney(config: RunConfig, opt: dict):
+    sample, f, A = _set_f_A(opt)
+    from . import whitney
+    return _verdict(whitney.check_whitney_c1(
+        sample, f, A, scale_buckets=opt["buckets"], threshold=config.tol("whitney"),
+        decay_tol=opt["slack"],
+    ))
+
+
+def _flatness(config: RunConfig, opt: dict):
+    sample = load_sample(opt["set"])
+    from . import whitney
+    return 0, whitney.local_flatness(sample, opt["index"], opt["radius"]).as_dict()
+
+
+def _clifford_check(config: RunConfig, opt: dict):
+    doc = read_json(opt["columns"])
+    from . import clifford
+    L = clifford.map_from_dict(doc, source=opt["columns"])
+    tol = config.tol("monogenic")
+    check = clifford.is_left_monogenic if opt["side"] == "left" else clifford.is_right_monogenic
+    return _verdict(check(L, tol))
+
+
+def _clifford_complete(config: RunConfig, opt: dict):
+    doc = read_json(opt["partial"])
+    dim = opt["dim"]
+    if doc.get("dim") != dim:
+        raise UsageError(f"--dim {dim} does not match the file's dim {doc.get('dim')!r}")
+    from . import clifford
+    cols = [clifford.Multivector(dim, np.asarray(c, dtype=float)) for c in doc.get("columns", [])]
+    out = clifford.complete_from_hyperplane(cols, side=opt["side"]).as_dict()
+    out["schema_version"] = SCHEMA_VERSION
+    return 0, out
+
+
+def _clifford_dimension(config: RunConfig, opt: dict):
+    from . import clifford
+    n = opt["dim"]
+    return 0, {
+        "schema_version": SCHEMA_VERSION,
+        "n": n,
+        "side": opt["side"],
+        "dimension": clifford.monogenic_space_dimension(n, side=opt["side"]),
+        "closed_form": (n - 1) * 2 ** n,
+    }
+
+
+def _graph_derivative(config: RunConfig, opt: dict):
+    sample = load_sample(opt["set"])
+    f, deriv = _field(opt["f"], sample), _field(opt["A"], sample)
+    from . import clifford
+    return _verdict(clifford.tangential_derivative_on_graph(
+        f, deriv, c_quad=opt["cquad"], tol=config.tol("graph")
+    ))
+
+
+#: subcommand (``clifford`` with its action) -> handler(config, options)
+COMMANDS = {
+    "build": _build,
+    "k-estimate": _k_estimate,
+    "geodesic": _geodesic,
+    "ftc": _ftc,
+    "reconstruct": _reconstruct,
+    "remainder-check": _remainder_check,
+    "holder-fit": _holder_fit,
+    "whitney": _whitney,
+    "flatness": _flatness,
+    "clifford check": _clifford_check,
+    "clifford complete": _clifford_complete,
+    "clifford dimension": _clifford_dimension,
+    "graph-derivative": _graph_derivative,
+}
 
 
 def dispatch(config: RunConfig) -> tuple[int, dict | None]:
     """Run one subcommand; returns (exit status, report document)."""
-    cmd = config.command
-    opt = config.options
-
-    if cmd == "build":
-        shape = opt["shape"]
-        if shape == "gasket":
-            sample = geometry.build_gasket(opt["level"])
-        elif shape == "carpet":
-            sample = geometry.build_carpet(opt["level"])
-        elif shape == "polyline":
-            try:
-                coords = json.loads(opt["coords"])
-            except json.JSONDecodeError as exc:
-                raise UsageError(f"--coords is not valid JSON ({exc})") from exc
-            sample = geometry.build_polyline(coords, closed=opt["closed"])
-        elif shape == "graph":
-            slopes = [float(s) for s in opt["slopes"].split(",") if s.strip()]
-            sample = geometry.build_lipschitz_graph(slopes, opt["step"], opt["span"])
-        else:
-            sample = geometry.build_dumbbell(opt["radius"], opt["neck"], opt["step"])
-        return 0, sample_to_dict(sample)
-
-    if cmd == "k-estimate":
-        sample = load_sample(opt["set"])
-        if opt["sample"] is not None:
-            report = metric.estimate_chord_arc(
-                sample, "sampled", seed=config.seed, pair_budget=opt["sample"]
-            )
-        else:
-            report = metric.estimate_chord_arc(sample, "exhaustive")
-        return 0, report.as_dict()
-
-    if cmd == "geodesic":
-        sample = load_sample(opt["set"])
-        path = metric.shortest_path(sample, opt["i"], opt["j"])
-        doc = {
-            "schema_version": SCHEMA_VERSION,
-            "source": opt["i"],
-            "target": opt["j"],
-            "distance": metric.geodesic_distance(sample, opt["i"], opt["j"]),
-            "path_vertices": list(path.vertices),
-            "path_length": path.length,
-        }
-        if opt.get("path"):
-            with open(opt["path"], "w") as fh:
-                json.dump(path_to_dict(path), fh, sort_keys=True, indent=2)
-                fh.write("\n")
-        return 0, doc
-
-    if cmd == "ftc":
-        sample = load_sample(opt["set"])
-        f = _scalar(opt["f"], sample)
-        A = _covector(opt["A"], sample)
-        if opt.get("vertices"):
-            chain = [int(v) for v in opt["vertices"].split(",")]
-            path = geometry.PolylinePath.from_vertices(sample, chain)
-        elif opt.get("src") is not None and opt.get("dst") is not None:
-            path = metric.shortest_path(sample, opt["src"], opt["dst"])
-        else:
-            raise UsageError("ftc needs either --vertices or both --from and --to")
-        residual = calculus.verify_ftc(f, A, path)
-        tol = config.tol("ftc")
-        doc = {
-            "schema_version": SCHEMA_VERSION,
-            "path_vertices": list(path.vertices),
-            "residual": residual,
-            "tol": tol,
-            "passed": residual <= tol,
-        }
-        return (0 if doc["passed"] else 1), doc
-
-    if cmd == "reconstruct":
-        sample = load_sample(opt["set"])
-        A = _covector(opt["A"], sample)
-        rec = calculus.reconstruct(
-            sample, A, opt["base"], opt["value"], defect_tol=config.tol("loop")
-        )
-        doc = {
-            "schema_version": SCHEMA_VERSION,
-            "basepoint": opt["base"],
-            "base_value": opt["value"],
-            "field": rec.as_dict(),
-            "warning": rec.warning,
-        }
-        return 0, doc
-
-    if cmd == "remainder-check":
-        sample = load_sample(opt["set"])
-        f = _scalar(opt["f"], sample)
-        A = _covector(opt["A"], sample)
-        report = calculus.verify_remainder_bound(
-            f, A, sample, k=opt["k"], tol=config.tol("remainder"),
-            pairs=bool(config.csv),
-        )
-        if config.csv:
-            with open(config.csv, "w") as fh:
-                emit_pairs_csv(report, fh)
-        return (0 if report.passed else 1), report.as_dict()
-
-    if cmd == "holder-fit":
-        sample = load_sample(opt["set"])
-        f = _scalar(opt["f"], sample)
-        A = _covector(opt["A"], sample)
-        fit = calculus.fit_holder_modulus(f, A, sample, k=opt["k"])
-        return 0, fit.as_dict()
-
-    if cmd == "whitney":
-        sample = load_sample(opt["set"])
-        f = _scalar(opt["f"], sample)
-        A = _covector(opt["A"], sample)
-        report = whitney.check_whitney_c1(
-            sample,
-            f,
-            A,
-            scale_buckets=opt["buckets"],
-            threshold=config.tol("whitney"),
-            decay_tol=opt["slack"],
-        )
-        return (0 if report.passed else 1), report.as_dict()
-
-    if cmd == "flatness":
-        sample = load_sample(opt["set"])
-        report = whitney.local_flatness(sample, opt["index"], opt["radius"])
-        return 0, report.as_dict()
-
-    if cmd == "clifford":
-        sub = opt["cliffcmd"]
-        if sub == "check":
-            doc = _load_json(opt["columns"])
-            L = clifford.map_from_dict(doc, source=opt["columns"])
-            tol = config.tol("monogenic")
-            check = (
-                clifford.is_left_monogenic(L, tol)
-                if opt["side"] == "left"
-                else clifford.is_right_monogenic(L, tol)
-            )
-            return (0 if check.passed else 1), check.as_dict()
-        if sub == "complete":
-            doc = _load_json(opt["partial"])
-            dim = opt["dim"]
-            if doc.get("dim") != dim:
-                raise UsageError(
-                    f"--dim {dim} does not match the file's dim {doc.get('dim')!r}"
-                )
-            cols = [
-                clifford.Multivector(dim, np.asarray(c, dtype=float))
-                for c in doc.get("columns", [])
-            ]
-            completed = clifford.complete_from_hyperplane(cols, side=opt["side"])
-            out = completed.as_dict()
-            out["schema_version"] = SCHEMA_VERSION
-            return 0, out
-        if sub == "dimension":
-            n = opt["dim"]
-            value = clifford.monogenic_space_dimension(n, side=opt["side"])
-            return 0, {
-                "schema_version": SCHEMA_VERSION,
-                "n": n,
-                "side": opt["side"],
-                "dimension": value,
-                "closed_form": (n - 1) * 2 ** n,
-            }
-
-    if cmd == "graph-derivative":
-        sample = load_sample(opt["set"])
-        f = _scalar(opt["f"], sample)
-        deriv = _scalar(opt["A"], sample)
-        report = clifford.tangential_derivative_on_graph(
-            f, deriv, c_quad=opt["cquad"], tol=config.tol("graph")
-        )
-        return (0 if report.passed else 1), report.as_dict()
-
-    raise UsageError(f"unknown command {cmd!r}")
+    key = config.command
+    if key == "clifford":
+        key = f"clifford {config.options.get('cliffcmd')}"
+    if key not in COMMANDS:
+        raise UsageError(f"unknown command {config.command!r}")
+    return COMMANDS[key](config, config.options)
 
 
 #: rows formatted and written per chunk by ``emit_pairs_csv``
 _CSV_CHUNK_ROWS = 1 << 14
 
 
-def emit_pairs_csv(report: calculus.RemainderBoundReport, out: TextIO) -> None:
-    """Write the CSV of (dist, remainder, bound) rows, one per unordered pair.
+def emit_pairs_csv(report, out: TextIO) -> None:
+    """Write the CSV of a ``RemainderBoundReport``, one row per unordered pair.
 
     Each row shows the direction of the pair with the larger remainder-bound
     slack; rows are sorted by distance, then pair indices, so output is
@@ -410,18 +418,13 @@ def emit_pairs_csv(report: calculus.RemainderBoundReport, out: TextIO) -> None:
 
 def _config_from_args(args: argparse.Namespace) -> RunConfig:
     opt = vars(args).copy()
-    command = opt.pop("command")
-    seed = opt.pop("seed", 0)
-    tol_entries = opt.pop("tol", None)
-    out = opt.pop("out", None)
-    csv = opt.pop("csv", None)
     return RunConfig(
-        command=command,
+        command=opt.pop("command"),
+        seed=opt.pop("seed", 0),
+        tolerances=_parse_tolerances(opt.pop("tol", None)),
+        out=opt.pop("out", None),
+        csv=opt.pop("csv", None),
         options=opt,
-        seed=seed,
-        tolerances=_parse_tolerances(tol_entries),
-        out=out,
-        csv=csv,
     )
 
 
@@ -445,10 +448,7 @@ def main(argv: list[str] | None = None) -> int:
         if config.csv and config.command != "remainder-check":
             raise UsageError("--csv is only supported for remainder-check")
         status, doc = dispatch(config)
-    except UsageError as exc:
-        print(f"qcalc: {exc}", file=sys.stderr)
-        return 2
-    except QcalcError as exc:
+    except QcalcError as exc:  # usage and input errors alike
         print(f"qcalc: {exc}", file=sys.stderr)
         return 2
     if doc is not None:

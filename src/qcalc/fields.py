@@ -13,7 +13,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .errors import FieldMismatchError, FormatError
-from .geometry import SCHEMA_VERSION, SetSample, _expect, _is_finite_number
+from .geometry import SCHEMA_VERSION, SetSample, _expect, _is_finite_number, read_json
 
 
 def _coerce(values, shape, what: str) -> np.ndarray:
@@ -156,13 +156,7 @@ def covector_field_from_dict(doc: dict, sample: SetSample, source: str = "<dict>
 
 def load_field(path: str, sample: SetSample):
     """Load a scalar or covector field JSON document, keyed by its payload."""
-    try:
-        with open(path) as fh:
-            doc = json.load(fh)
-    except FileNotFoundError as exc:
-        raise FormatError(path, "<file>", "no such file") from exc
-    except json.JSONDecodeError as exc:
-        raise FormatError(path, "<json>", f"not valid JSON ({exc})") from exc
+    doc = read_json(path)
     if isinstance(doc, dict) and "covectors" in doc:
         return covector_field_from_dict(doc, sample, source=path)
     if isinstance(doc, dict) and "values" in doc:

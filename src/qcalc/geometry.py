@@ -12,7 +12,7 @@ the computed distance so this holds exactly.
 """
 from __future__ import annotations
 
-import hashlib
+import itertools
 import json
 import math
 from collections import deque
@@ -107,6 +107,8 @@ class SetSample:
     @cached_property
     def fingerprint(self) -> str:
         """Content hash used to check that fields belong to this sample."""
+        import hashlib  # here, so that commands which never hash a sample skip it
+
         payload = json.dumps(sample_to_dict(self), sort_keys=True)
         return hashlib.sha256(payload.encode()).hexdigest()[:16]
 
@@ -487,6 +489,25 @@ def _first_coincident_pair(pts: np.ndarray) -> tuple[int, int] | None:
     return min(zip(order[:-1][same].tolist(), order[1:][same].tolist()))
 
 
+def _check_edge_lengths(edges: list, points: np.ndarray, source: str) -> None:
+    """Stored lengths against endpoint distances by ``validate``'s rule, in O(ne).
+
+    ``edges`` are [i, j, length] lists whose indices are already checked.
+    ``np.hypot`` scales as it goes, so subnormal and huge gaps, whose squares
+    ``row_norms`` would flush to 0 or inf, are measured correctly.
+    """
+    flat = np.fromiter(itertools.chain.from_iterable(edges), float, 3 * len(edges))
+    flat = flat.reshape(-1, 3)
+    ends = flat[:, :2].astype(np.intp)
+    dist = np.hypot.reduce(np.abs(points[ends[:, 1]] - points[ends[:, 0]]), axis=1)
+    length = flat[:, 2]
+    bad = np.flatnonzero(np.abs(length - dist) > REL_TOL * np.maximum(dist, length))
+    if bad.size:
+        idx = int(bad[0])
+        raise FormatError(source, "edges", f"edge {idx} stores {float(length[idx])!r} "
+                                           f"but endpoints are {float(dist[idx])!r} apart")
+
+
 def sample_from_dict(doc: dict, source: str = "<dict>") -> SetSample:
     _expect(isinstance(doc, dict), source, "<root>", "document must be a JSON object")
     _expect("version" in doc, source, "version", "missing")
@@ -502,7 +523,8 @@ def sample_from_dict(doc: dict, source: str = "<dict>") -> SetSample:
             isinstance(p, list) and len(p) == n and all(_is_finite_number(c) for c in p),
             source, "points", f"point {idx} is not a list of {n} finite numbers",
         )
-    dup = _first_coincident_pair(np.array(pts, dtype=float))
+    points = np.array(pts, dtype=float)
+    dup = _first_coincident_pair(points)
     if dup is not None:
         raise FormatError(source, "points", f"points {dup[0]} and {dup[1]} coincide")
     edges = doc.get("edges")
@@ -515,6 +537,7 @@ def sample_from_dict(doc: dict, source: str = "<dict>") -> SetSample:
         )
         _expect(0 <= e[0] < len(pts) and 0 <= e[1] < len(pts), source, "edges",
                 f"edge {idx} index out of range")
+    _check_edge_lengths(edges, points, source)
     label = doc.get("label", "")
     _expect(isinstance(label, str), source, "label", "must be a string")
     return SetSample(n, tuple(tuple(p) for p in pts),
@@ -527,15 +550,19 @@ def dump_sample(sample: SetSample, path: str) -> None:
         fh.write("\n")
 
 
-def load_sample(path: str) -> SetSample:
+def read_json(path: str):
+    """The JSON document at ``path``; a missing or unparsable file is a FormatError."""
     try:
         with open(path) as fh:
-            doc = json.load(fh)
+            return json.load(fh)
     except FileNotFoundError as exc:
         raise FormatError(path, "<file>", "no such file") from exc
     except json.JSONDecodeError as exc:
         raise FormatError(path, "<json>", f"not valid JSON ({exc})") from exc
-    return sample_from_dict(doc, source=path)
+
+
+def load_sample(path: str) -> SetSample:
+    return sample_from_dict(read_json(path), source=path)
 
 
 def path_to_dict(path: PolylinePath) -> dict:
@@ -545,15 +572,3 @@ def path_to_dict(path: PolylinePath) -> dict:
         "vertices": list(path.vertices),
         "cumulative_length": list(path.cumulative_length),
     }
-
-
-def path_from_dict(doc: dict, sample: SetSample, source: str = "<dict>") -> PolylinePath:
-    _expect(isinstance(doc, dict), source, "<root>", "document must be a JSON object")
-    _expect(doc.get("version") == SCHEMA_VERSION, source, "version", "unknown version")
-    ref = doc.get("set", "")
-    _expect(ref in ("", sample.fingerprint, sample.label), source, "set",
-            "refers to a different sample")
-    verts = doc.get("vertices")
-    _expect(isinstance(verts, list) and all(isinstance(v, int) for v in verts),
-            source, "vertices", "must be a list of integers")
-    return PolylinePath.from_vertices(sample, verts)

@@ -338,6 +338,28 @@ def test_coincident_points_exit_two(tmp_path, capsys, command):
     assert "points 1 and 3 coincide" in captured.err
 
 
+@pytest.mark.parametrize("command", ["k-estimate", "geodesic", "ftc"])
+def test_wrong_edge_length_exits_two(tmp_path, capsys, command):
+    # a unit gap that stores length 5 used to give k_hat = 5.0 and exit 0
+    set_path = tmp_path / "set.json"
+    set_path.write_text(json.dumps({
+        "version": 1, "ambient_dim": 2, "label": "",
+        "points": [[0.0, 0.0], [1.0, 0.0], [1.0, 1.0]],
+        "edges": [[0, 1, 1.0], [1, 2, 5.0]],
+    }))
+    field = tmp_path / "f.json"
+    field.write_text(json.dumps({"version": 1, "set": "", "values": [0.0] * 3}))
+    cov = tmp_path / "A.json"
+    cov.write_text(json.dumps({"version": 1, "set": "", "covectors": [[0.0, 0.0]] * 3}))
+    args = {"k-estimate": ["--exhaustive"], "geodesic": ["0", "2"],
+            "ftc": [str(field), str(cov), "--from", "0", "--to", "2"]}[command]
+    assert main([command, str(set_path), *args]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "set.json" in captured.err and "'edges'" in captured.err
+    assert "edge 1 stores 5.0 but endpoints are 1.0 apart" in captured.err
+
+
 def test_holder_fit_rejects_nan_field(tmp_path, capsys):
     seg = build_polyline([(i / 64, 0.0) for i in range(65)])
     set_path = str(tmp_path / "seg.json")
@@ -506,3 +528,59 @@ def test_pair_scan_bytes_are_pinned(tmp_path, capsys, command):
     stdout = capsys.readouterr().out.encode()
     assert code == expect_code
     assert hashlib.sha256(stdout).hexdigest() == digest
+
+
+# sha256 of ``--help`` for the top level and every subcommand, and of the
+# stderr of usage errors, captured before the dispatch table replaced the
+# if-chain; argparse lays help out by the terminal width and differently
+# across Python versions, so the width is fixed and the pins are for 3.11
+HELP_DIGESTS = {
+    "": "38e2fbd8a299b2ee79e80f06f17e611cac4acc4fb3c30663ed94928135ce716b",
+    "build": "0a9c6aad7bae55d2236cadcafb521ee3a909d5f9c4599564418a477fa3f85776",
+    "build gasket": "b7e9921e587973b6d3938264a432adbf33918d3fbe61612823b48a571ea718bb",
+    "build carpet": "16f85d0fce1b469f111b5c2499760293bd1965c808cdfb0de059cb31641f91e6",
+    "build polyline": "5e0ba4cf54bf374b0bd21f06ead70edbe30cfe386bd8bfc92d0751514766ac72",
+    "build graph": "17e30cfdd71c85f3175ff4dc41c56fe3a889b7fb70818b62930022ebd899ab00",
+    "build dumbbell": "3137987ebdabede5abce93b935c3874533946847607197964e4051806a2e0f2a",
+    "k-estimate": "886db0d3a5697dec0780e2e3a4ca89a6678279f64133024fda0f95d557f4f636",
+    "geodesic": "12b442f179b5e1301fc82353c604f622b6e9e4f97fea1c5a82076654ee9f66f3",
+    "ftc": "2aa276d4743fe3aee86874307426f9296e7b11f38102b0fa857348f04f8dfb0d",
+    "reconstruct": "632685b4bd0ff5f54c3f46273123f459a2e3b18f6279119e3b71ea52c81adaf8",
+    "remainder-check": "2e6e7f501c6adf459626bcd888febd0737f9dff885c86dfe5ec675dda0caa8e8",
+    "holder-fit": "02ef07b1294660d525b5a6be96140ae20567838a84d98cd7e93cfe58a4d650c9",
+    "whitney": "d5442ee719da6b0ea6b18ba0caa27af4a00d8478c508f8178b75703151a066f7",
+    "flatness": "27ea85e5ddcfb58908cee557f06a51d0d0aea657ee845454de61b2a793c23bcc",
+    "clifford": "76f93844ffcf5a401d86896f9015f294d553055bc0b4b6d699dcdff25780fe6e",
+    "clifford check": "c09666d8d439a47682d9823adcc33eed37fd6c4ea50eee8a02e6d31ebba39de4",
+    "clifford complete": "49fc7ad45366ad2d5a58a4aa2010cb5457ba8fe4c3f6e70087102e790a261422",
+    "clifford dimension": "6a46241ce1122708fd284552f91703008e9796cf7db87c9c51a11778a7678d79",
+    "graph-derivative": "3d90b458eec9db359abac1b0bf2646e1da484106fd588f4c0feb9fa2d152c63d",
+}
+USAGE_ERROR_DIGESTS = {
+    "definitely-not-a-command":
+        "111ca605b7575bbc0fc09bc7da6e6123fa97333cb6258a2c9dc818c8794b5f25",
+    "k-estimate": "b80d308f5498552c65e8f6d321a73bf47c7226d73cd0f89befd687fca7ca4ec2",
+    "build gasket": "cc4647de821660703033b28a781b232eb9312200eaab309befb915b09d64d401",
+}
+py311_only = pytest.mark.skipif(sys.version_info[:2] != (3, 11),
+                                reason="argparse layout pinned with Python 3.11")
+
+
+@py311_only
+@pytest.mark.parametrize("command", sorted(HELP_DIGESTS))
+def test_help_bytes_are_pinned(monkeypatch, capsys, command):
+    monkeypatch.setenv("COLUMNS", "80")
+    assert main([*command.split(), "--help"]) == 0
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    assert hashlib.sha256(captured.out.encode()).hexdigest() == HELP_DIGESTS[command]
+
+
+@py311_only
+@pytest.mark.parametrize("argv", sorted(USAGE_ERROR_DIGESTS))
+def test_usage_error_bytes_are_pinned(monkeypatch, capsys, argv):
+    monkeypatch.setenv("COLUMNS", "80")
+    assert main(argv.split()) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert hashlib.sha256(captured.err.encode()).hexdigest() == USAGE_ERROR_DIGESTS[argv]

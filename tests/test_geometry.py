@@ -408,6 +408,49 @@ def test_reader_accepts_points_that_differ_in_one_coordinate():
     assert sample_from_dict(doc).vertex_count == 3
 
 
+@pytest.mark.parametrize(
+    "points,edges,bad",
+    [
+        ([[0.0, 0.0], [1.0, 0.0], [2.0, 0.0]], [[0, 1, 1.0], [1, 2, 5.0], [0, 2, 7.0]], 1),
+        ([[0.0, 0.0], [3.0, 4.0]], [[0, 1, 5.0 * (1 + 2e-12)]], 0),
+        ([[0.0, 0.0], [3.0, 4.0]], [[1, 0, 0.0]], 0),
+        ([[0.0], [3e200], [5e-324]], [[0, 2, 5e-324], [0, 1, 4e200]], 1),
+        ([[0.0, 0.0, 0.0], [1.0, 2.0, 2.0]], [[0, 1, 3.0], [1, 0, 2.0]], 1),
+    ],
+    ids=["five-on-a-unit-gap", "just-outside-tolerance", "zero-length", "huge-and-subnormal",
+         "three-dim"],
+)
+def test_reader_rejects_wrong_edge_length(points, edges, bad):
+    doc = {"version": 1, "ambient_dim": len(points[0]), "points": points, "edges": edges,
+           "label": ""}
+    with pytest.raises(FormatError) as err:
+        sample_from_dict(doc, source="fixture.json")
+    assert err.value.field == "edges"
+    assert f"edge {bad} stores {float(edges[bad][2])!r}" in str(err.value)
+
+
+@pytest.mark.parametrize(
+    "points,length",
+    [
+        ([[0.0, 0.0], [3.0, 4.0]], 5.0 * (1 + 5e-13)),
+        ([[0.0, 0.0], [3e200, 4e200]], 5e200),
+        ([[0.0, 0.0], [3e-200, 4e-200]], 5e-200),
+        ([[1e154, 0.0], [-1e154, 0.0]], 2e154),
+    ],
+    ids=["inside-tolerance", "huge", "tiny", "squares-overflow"],
+)
+def test_reader_accepts_edge_lengths_within_tolerance(points, length):
+    doc = {"version": 1, "ambient_dim": 2, "points": points, "edges": [[0, 1, length]]}
+    assert sample_from_dict(doc).edges[0][2] == length
+
+
+def test_reader_accepts_every_builder_sample():
+    for s in (build_gasket(4), build_polyline(circle_points(64), closed=True), build_carpet(2),
+              build_dumbbell(1.0, 0.1, math.pi / 16),
+              build_lipschitz_graph([0.5, -2.0], 0.1, (0.0, 1.0))):
+        assert sample_from_dict(sample_to_dict(s)) == s
+
+
 def test_load_sample_invalid_json(tmp_path):
     path = tmp_path / "bad.json"
     path.write_text("{not json")

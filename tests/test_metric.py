@@ -21,6 +21,7 @@ from qcalc.metric import (
 
 from conftest import (
     brute_force_chord_arc,
+    connected_planar_graphs,
     geodesic_field,
     measured_local_constant,
     scipy_distance_matrix,
@@ -177,6 +178,18 @@ def test_chord_arc_against_brute_force_oracle(gasket2):
     rep = estimate_chord_arc(gasket2)
     k_oracle, _ = brute_force_chord_arc(gasket2)
     assert math.isclose(rep.k_hat, k_oracle, rel_tol=1e-12)
+
+
+@settings(deadline=None, max_examples=60)
+@given(connected_planar_graphs())
+def test_exhaustive_chord_arc_equals_brute_force(case):
+    # scipy's Dijkstra gives the same distances bit for bit, and the oracle
+    # takes the first pair in (i, j) order with the largest ratio, as the scan does
+    sample, _, _ = case
+    rep = estimate_chord_arc(sample)
+    assert (rep.k_hat, rep.witness_pair) == brute_force_chord_arc(sample)
+    nv = sample.vertex_count
+    assert rep.pair_count == nv * (nv - 1) // 2
 
 
 def test_chord_arc_report_invariants(gasket3):
