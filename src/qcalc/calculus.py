@@ -26,7 +26,7 @@ import numpy as np
 
 from .errors import BuildError, PathError, QcalcError, UndersampledError
 from .fields import CovectorField, ScalarField, require_same_sample
-from .geometry import SCHEMA_VERSION, PolylinePath, SetSample, row_norms
+from .geometry import SCHEMA_VERSION, PolylinePath, SetSample, pair_blocks, row_norms
 from .metric import _check_vertex, predecessor_array
 
 #: bucket sups below this are treated as exactly zero in modulus fits
@@ -59,7 +59,7 @@ def path_integral(
     its endpoint samples and applied to the displacement v - u.  The
     trapezoid rule integrates the interpolant exactly; the midpoint rule
     with ``subdivisions`` pieces is provided as an alternative quadrature.
-    Reversing the path negates the result exactly.
+    Under either rule, reversing the path negates the result exactly.
     """
     sample = require_same_sample(A, path)
     if rule not in ("trapezoid", "midpoint"):
@@ -77,8 +77,10 @@ def path_integral(
         else:
             acc = []
             for q in range(subdivisions):
-                t = (q + 0.5) / subdivisions
-                a_mid = (1.0 - t) * cov[u] + t * cov[v]
+                # piece subdivisions - 1 - q of the reversed segment gets these
+                # two weights swapped, as the same floats: its value is negated
+                a_mid = ((subdivisions - q - 0.5) / subdivisions * cov[u]
+                         + (q + 0.5) / subdivisions * cov[v])
                 val = a_mid @ (dp / subdivisions)
                 acc.append(complex(val) if A.is_complex else float(val))
             parts.append(_fsum(acc))
@@ -383,16 +385,17 @@ class BucketStat:
 
 
 def _row_dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Row-wise dot products, bit for bit ``np.einsum("ij,ij->i", a, b)``.
+    """Row-wise dot products, bit for bit ``np.einsum("ij,ij->i", a, b)`` on C-ordered rows.
 
     A sum of one or two products is the same in any order, so up to two
     columns the products are added as whole columns; the final ``+ 0.0``
     turns a -0.0 into 0.0, as einsum's sum starting from 0.0 does.  From
     three columns on einsum adds in its own SIMD lane order (three columns
-    as (p0 + p2) + p1), so einsum itself is used there.
+    as (p0 + p2) + p1), so einsum itself is used there, on C-ordered copies
+    of transposed inputs.
     """
     if a.shape[1] > 2:
-        return np.einsum("ij,ij->i", a, b)
+        return np.einsum("ij,ij->i", np.ascontiguousarray(a), np.ascontiguousarray(b))
     acc = a[:, 0] * b[:, 0]
     if a.shape[1] == 2:
         acc += a[:, 1] * b[:, 1]
@@ -414,19 +417,41 @@ def pair_modulus_profile(
     pts = sample.points_array
     vals = f.values
     cov = A.covectors
-    nv = sample.vertex_count
     offset = 80
     nbuckets = 161
     sup_ratio = np.zeros(nbuckets)
     sup_da = np.zeros(nbuckets)
     counts = np.zeros(nbuckets, dtype=int)
-    for i in range(nv - 1):
-        diff = pts[i + 1 :] - pts[i]
-        d = row_norms(diff)
-        rem_fwd = np.abs(vals[i + 1 :] - vals[i] - diff @ cov[i])
-        rem_bwd = np.abs(vals[i] - vals[i + 1 :] + _row_dots(diff, cov[i + 1 :]))
+    n = pts.shape[1]
+    pts_t, cov_t = np.ascontiguousarray(pts.T), np.ascontiguousarray(cov.T)
+    cap, blocks = pair_blocks(sample.vertex_count)
+    # one contiguous row per coordinate of y - x, A(y) - A(x) and A(y)
+    diff = np.empty((n, cap))
+    dcov = np.empty((n, cap), dtype=cov.dtype)
+    cov_j = np.empty_like(dcov)
+    diff_rows = np.empty((cap, n))
+    dval = np.empty(cap, dtype=vals.dtype)
+    fwd = np.empty(cap, dtype=np.result_type(pts, cov))
+    for size, segs in blocks:
+        for i, start, length in segs:
+            stop = start + length
+            np.subtract(pts_t[:, i + 1 :], pts_t[:, i, None], out=diff[:, start:stop])
+            np.subtract(cov_t[:, i + 1 :], cov_t[:, i, None], out=dcov[:, start:stop])
+            cov_j[:, start:stop] = cov_t[:, i + 1 :]
+            np.subtract(vals[i + 1 :], vals[i], out=dval[start:stop])
+        for c in range(n):
+            diff_rows[:size, c] = diff[c, :size]
+        # one matmul per row on its (length, n) rows: OpenBLAS's gemv rounds
+        # unlike an elementwise dot
+        for i, start, length in segs:
+            np.matmul(diff_rows[start : start + length], cov[i], out=fwd[start : start + length])
+        d = row_norms(diff[:, :size].T)
+        dv = dval[:size]
+        rem_fwd = np.abs(dv - fwd[:size])
+        # f(x) - f(y) is -(f(y) - f(x)) exactly, so this is |f(x) - f(y) + A(y)(y - x)|
+        rem_bwd = np.abs(_row_dots(diff[:, :size].T, cov_j[:, :size].T) - dv)
         ratio = np.maximum(rem_fwd, rem_bwd) / d
-        da = row_norms(cov[i + 1 :] - cov[i])
+        da = row_norms(dcov[:, :size].T)
         octv = np.clip(np.floor(np.log2(d)).astype(int) + offset, 0, nbuckets - 1)
         np.maximum.at(sup_ratio, octv, ratio)
         np.maximum.at(sup_da, octv, da)

@@ -331,11 +331,10 @@ def _clifford_check(config: RunConfig, opt: dict):
 
 def _clifford_complete(config: RunConfig, opt: dict):
     doc = read_json(opt["partial"])
-    dim = opt["dim"]
-    if doc.get("dim") != dim:
-        raise UsageError(f"--dim {dim} does not match the file's dim {doc.get('dim')!r}")
     from . import clifford
-    cols = [clifford.Multivector(dim, np.asarray(c, dtype=float)) for c in doc.get("columns", [])]
+    dim, cols = clifford.columns_from_dict(doc, source=opt["partial"])
+    if dim != opt["dim"]:
+        raise UsageError(f"--dim {opt['dim']} does not match the file's dim {dim!r}")
     out = clifford.complete_from_hyperplane(cols, side=opt["side"]).as_dict()
     out["schema_version"] = SCHEMA_VERSION
     return 0, out

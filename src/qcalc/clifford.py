@@ -24,7 +24,7 @@ import numpy as np
 
 from .errors import AlgebraError, BuildError
 from .fields import ScalarField, require_same_sample
-from .geometry import SCHEMA_VERSION, SetSample
+from .geometry import SCHEMA_VERSION, SetSample, _expect, _is_finite_number, _is_index
 
 DIM_CAP = 6
 
@@ -212,12 +212,30 @@ class LinearCliffordMap:
         }
 
 
+def columns_from_dict(doc, source: str = "<dict>") -> tuple[int, list[Multivector]]:
+    """``dim`` and the multivector columns of a ``{"dim": n, "columns": [...]}`` document.
+
+    ``dim`` must be an integer in 1..DIM_CAP and ``columns`` a list of lists
+    of 2**dim finite numbers (JSON booleans are not numbers).  Anything else
+    raises a ``FormatError`` naming ``<root>``, ``dim`` or ``columns`` and,
+    for a bad column, its index.
+    """
+    _expect(isinstance(doc, dict), source, "<root>", "document must be a JSON object")
+    dim = doc.get("dim")
+    _expect(_is_index(dim) and 1 <= dim <= DIM_CAP, source, "dim",
+            f"must be an integer in 1..{DIM_CAP}")
+    cols = doc.get("columns")
+    _expect(isinstance(cols, list), source, "columns", "must be a list")
+    size = 1 << dim
+    for idx, col in enumerate(cols):
+        _expect(isinstance(col, list) and len(col) == size
+                and all(_is_finite_number(c) for c in col),
+                source, "columns", f"column {idx} is not a list of {size} finite numbers")
+    return dim, [Multivector(dim, np.array(col, dtype=float)) for col in cols]
+
+
 def map_from_dict(doc: dict, source: str = "<dict>") -> LinearCliffordMap:
-    if not isinstance(doc, dict) or "dim" not in doc or "columns" not in doc:
-        raise AlgebraError(f"{source}: expected an object with 'dim' and 'columns'")
-    dim = doc["dim"]
-    cols = tuple(Multivector(dim, np.asarray(c, dtype=float)) for c in doc["columns"])
-    return LinearCliffordMap(dim, cols)
+    return LinearCliffordMap(*columns_from_dict(doc, source))
 
 
 @dataclass(frozen=True)

@@ -38,21 +38,55 @@ _SQRT3 = math.sqrt(3.0)
 
 
 def row_norms(diff: np.ndarray) -> np.ndarray:
-    """Euclidean norm of each row, bit for bit ``np.linalg.norm(diff, axis=1)``.
+    """Euclidean norm of each row, bit for bit ``np.linalg.norm(diff, axis=1)``
+    on ``diff`` laid out in C order.
 
     The squares (``(z.conj() * z).real`` for complex rows, as ``norm`` forms
     them) are added over the columns in index order, which is the order of
-    numpy's own reduction below 8 columns; from 8 columns on numpy sums
-    pairwise, so its ``np.add.reduce`` is used there.  Column sums avoid
-    the per-row overhead of a reduction over a short axis.
+    numpy's own reduction below 8 columns; from 8 columns on numpy sums a
+    C-ordered row pairwise, so its ``np.add.reduce`` is used there on a
+    C-ordered copy.  Column sums avoid the per-row overhead of a reduction
+    over a short axis, and run over contiguous memory when ``diff`` is the
+    transpose of one row per coordinate.
     """
     sq = (diff.conj() * diff).real if np.iscomplexobj(diff) else diff * diff
     if sq.shape[1] >= 8:
-        return np.sqrt(np.add.reduce(sq, axis=1))
+        return np.sqrt(np.add.reduce(np.ascontiguousarray(sq), axis=1))
     acc = sq[:, 0].copy()
     for c in range(1, sq.shape[1]):
         acc += sq[:, c]
     return np.sqrt(acc, out=acc)
+
+
+#: pairs per block of ``pair_blocks``; blocks hold whole folded rows of nv pairs
+PAIR_BLOCK = 1 << 14
+
+
+def pair_blocks(nv: int) -> tuple[int, list[tuple[int, list[tuple[int, int, int]]]]]:
+    """The vertex pairs i < j as blocks of flat segments, and the largest block.
+
+    Upper-triangle row i holds the nv - 1 - i pairs (i, i + 1 .. nv - 1).
+    Row i is folded together with row nv - 2 - i, which holds i + 1 pairs,
+    so a folded row holds exactly nv pairs (the middle row of an even nv
+    stands alone with nv / 2).  Whole folded rows are grouped into blocks of
+    about ``PAIR_BLOCK`` pairs.  A block is (size, segments): segment
+    (i, start, length) puts row i's pairs, in order of j, at
+    ``buffer[start : start + length]``.  Buffers of the returned capacity
+    are thus filled with contiguous slices, with no index gathers and no
+    masked entries; every pair lies in exactly one segment.
+    """
+    per_block = max(1, PAIR_BLOCK // nv) if nv else 1
+    blocks = []
+    for first in range(0, nv // 2, per_block):
+        segs, size = [], 0
+        for i in range(first, min(first + per_block, nv // 2)):
+            segs.append((i, size, nv - 1 - i))
+            size += nv - 1 - i
+            if nv - 2 - i != i:
+                segs.append((nv - 2 - i, size, i + 1))
+                size += i + 1
+        blocks.append((size, segs))
+    return (blocks[0][0] if blocks else 0), blocks
 
 
 @dataclass(frozen=True)

@@ -16,7 +16,7 @@ import numpy as np
 
 from .errors import BuildError, DisconnectedSampleError
 from .fields import ScalarField, require_same_sample
-from .geometry import SCHEMA_VERSION, PolylinePath, SetSample, row_norms
+from .geometry import SCHEMA_VERSION, PolylinePath, SetSample, pair_blocks, row_norms
 
 #: relative tolerance for recognizing "dist[u] + w == dist[v]" on float sums
 _TIE_TOL = 1e-12
@@ -239,29 +239,56 @@ def verify_local_to_global(
     twice the longest edge).  The local hypothesis is verified first; the
     report then compares the measured global Lipschitz constant against
     k*C + tol.
+
+    The pairs are scanned in the folded blocks of ``geometry.pair_blocks``;
+    the report is the one of a scan in row-major order.  Violations are
+    sorted by (i, j).  The witness is the first pair in row-major order with
+    the largest ratio |f(x_j) - f(x_i)| / |x_j - x_i|, and (0, 0) when every
+    ratio is 0; a row holding a 0/0 ratio (coincident points) offers no
+    witness.
     """
     require_same_sample(sample, f)
     if radius is None:
         radius = 2.0 * sample.max_edge_length
-    pts = sample.points_array
+    pts_t = np.ascontiguousarray(sample.points_array.T)
     vals = f.values
-    nv = sample.vertex_count
-    violations: list[tuple[int, int, float]] = []
+    cap, blocks = pair_blocks(sample.vertex_count)
+    # one contiguous row per coordinate of x_j - x_i
+    diff = np.empty((len(pts_t), cap))
+    dval = np.empty(cap, dtype=vals.dtype)
+    found = []
     l_glob = 0.0
     witness = (0, 0)
-    for i in range(nv - 1):
-        d = row_norms(pts[i + 1 :] - pts[i])
-        df = np.abs(vals[i + 1 :] - vals[i])
-        local = d <= radius
-        bad = local & (df > C * d + tol)
-        for off in np.nonzero(bad)[0]:
-            j = i + 1 + int(off)
-            violations.append((i, j, float(df[off] / d[off])))
+    for size, segs in blocks:
+        for i, start, length in segs:
+            stop = start + length
+            np.subtract(pts_t[:, i + 1 :], pts_t[:, i, None], out=diff[:, start:stop])
+            np.subtract(vals[i + 1 :], vals[i], out=dval[start:stop])
+        d = row_norms(diff[:, :size].T)
+        df = np.abs(dval[:size])
         ratios = df / d
-        loc = int(np.argmax(ratios))
-        if ratios[loc] > l_glob:
-            l_glob = float(ratios[loc])
-            witness = (i, i + 1 + loc)
+        rows, starts, _ = np.array(segs).T
+        near = np.flatnonzero(d <= radius)
+        bad = near[df[near] > C * d[near] + tol]
+        if bad.size:
+            seg = np.searchsorted(starts, bad, side="right") - 1
+            found.append((rows[seg], rows[seg] + 1 + bad - starts[seg], ratios[bad]))
+        # a row holding a NaN ratio has a NaN maximum and offers no witness;
+        # ties go to the smallest row, then to its first j
+        row_max = np.maximum.reduceat(ratios, starts)
+        top = np.fmax.reduce(row_max)
+        if not top >= l_glob:
+            continue
+        tied = np.flatnonzero(row_max == top)
+        i, start, length = segs[tied[np.argmin(rows[tied])]]
+        pair = (i, i + 1 + int(np.argmax(ratios[start : start + length])))
+        if top > l_glob or pair < witness:
+            l_glob, witness = float(top), pair
+    violations: tuple = ()
+    if found:
+        vi, vj, vr = (np.concatenate(parts) for parts in zip(*found))
+        order = np.lexsort((vj, vi))
+        violations = tuple(zip(vi[order].tolist(), vj[order].tolist(), vr[order].tolist()))
     bound = k * C
     return LocalToGlobalReport(
         radius=float(radius),
@@ -269,7 +296,7 @@ def verify_local_to_global(
         k=float(k),
         tol=float(tol),
         hypothesis_ok=not violations,
-        local_violations=tuple(violations),
+        local_violations=violations,
         l_glob=l_glob,
         witness_pair=witness,
         bound=float(bound),

@@ -25,7 +25,7 @@ from qcalc.errors import BuildError, FieldMismatchError, PathError, Undersampled
 from qcalc.fields import CovectorField, ScalarField
 from qcalc.geometry import PolylinePath, build_gasket, build_polyline
 
-from conftest import circle_points, vertex_at
+from conftest import circle_points, connected_planar_graphs, vertex_at
 
 
 def segment_grid(h: float, length: float = 1.0):
@@ -103,6 +103,27 @@ def test_reversal_antisymmetry_exact(walk_seed, field_seed):
         verts.append(nbrs[step % len(nbrs)][0])
     p = PolylinePath.from_vertices(sample, verts)
     assert path_integral(A, p.reverse()) == -path_integral(A, p)
+
+
+@settings(deadline=None, max_examples=60)
+@given(connected_planar_graphs(), st.sampled_from(["trapezoid", "midpoint"]),
+       st.integers(1, 9), st.booleans(), st.integers(0, 2**32 - 1))
+def test_reversing_a_path_negates_its_integral(graph, rule, subdivisions, complex_field, seed):
+    sample, _, _ = graph
+    nv = sample.vertex_count
+    rng = np.random.default_rng(seed)
+    cov = rng.normal(size=(nv, 2))
+    if complex_field:
+        cov = cov + 1j * rng.normal(size=(nv, 2))
+    A = CovectorField(sample, cov)
+    # a random walk along the edges, revisits and backtracking allowed
+    verts = [int(rng.integers(nv))]
+    for _ in range(int(rng.integers(1, 3 * nv))):
+        nbrs = sample.adjacency[verts[-1]]
+        verts.append(nbrs[int(rng.integers(len(nbrs)))][0])
+    p = PolylinePath.from_vertices(sample, verts)
+    forward = path_integral(A, p, rule, subdivisions)
+    assert path_integral(A, p.reverse(), rule, subdivisions) == -forward
 
 
 def test_concatenation_additivity(gasket2):
@@ -392,6 +413,27 @@ def test_remainder_bound_matches_naive_oracle(gasket2):
             if lhs > rhs + tol:
                 naive.append((x, y))
     assert [v[:2] for v in rep.violations] == sorted(naive)
+
+
+@settings(deadline=None, max_examples=60)
+@given(connected_planar_graphs(), st.floats(0.0, 3.0),
+       st.lists(st.floats(-2.0, 2.0), min_size=5, max_size=5))
+def test_remainder_bound_holds_for_every_admissible_k(graph, excess, coef):
+    # f quadratic and A its exact gradient: A is linear along every edge, so
+    # along a path of length L <= k |x - y| the remainder is at most
+    # L * max |A(v) - A(x)| over the path's vertices, all within the ball
+    sample, _, _ = graph
+    a, b, c, d, e = coef
+    f = ScalarField.from_function(
+        sample, lambda p: a * p[0] ** 2 + b * p[0] * p[1] + c * p[1] ** 2 + d * p[0] + e * p[1])
+    A = CovectorField.from_function(
+        sample, lambda p: (2 * a * p[0] + b * p[1] + d, b * p[0] + 2 * c * p[1] + e))
+    # k-hat can round one ulp below 1 on a straight pair (stored edge length
+    # against the row-norm chord), and the ball of radius k |x - y| must
+    # reach y itself, so k is at least 1 as the true chord-arc constant is
+    khat = max(metric.estimate_chord_arc(sample).k_hat, 1.0)
+    rep = verify_remainder_bound(f, A, sample, k=khat * (1.0 + excess), pairs=False)
+    assert rep.passed and not rep.violations
 
 
 def test_remainder_bound_pair_rows_cover_unordered_pairs(gasket2):

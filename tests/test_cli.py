@@ -244,6 +244,33 @@ def test_clifford_cli_round_trip(tmp_path):
     assert main(["clifford", "check", str(cols), "--out", out]) == 1
 
 
+@pytest.mark.parametrize("doc, field, detail", [
+    ([1, 2], "<root>", "JSON object"),
+    ({"columns": [[1.0, 0.0, 0.0, 0.0]]}, "dim", "integer"),
+    ({"dim": "2", "columns": [[1.0, 0.0, 0.0, 0.0]]}, "dim", "integer"),
+    ({"dim": True, "columns": [[1.0, 0.0]]}, "dim", "integer"),
+    ({"dim": 40, "columns": []}, "dim", "1..6"),
+    ({"dim": 2}, "columns", "list"),
+    ({"dim": 2, "columns": [["a", 0.0, 0.0, 0.0]]}, "columns", "column 0"),
+    ({"dim": 2, "columns": [[1.0, 0.0, 0.0, 0.0], [float("nan"), 0.0, 0.0, 0.0]]},
+     "columns", "column 1"),
+    ({"dim": 2, "columns": [[1.0, 0.0, True, 0.0]]}, "columns", "column 0"),
+    ({"dim": 2, "columns": [[1.0, 0.0, 0.0]]}, "columns", "column 0"),
+    ({"dim": 2, "columns": [1.0]}, "columns", "column 0"),
+], ids=["list", "no-dim", "string-dim", "bool-dim", "huge-dim", "no-columns",
+        "string-entry", "nan-entry", "bool-entry", "short-column", "scalar-column"])
+@pytest.mark.parametrize("action", ["check", "complete"])
+def test_clifford_readers_reject_bad_documents(tmp_path, capsys, action, doc, field, detail):
+    path = tmp_path / "cols.json"
+    path.write_text(json.dumps(doc))
+    argv = (["clifford", "check", str(path)] if action == "check" else
+            ["clifford", "complete", "--dim", "2", "--partial", str(path)])
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"cols.json: invalid field '{field}'" in captured.err and detail in captured.err
+
+
 def test_clifford_dimension_cli(tmp_path):
     out = str(tmp_path / "d.json")
     assert main(["clifford", "dimension", "--dim", "4", "--out", out]) == 0

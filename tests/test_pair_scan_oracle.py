@@ -3,8 +3,10 @@
 ``profile_reference`` and ``local_to_global_reference`` are the row loops
 ``pair_modulus_profile`` and ``verify_local_to_global`` ran before they moved
 to the shared row kernel (``geometry.row_norms``, ``calculus._row_dots`` and
-``np.bincount``): ``np.linalg.norm(..., axis=1)``, ``np.einsum`` and
-``np.add.at``.  Their results must agree exactly, bit for bit.
+``np.bincount``) and then to the folded pair blocks of
+``geometry.pair_blocks``: ``np.linalg.norm(..., axis=1)``, ``np.einsum`` and
+``np.add.at``, one upper-triangle row at a time.  Their results must agree
+exactly, bit for bit.
 """
 from __future__ import annotations
 
@@ -23,7 +25,15 @@ from qcalc.calculus import (
     verify_remainder_bound,
 )
 from qcalc.fields import CovectorField, ScalarField
-from qcalc.geometry import build_carpet, build_gasket, build_polyline, row_norms
+from qcalc.geometry import (
+    PAIR_BLOCK,
+    SetSample,
+    build_carpet,
+    build_gasket,
+    build_polyline,
+    pair_blocks,
+    row_norms,
+)
 from qcalc.metric import LocalToGlobalReport, verify_local_to_global
 
 
@@ -211,3 +221,143 @@ def test_remainder_without_pairs_equals_report_with_pairs(name):
             assert bare.pair_dist is bare.pair_remainder is bare.pair_bound is None
             assert bare.pair_index is None
             assert len(full.pair_dist) == sample.vertex_count * (sample.vertex_count - 1) // 2
+
+
+# ---------------------------------------------------------------------------
+# folded pair blocks
+
+
+@pytest.mark.parametrize("nv", [0, 1, 2, 3, 4, 5, 8, 9, 180, 181, 182, 183, 366, 1095,
+                                PAIR_BLOCK - 1, PAIR_BLOCK, PAIR_BLOCK + 1])
+def test_pair_blocks_hold_each_pair_once(nv):
+    cap, blocks = pair_blocks(nv)
+    rows = []
+    for size, segs in blocks:
+        assert size <= cap
+        pos = 0
+        folded = {}
+        for i, start, length in segs:
+            assert start == pos and length == nv - 1 - i
+            pos += length
+            folded.setdefault(min(i, nv - 2 - i), []).append(i)
+        assert pos == size
+        # a folded row is rows i and nv - 2 - i, nv pairs (the middle row alone)
+        for t, members in folded.items():
+            assert members == ([t] if t == nv - 2 - t else [t, nv - 2 - t])
+        rows += [i for i, _, _ in segs]
+    assert sorted(rows) == list(range(nv - 1))
+    assert cap <= max(PAIR_BLOCK, nv)
+    if nv > 2:
+        assert len(blocks) == -(-(nv // 2) // max(1, PAIR_BLOCK // nv))
+
+
+def curve(nv, n, seed=0):
+    """nv distinct points on a random-walk curve in R^n."""
+    steps = np.random.default_rng(seed).normal(size=(nv, n))
+    return build_polyline([tuple(p) for p in np.cumsum(steps, axis=0) / nv])
+
+
+FOLD_SAMPLES = {
+    # several blocks of whole folded rows
+    "gasket5": lambda: build_gasket(5),
+    "carpet3": lambda: build_carpet(3),
+    # one block exactly (181 // 2 folded rows of 181 pairs fit), then one
+    # more block holding the middle row alone, then two full-ish blocks
+    "nv181": lambda: curve(181, 2),
+    "nv182": lambda: curve(182, 2),
+    "nv183": lambda: curve(183, 2),
+    "nv2": lambda: curve(2, 2),
+    "nv3": lambda: curve(3, 2),
+    "nv4": lambda: curve(4, 2),
+    "n1": lambda: curve(301, 1),
+    "n3": lambda: curve(300, 3),
+    "n9": lambda: curve(250, 9),
+}
+
+
+@pytest.mark.parametrize("name", sorted(FOLD_SAMPLES))
+@pytest.mark.parametrize("kind", ["smooth", "real", "complex"])
+def test_folded_scans_match_row_references(name, kind):
+    sample = FOLD_SAMPLES[name]()
+    if kind == "smooth":
+        f, A = smooth_fields(sample)
+    else:
+        f, A = random_fields(sample, 12, kind == "complex")
+    assert pair_modulus_profile(f, A, 1) == profile_reference(f, A, 1)
+    radius = 2.0 * sample.max_edge_length
+    for C in (1.0, 0.25):
+        rep = verify_local_to_global(sample, f, radius, C, 2.0, tol=1e-9)
+        assert rep == local_to_global_reference(sample, f, radius, C, 2.0, 1e-9)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 7, 8, 9, 12])
+def test_row_norms_of_transposed_coordinate_rows_bit_for_bit(n):
+    # the folded scans keep one row per coordinate and pass its transpose;
+    # the per-row scans took norms of C-ordered (m, n) rows
+    rng = np.random.default_rng(n)
+    cols = rng.normal(size=(n, 300)) * np.exp2(rng.integers(-150, 151, size=(n, 300)))
+    for block in (cols, cols + 1j * rng.normal(size=(n, 300))):
+        want = np.linalg.norm(np.ascontiguousarray(block[:, :250].T), axis=1)
+        assert row_norms(block[:, :250].T).tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("name", ["carpet3", "gasket5", "nv183"])
+def test_local_to_global_witness_ties(name):
+    sample = FOLD_SAMPLES[name]()
+    # every ratio 0: the witness stays (0, 0)
+    const = ScalarField(sample, np.full(sample.vertex_count, 0.75))
+    rep = verify_local_to_global(sample, const, None, 1.0, 2.0)
+    assert rep.l_glob == 0.0 and rep.witness_pair == (0, 0)
+    assert rep == local_to_global_reference(sample, const, 2.0 * sample.max_edge_length,
+                                            1.0, 2.0, 1e-9)
+    # f = x: every pair on a horizontal line has ratio exactly 1, the
+    # maximum, in many rows of many blocks; the first in row-major order wins
+    f = ScalarField.from_function(sample, lambda p: p[0])
+    rep = verify_local_to_global(sample, f, None, 1.0, 2.0)
+    ref = local_to_global_reference(sample, f, 2.0 * sample.max_edge_length, 1.0, 2.0, 1e-9)
+    assert rep == ref
+
+
+def test_local_to_global_tie_found_in_a_later_block():
+    # 400 points on a line 1/512 apart, f = 0 but for f = 1 at points 201 and
+    # 391: pairs (200, 201), (201, 202), (390, 391) and (391, 392) share the
+    # largest ratio 512 exactly.  Rows 390 and 391 fold into the first block,
+    # rows 200 and 201 into a later one, where row 201's segment comes
+    # first; the witness is still the first pair in row-major order.
+    nv = 400
+    pts = tuple((i / 512, 0.0) for i in range(nv))
+    sample = SetSample(2, pts, tuple((i, i + 1, 1 / 512) for i in range(nv - 1)))
+    cap, blocks = pair_blocks(nv)
+    block_of = {i: b for b, (_, segs) in enumerate(blocks) for i, _, _ in segs}
+    assert block_of[390] == block_of[391] == 0 < block_of[200] == block_of[201]
+    vals = np.zeros(nv)
+    vals[[201, 391]] = 1.0
+    f = ScalarField(sample, vals)
+    rep = verify_local_to_global(sample, f, None, 1.0, 2.0)
+    assert rep == local_to_global_reference(sample, f, 2.0 / 512, 1.0, 2.0, 1e-9)
+    assert rep.l_glob == 512.0 and rep.witness_pair == (200, 201)
+
+
+def test_coincident_point_row_offers_no_witness():
+    # points 3 and 40 coincide (a sample built in code; loading would reject
+    # it) and carry the same value, so row 3 holds a 0/0 ratio.  Point 4 is
+    # close to point 3, so (3, 4) has the largest ratio; the NaN hides it,
+    # and its mirror (4, 40), in the same block, is the witness.
+    pts = [(i / 50, math.sin(i / 5) / 10) for i in range(60)]
+    pts[4] = (pts[3][0] + 0.001, pts[3][1])
+    pts[40] = pts[3]
+    sample = SetSample(2, tuple(pts), tuple((i, i + 1, math.dist(pts[i], pts[i + 1]))
+                                            for i in range(59)))
+    vals = np.array([math.cos(i / 7) for i in range(60)])
+    vals[3] = vals[40] = vals[4] + 0.5
+    f = ScalarField(sample, vals)
+    A = CovectorField(sample, np.random.default_rng(1).normal(size=(60, 2)))
+    radius = 2.0 * sample.max_edge_length
+    with np.errstate(divide="ignore", invalid="ignore"):
+        rep = verify_local_to_global(sample, f, radius, 1.0, 2.0)
+        ref = local_to_global_reference(sample, f, radius, 1.0, 2.0, 1e-9)
+        profile = pair_modulus_profile(f, A, 1)
+        # NaN sups make tuple equality fail, so compare the reprs
+        assert repr(profile) == repr(profile_reference(f, A, 1))
+    assert rep == ref
+    assert rep.witness_pair == (4, 40)
