@@ -132,12 +132,10 @@ def reconstruct(
             continue
         u = pred[v]
         values[v] = values[u] + _trapezoid_edge(pts, cov, u, v)
-    tree = {(min(v, int(pred[v])), max(v, int(pred[v])))
-            for v in range(sample.vertex_count) if v != basepoint}
+    ends_i, ends_j, _ = sample._edge_arrays
+    off_tree = (pred[ends_j] != ends_i) & (pred[ends_i] != ends_j)
     worst = 0.0
-    for i, j, _ in sample.edges:
-        if (min(i, j), max(i, j)) in tree:
-            continue
+    for i, j in zip(ends_i[off_tree].tolist(), ends_j[off_tree].tolist()):
         defect = abs(values[i] + _trapezoid_edge(pts, cov, i, j) - values[j])
         worst = max(worst, float(defect))
     warning = None
@@ -452,7 +450,8 @@ def pair_modulus_profile(
         rem_bwd = np.abs(_row_dots(diff[:, :size].T, cov_j[:, :size].T) - dv)
         ratio = np.maximum(rem_fwd, rem_bwd) / d
         da = row_norms(dcov[:, :size].T)
-        octv = np.clip(np.floor(np.log2(d)).astype(int) + offset, 0, nbuckets - 1)
+        # clipped as floats: a coincident pair's log2(0) = -inf lands in bucket 0
+        octv = np.clip(np.floor(np.log2(d)) + offset, 0, nbuckets - 1).astype(int)
         np.maximum.at(sup_ratio, octv, ratio)
         np.maximum.at(sup_da, octv, da)
         counts += np.bincount(octv, minlength=nbuckets)
@@ -574,8 +573,7 @@ def discrete_gradient(sample: SetSample, f: ScalarField) -> CovectorField:
     require_same_sample(sample, f)
     pts = sample.points_array
     nv, n = sample.vertex_count, sample.ambient_dim
-    uv = np.array([e[:2] for e in sample.edges], dtype=np.intp).reshape(-1, 2)
-    u, v = uv[:, 0], uv[:, 1]
+    u, v, _ = sample._edge_arrays
     half = 0.5 * (pts[v] - pts[u])
 
     def forward(X: np.ndarray) -> np.ndarray:

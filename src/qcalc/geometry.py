@@ -131,6 +131,12 @@ class SetSample:
         return tuple(tuple(sorted(n)) for n in nbrs)
 
     @cached_property
+    def _edge_arrays(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The edges as arrays, shared by every reader: endpoints i, j and lengths."""
+        cols = np.array(self.edges, dtype=float).reshape(-1, 3).T
+        return cols[0].astype(np.intp), cols[1].astype(np.intp), cols[2].copy()
+
+    @cached_property
     def edge_length_by_pair(self) -> dict[tuple[int, int], float]:
         return {(min(i, j), max(i, j)): l for i, j, l in self.edges}
 
@@ -571,6 +577,7 @@ def sample_from_dict(doc: dict, source: str = "<dict>") -> SetSample:
         )
         _expect(0 <= e[0] < len(pts) and 0 <= e[1] < len(pts), source, "edges",
                 f"edge {idx} index out of range")
+        _expect(e[0] != e[1], source, "edges", f"edge {idx} is a self-loop at vertex {e[0]}")
     _check_edge_lengths(edges, points, source)
     label = doc.get("label", "")
     _expect(isinstance(label, str), source, "label", "must be a string")

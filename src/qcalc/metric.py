@@ -28,48 +28,56 @@ def _check_vertex(sample: SetSample, v: int) -> None:
         raise BuildError(f"vertex {v} out of range")
 
 
-def _single_source(sample: SetSample, source: int) -> np.ndarray:
-    """Dijkstra distances from one vertex (nonnegative edge weights)."""
+def _dijkstra(sample: SetSample, source: int, targets: Sequence[int] = ()) -> np.ndarray:
+    """Dijkstra distances from one vertex, settling each vertex once.
+
+    With ``targets`` (distinct vertices) the run stops once all of them are
+    settled, and only their distances are final; without, it is a full run.
+    """
     _check_vertex(sample, source)
     nv = sample.vertex_count
-    dist = np.full(nv, np.inf)
+    dist, settled = [math.inf] * nv, [False] * nv
+    wanted, left = np.isin(np.arange(nv), targets).tolist(), len(targets)
     dist[source] = 0.0
     heap: list[tuple[float, int]] = [(0.0, source)]
     adjacency = sample.adjacency
     while heap:
         d, u = heapq.heappop(heap)
-        if d > dist[u]:
+        if settled[u]:
             continue
+        settled[u] = True
+        if wanted[u]:
+            left -= 1
+            if not left:
+                break
         for v, w in adjacency[u]:
             nd = d + w
             if nd < dist[v]:
                 dist[v] = nd
                 heapq.heappush(heap, (nd, v))
-    return dist
-
-
-def _min_predecessor(sample: SetSample, dist: np.ndarray, v: int) -> int:
-    """Smallest-index neighbor u with dist[u] + w(u,v) == dist[v].
-
-    Adjacency lists are sorted by index, so the first match wins; this is
-    the deterministic tie rule for shortest paths.
-    """
-    dv = dist[v]
-    tol = _TIE_TOL * (1.0 + abs(dv))
-    for u, w in sample.adjacency[v]:
-        if abs(dist[u] + w - dv) <= tol:
-            return u
-    raise DisconnectedSampleError(f"no predecessor for vertex {v}")
+    return np.array(dist)
 
 
 def predecessor_array(sample: SetSample, source: int) -> tuple[np.ndarray, np.ndarray]:
-    """Distances plus the smallest-index predecessor of every reachable vertex."""
-    dist = _single_source(sample, source)
-    pred = np.full(sample.vertex_count, -1, dtype=int)
-    for v in range(sample.vertex_count):
-        if v == source or not math.isfinite(dist[v]):
-            continue
-        pred[v] = _min_predecessor(sample, dist, v)
+    """Distances plus the smallest-index predecessor of every reachable vertex.
+
+    Tie rule: the predecessor of v is the smallest u over the edges {u, v},
+    read both ways, with |dist[u] + w - dist[v]| <= _TIE_TOL (1 + dist[v]);
+    never v itself.  The source and unreachable vertices get -1.
+    """
+    dist, nv = _dijkstra(sample, source), sample.vertex_count
+    i, j, length = sample._edge_arrays
+    tail, head, w = np.r_[i, j], np.r_[j, i], np.r_[length, length]
+    with np.errstate(invalid="ignore"):  # inf - inf between unreachable vertices
+        tied = np.abs(dist[tail] + w - dist[head]) <= _TIE_TOL * (1.0 + np.abs(dist[head]))
+    tied &= tail != head
+    pred = np.full(nv, nv)
+    np.minimum.at(pred, head[tied], tail[tied])
+    pred[source] = -1
+    lost = np.flatnonzero(np.isfinite(dist) & (pred == nv))
+    if lost.size:
+        raise DisconnectedSampleError(f"no predecessor for vertex {lost[0]}")
+    pred[pred == nv] = -1
     return dist, pred
 
 
@@ -77,14 +85,14 @@ def geodesic_distance(sample: SetSample, i: int, j: int) -> float:
     """Length of a shortest edge-path between two vertices.
 
     Computed from the smaller-index endpoint, so the result is exactly
-    symmetric in (i, j).
+    symmetric in (i, j); the run stops once the other endpoint is settled.
     """
     for v in (i, j):
         _check_vertex(sample, v)
     if i == j:
         return 0.0
-    lo, hi = min(i, j), max(i, j)
-    d = _single_source(sample, lo)[hi]
+    hi = max(i, j)
+    d = _dijkstra(sample, min(i, j), (hi,))[hi]
     if not math.isfinite(d):
         raise DisconnectedSampleError(f"vertices {i} and {j} are not connected")
     return float(d)
@@ -96,16 +104,13 @@ def shortest_path(sample: SetSample, i: int, j: int) -> PolylinePath:
         _check_vertex(sample, v)
     if i == j:
         return PolylinePath.from_vertices(sample, [i])
-    dist = _single_source(sample, i)
+    dist, pred = predecessor_array(sample, i)
     if not math.isfinite(dist[j]):
         raise DisconnectedSampleError(f"vertices {i} and {j} are not connected")
     chain = [j]
-    v = j
-    while v != i:
-        v = _min_predecessor(sample, dist, v)
-        chain.append(v)
-    chain.reverse()
-    return PolylinePath.from_vertices(sample, chain)
+    while chain[-1] != i:
+        chain.append(int(pred[chain[-1]]))
+    return PolylinePath.from_vertices(sample, chain[::-1])
 
 
 @dataclass(frozen=True)
@@ -129,20 +134,15 @@ class ChordArcReport:
         return doc
 
 
-def _scan_sources(sample: SetSample, sources: Sequence[int], targets_of) -> tuple[float, tuple[int, int], int]:
+def _scan_sources(sample: SetSample, rows) -> tuple[float, tuple[int, int], int]:
+    """Largest geodesic/Euclidean ratio over rows (i, sorted targets js)."""
     pts = sample.points_array
-    best = -math.inf
-    witness = (-1, -1)
-    count = 0
-    for i in sources:
-        js = targets_of(i)
-        if len(js) == 0:
-            continue
-        dist = _single_source(sample, i)[js]
+    best, witness, count = -math.inf, (-1, -1), 0
+    for i, js in rows:
+        dist = _dijkstra(sample, i, js)[js]
         if not np.all(np.isfinite(dist)):
             raise DisconnectedSampleError("sample is not connected")
-        eu = row_norms(pts[js] - pts[i])
-        ratios = dist / eu
+        ratios = dist / row_norms(pts[js] - pts[i])
         count += len(js)
         loc = int(np.argmax(ratios))
         if ratios[loc] > best:
@@ -167,9 +167,8 @@ def estimate_chord_arc(
     if nv < 2:
         raise BuildError("need at least 2 points")
     if mode == "exhaustive":
-        best, witness, count = _scan_sources(
-            sample, range(nv - 1), lambda i: np.arange(i + 1, nv)
-        )
+        rows = ((i, np.arange(i + 1, nv)) for i in range(nv - 1))
+        best, witness, count = _scan_sources(sample, rows)
         return ChordArcReport(best, witness, count, "exhaustive")
     if mode == "sampled":
         if not pair_budget or pair_budget <= 0:
@@ -177,16 +176,11 @@ def estimate_chord_arc(
         rng = np.random.default_rng(seed)
         a = rng.integers(0, nv, size=pair_budget)
         b = (a + 1 + rng.integers(0, nv - 1, size=pair_budget)) % nv
-        lo = np.minimum(a, b)
-        hi = np.maximum(a, b)
-        by_source: dict[int, set[int]] = {}
-        for i, j in zip(lo, hi):
-            by_source.setdefault(int(i), set()).add(int(j))
-        best, witness, _ = _scan_sources(
-            sample,
-            sorted(by_source),
-            lambda i: np.array(sorted(by_source[i]), dtype=int),
-        )
+        # distinct pairs i < j in (i, j) order, one row of targets per source
+        keys = np.unique(np.minimum(a, b) * nv + np.maximum(a, b))
+        sources, starts = np.unique(keys // nv, return_index=True)
+        rows = zip(sources.tolist(), np.split(keys % nv, starts[1:]))
+        best, witness, _ = _scan_sources(sample, rows)
         return ChordArcReport(best, witness, int(pair_budget), "sampled", seed=seed)
     raise BuildError(f"unknown mode {mode!r}")
 

@@ -15,7 +15,7 @@ from qcalc.calculus import verify_remainder_bound
 from qcalc.cli import emit_pairs_csv, main
 from qcalc.errors import FormatError
 from qcalc.fields import CovectorField, ScalarField, dump_field, load_field
-from qcalc.geometry import build_gasket, build_polyline, dump_sample, load_sample
+from qcalc.geometry import build_carpet, build_gasket, build_polyline, dump_sample, load_sample
 
 
 @pytest.fixture()
@@ -365,6 +365,23 @@ def test_coincident_points_exit_two(tmp_path, capsys, command):
     assert "points 1 and 3 coincide" in captured.err
 
 
+@pytest.mark.parametrize("argv", [["k-estimate"], ["geodesic", "2", "0"]])
+def test_self_loop_exits_two(tmp_path, capsys, argv):
+    # a 3-point path with a zero-length loop at vertex 0 used to give exit 0
+    # from k-estimate and an endless chain walk from geodesic 2 0
+    set_path = tmp_path / "set.json"
+    set_path.write_text(json.dumps({
+        "version": 1, "ambient_dim": 2, "label": "",
+        "points": [[0.0, 0.0], [1.0, 0.0], [2.0, 0.0]],
+        "edges": [[0, 1, 1.0], [1, 2, 1.0], [0, 0, 0.0]],
+    }))
+    assert main([argv[0], str(set_path), *argv[1:]]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "set.json" in captured.err and "'edges'" in captured.err
+    assert "edge 2 is a self-loop at vertex 0" in captured.err
+
+
 @pytest.mark.parametrize("command", ["k-estimate", "geodesic", "ftc"])
 def test_wrong_edge_length_exits_two(tmp_path, capsys, command):
     # a unit gap that stores length 5 used to give k_hat = 5.0 and exit 0
@@ -554,6 +571,63 @@ def test_pair_scan_bytes_are_pinned(tmp_path, capsys, command):
     code = main([command, *inputs, *extra])
     stdout = capsys.readouterr().out.encode()
     assert code == expect_code
+    assert hashlib.sha256(stdout).hexdigest() == digest
+
+
+# sha256 of geodesic stdout and of its --path file on gasket 4.  Both pairs
+# end at a vertex with two tied predecessors, so the tie rule picks the path.
+# The distance runs from the smaller index and the path from the source, so
+# for 122 -> 3 the report's distance and path_length differ in the last bit.
+GEODESIC_DIGESTS = {
+    (0, 23): ("275135d53022a582eff025e667bb01768701c54dbbde17ccaadc424a341a7623",
+              "cdd800619322c4411f199022a1dfb036bafa7d0119e1e4f0657f14377d49ed25"),
+    (122, 3): ("b79c4419520d7d497c91ccfffdf86f6fb860c26b6893f6a9d0aa578aca3907a4",
+               "ed34b2b5eeff046642451bf59727fbfb2687557c22b242dc3bf1bed71c3ac8dd"),
+}
+
+
+@pytest.mark.parametrize("pair", sorted(GEODESIC_DIGESTS))
+def test_geodesic_bytes_are_pinned(tmp_path, capsys, pair):
+    set_path, path_file = str(tmp_path / "g4.json"), tmp_path / "path.json"
+    dump_sample(build_gasket(4), set_path)
+    capsys.readouterr()
+    assert main(["geodesic", set_path, *map(str, pair), "--path", str(path_file)]) == 0
+    stdout = capsys.readouterr().out.encode()
+    stdout_digest, path_digest = GEODESIC_DIGESTS[pair]
+    assert hashlib.sha256(stdout).hexdigest() == stdout_digest
+    assert hashlib.sha256(path_file.read_bytes()).hexdigest() == path_digest
+
+
+def _carpet_rotation(tmp_path):
+    """Carpet 2 on disk with the rotation field (-y, x), which is not a gradient."""
+    sample = build_carpet(2)
+    set_path, ap = str(tmp_path / "c2.json"), str(tmp_path / "A.json")
+    dump_sample(sample, set_path)
+    dump_field(CovectorField.from_function(sample, lambda p: (-p[1], p[0])), ap)
+    return set_path, ap
+
+
+# sha256 of reconstruct stdout: gasket 4 with the exact gradient above, and
+# carpet 2 with the rotation field, whose values hang on the shortest-path
+# tree and whose report carries the loop-defect warning
+RECONSTRUCT_DIGESTS = {
+    "carpet 2": (3, "-1.25",
+                 "3b30f79606c4618b8fd4749fc9eaecd0933b806a775da892fc18828d2d3dbd7d"),
+    "gasket 4": (7, "0.5",
+                 "210c7eed60816f4fb6ba9311337380cc5fb74f671acbbbda6cc181edba68fe07"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(RECONSTRUCT_DIGESTS))
+def test_reconstruct_bytes_are_pinned(tmp_path, capsys, name):
+    base, value, digest = RECONSTRUCT_DIGESTS[name]
+    if name == "gasket 4":
+        set_path, _, ap = _gasket_quadratic(tmp_path, 4)
+    else:
+        set_path, ap = _carpet_rotation(tmp_path)
+    capsys.readouterr()
+    assert main(["reconstruct", set_path, ap, "--base", str(base), "--value", value]) == 0
+    stdout = capsys.readouterr().out.encode()
     assert hashlib.sha256(stdout).hexdigest() == digest
 
 

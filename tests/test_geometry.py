@@ -444,6 +444,21 @@ def test_reader_accepts_edge_lengths_within_tolerance(points, length):
     assert sample_from_dict(doc).edges[0][2] == length
 
 
+def test_reader_rejects_self_loop():
+    # a zero-length edge [i, i, 0.0] passes the length check, so the loader
+    # names it; the out-of-range message is unchanged
+    doc = {"version": 1, "ambient_dim": 2, "label": "",
+           "points": [[0.0, 0.0], [1.0, 0.0], [2.0, 0.0]],
+           "edges": [[0, 1, 1.0], [1, 2, 1.0], [0, 0, 0.0]]}
+    with pytest.raises(FormatError) as err:
+        sample_from_dict(doc, source="fixture.json")
+    assert err.value.field == "edges"
+    assert "edge 2 is a self-loop at vertex 0" in str(err.value)
+    doc["edges"][2] = [0, 3, 2.0]
+    with pytest.raises(FormatError, match="edge 2 index out of range"):
+        sample_from_dict(doc, source="fixture.json")
+
+
 def test_reader_accepts_every_builder_sample():
     for s in (build_gasket(4), build_polyline(circle_points(64), closed=True), build_carpet(2),
               build_dumbbell(1.0, 0.1, math.pi / 16),

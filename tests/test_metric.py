@@ -142,6 +142,19 @@ def test_shortest_path_identity():
     assert shortest_path(s, 1, 1).vertices == (1,)
 
 
+def test_self_loop_is_never_a_predecessor():
+    # a path 0 - 1 - 2 with a zero-length loop at 0, built in code (the
+    # loader rejects it); the old tie rule made 0 its own predecessor and the
+    # chain walk from 2 to 0 never ended
+    s = SetSample(2, ((0, 0), (1, 0), (2, 0)), ((0, 1, 1.0), (1, 2, 1.0), (0, 0, 0.0)))
+    dist, pred = predecessor_array(s, 2)
+    assert dist.tolist() == [2.0, 1.0, 0.0]
+    assert pred.tolist() == [1, 2, -1]
+    assert shortest_path(s, 2, 0).vertices == (2, 1, 0)
+    assert shortest_path(s, 0, 2).vertices == (0, 1, 2)
+    assert predecessor_array(s, 0)[1].tolist() == [-1, 0, 1]
+
+
 # ---------------------------------------------------------------------------
 # chord-arc estimation
 

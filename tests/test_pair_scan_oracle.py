@@ -361,3 +361,21 @@ def test_coincident_point_row_offers_no_witness():
         assert repr(profile) == repr(profile_reference(f, A, 1))
     assert rep == ref
     assert rep.witness_pair == (4, 40)
+
+
+def test_coincident_pair_lands_in_bucket_zero():
+    # points 2 and 9 coincide (built in code) and carry different values and
+    # covectors: their ratio is x/0 = inf, and log2(0) = -inf must reach
+    # bucket 0 without an invalid float-to-integer cast
+    pts = [(i / 10, (i % 3) / 7) for i in range(12)]
+    pts[9] = pts[2]
+    sample = SetSample(2, tuple(pts), tuple((i, i + 1, math.dist(pts[i], pts[i + 1]))
+                                            for i in range(11)))
+    f = ScalarField(sample, np.arange(12.0) ** 2)
+    A = CovectorField(sample, np.random.default_rng(2).normal(size=(12, 2)))
+    with np.errstate(divide="ignore", invalid="raise"):
+        profile = pair_modulus_profile(f, A, 1)
+    da = float(row_norms(A.covectors[[9]] - A.covectors[2])[0])
+    assert profile[0] == BucketStat(-80, 2.0 ** -80, math.inf, da, 1)
+    assert all(b.octave > -10 for b in profile[1:])
+    assert sum(b.count for b in profile) == 12 * 11 // 2
