@@ -132,7 +132,7 @@ def reconstruct(
             continue
         u = pred[v]
         values[v] = values[u] + _trapezoid_edge(pts, cov, u, v)
-    ends_i, ends_j, _ = sample._edge_arrays
+    ends_i, ends_j = sample.edge_ends
     off_tree = (pred[ends_j] != ends_i) & (pred[ends_i] != ends_j)
     worst = 0.0
     for i, j in zip(ends_i[off_tree].tolist(), ends_j[off_tree].tolist()):
@@ -573,7 +573,7 @@ def discrete_gradient(sample: SetSample, f: ScalarField) -> CovectorField:
     require_same_sample(sample, f)
     pts = sample.points_array
     nv, n = sample.vertex_count, sample.ambient_dim
-    u, v, _ = sample._edge_arrays
+    u, v = sample.edge_ends
     half = 0.5 * (pts[v] - pts[u])
 
     def forward(X: np.ndarray) -> np.ndarray:

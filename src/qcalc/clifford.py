@@ -24,7 +24,7 @@ import numpy as np
 
 from .errors import AlgebraError, BuildError
 from .fields import ScalarField, require_same_sample
-from .geometry import SCHEMA_VERSION, SetSample, _expect, _is_finite_number, _is_index
+from .geometry import SCHEMA_VERSION, SetSample, _expect, _is_index, _number_rows
 
 DIM_CAP = 6
 
@@ -226,12 +226,8 @@ def columns_from_dict(doc, source: str = "<dict>") -> tuple[int, list[Multivecto
             f"must be an integer in 1..{DIM_CAP}")
     cols = doc.get("columns")
     _expect(isinstance(cols, list), source, "columns", "must be a list")
-    size = 1 << dim
-    for idx, col in enumerate(cols):
-        _expect(isinstance(col, list) and len(col) == size
-                and all(_is_finite_number(c) for c in col),
-                source, "columns", f"column {idx} is not a list of {size} finite numbers")
-    return dim, [Multivector(dim, np.array(col, dtype=float)) for col in cols]
+    return dim, [Multivector(dim, row)
+                 for row in _number_rows(cols, 1 << dim, source, "columns", "column")]
 
 
 def map_from_dict(doc: dict, source: str = "<dict>") -> LinearCliffordMap:

@@ -148,8 +148,9 @@ def covector_field_from_dict(doc: dict, sample: SetSample, source: str = "<dict>
             f"must be a list of {sample.vertex_count} vectors")
     parsed = []
     for idx, row in enumerate(rows):
-        _expect(isinstance(row, list) and len(row) == sample.ambient_dim, source, "covectors",
-                f"row {idx} is not a vector of length {sample.ambient_dim}")
+        if not (isinstance(row, list) and len(row) == sample.ambient_dim):
+            raise FormatError(source, "covectors",
+                              f"row {idx} is not a vector of length {sample.ambient_dim}")
         parsed.append([_parse_value(c, source, "covectors") for c in row])
     return CovectorField(sample, np.array(parsed))
 

@@ -12,7 +12,7 @@ the computed distance so this holds exactly.
 """
 from __future__ import annotations
 
-import itertools
+import bisect
 import json
 import math
 from collections import deque
@@ -89,60 +89,74 @@ def pair_blocks(nv: int) -> tuple[int, list[tuple[int, list[tuple[int, int, int]
     return (blocks[0][0] if blocks else 0), blocks
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False, eq=False)
 class SetSample:
-    """A discretized closed subset of R^n as a weighted geometric graph."""
+    """A discretized closed subset of R^n as a weighted geometric graph.
+
+    Stored once, as read-only arrays, with edges in input order and
+    orientation; every other view is derived from them on first use.
+    """
 
     ambient_dim: int
-    points: tuple[tuple[float, ...], ...]
-    edges: tuple[tuple[int, int, float], ...]
+    points_array: np.ndarray  # (nv, n) float64
+    edge_ends: np.ndarray  # C-contiguous (2, ne) intp: first and second endpoints
+    edge_lengths: np.ndarray  # (ne,) float64
     label: str = ""
 
-    def __post_init__(self):
-        object.__setattr__(self, "ambient_dim", int(self.ambient_dim))
-        object.__setattr__(
-            self, "points", tuple(tuple(float(c) for c in p) for p in self.points)
-        )
-        object.__setattr__(
-            self, "edges", tuple((int(i), int(j), float(l)) for i, j, l in self.edges)
-        )
+    def __init__(self, ambient_dim: int, points: Sequence[Sequence[float]],
+                 edges: Sequence[tuple[int, int, float]], label: str = ""):
+        n = int(ambient_dim)
+        self._own(n, np.array(points, dtype=float).reshape(len(points), n),
+                  *_edge_table(edges), label)
+
+    def _own(self, ambient_dim, points, ends, lengths, label) -> "SetSample":
+        """Take already converted arrays as this (frozen) sample's storage."""
+        for arr in (points, ends, lengths):
+            arr.setflags(write=False)
+        vars(self).update(ambient_dim=ambient_dim, points_array=points, edge_ends=ends,
+                          edge_lengths=lengths, label=label)
+        return self
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return ((self.ambient_dim, self.label) == (other.ambient_dim, other.label)
+                and np.array_equal(self.points_array, other.points_array)
+                and np.array_equal(self.edge_ends, other.edge_ends)
+                and np.array_equal(self.edge_lengths, other.edge_lengths))
+
+    def __hash__(self):
+        return hash((self.ambient_dim, self.label, self.points_array.shape, self.edge_count))
 
     @property
     def vertex_count(self) -> int:
-        return len(self.points)
+        return len(self.points_array)
 
     @property
     def edge_count(self) -> int:
-        return len(self.edges)
+        return len(self.edge_lengths)
 
     @cached_property
-    def points_array(self) -> np.ndarray:
-        arr = np.asarray(self.points, dtype=float).reshape(len(self.points), self.ambient_dim)
-        arr.setflags(write=False)
-        return arr
+    def points(self) -> tuple[tuple[float, ...], ...]:
+        return tuple(map(tuple, self.points_array.tolist()))
+
+    @cached_property
+    def edges(self) -> tuple[tuple[int, int, float], ...]:
+        return tuple(zip(*self.edge_ends.tolist(), self.edge_lengths.tolist()))
 
     @cached_property
     def adjacency(self) -> tuple[tuple[tuple[int, float], ...], ...]:
-        """Per-vertex neighbor list, sorted by neighbor index."""
-        nbrs: list[list[tuple[int, float]]] = [[] for _ in self.points]
-        for i, j, length in self.edges:
-            nbrs[i].append((j, length))
-            nbrs[j].append((i, length))
-        return tuple(tuple(sorted(n)) for n in nbrs)
-
-    @cached_property
-    def _edge_arrays(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """The edges as arrays, shared by every reader: endpoints i, j and lengths."""
-        cols = np.array(self.edges, dtype=float).reshape(-1, 3).T
-        return cols[0].astype(np.intp), cols[1].astype(np.intp), cols[2].copy()
-
-    @cached_property
-    def edge_length_by_pair(self) -> dict[tuple[int, int], float]:
-        return {(min(i, j), max(i, j)): l for i, j, l in self.edges}
+        """Per-vertex neighbor list, sorted by neighbor index, then length."""
+        (i, j), w = self.edge_ends, np.tile(self.edge_lengths, 2)
+        tail, head = np.r_[i, j], np.r_[j, i]
+        order = np.lexsort((w, head, tail))
+        pairs = list(zip(head[order].tolist(), w[order].tolist()))
+        stops = np.cumsum(np.bincount(tail, minlength=self.vertex_count)).tolist()
+        return tuple(tuple(pairs[a:b]) for a, b in zip([0] + stops, stops))
 
     @cached_property
     def max_edge_length(self) -> float:
-        return max((l for _, _, l in self.edges), default=0.0)
+        return float(self.edge_lengths.max()) if self.edge_count else 0.0
 
     @cached_property
     def fingerprint(self) -> str:
@@ -169,13 +183,15 @@ class PolylinePath:
         for v in verts:
             if not 0 <= v < sample.vertex_count:
                 raise PathError(f"vertex {v} out of range")
-        lengths = sample.edge_length_by_pair
         cum = [0.0]
         for u, v in zip(verts, verts[1:]):
-            key = (min(u, v), max(u, v))
-            if key not in lengths:
+            # adjacency is sorted by (neighbor, length): of parallel edges the
+            # shortest is found, the one a shortest-path run relaxes through
+            nbrs = sample.adjacency[u]
+            k = bisect.bisect_left(nbrs, (v,))
+            if k == len(nbrs) or nbrs[k][0] != v:
                 raise PathError(f"consecutive vertices {u},{v} are not an edge")
-            cum.append(cum[-1] + lengths[key])
+            cum.append(cum[-1] + nbrs[k][1])
         return cls(sample, verts, tuple(cum))
 
     @property
@@ -228,27 +244,21 @@ class ValidationReport:
 def validate(sample: SetSample, rel_tol: float = REL_TOL) -> ValidationReport:
     """Check every sample invariant; an empty report means the sample is valid.
 
-    Checks, in order: edge indices in range and not self-loops, stored edge
-    lengths against Euclidean distances (relative tolerance), duplicate
-    points, and connectivity of the edge graph.
+    Checks, in order: edge indices in range and not self-loops, and stored
+    edge lengths against Euclidean distances (relative tolerance), listed
+    together in edge order; then duplicate points and connectivity of the
+    edge graph.
     """
-    out: list[Violation] = []
-    nv = sample.vertex_count
-    usable: list[tuple[int, int]] = []
-    for idx, (i, j, length) in enumerate(sample.edges):
-        if not (0 <= i < nv and 0 <= j < nv) or i == j:
-            out.append(Violation("index", (idx,), f"edge {idx} has bad endpoints ({i},{j})"))
-            continue
-        usable.append((i, j))
-        d = math.dist(sample.points[i], sample.points[j])
-        if abs(length - d) > rel_tol * max(d, abs(length)):
-            out.append(
-                Violation(
-                    "edge_length",
-                    (idx,),
-                    f"edge {idx} stores {length!r} but endpoints are {d!r} apart",
-                )
-            )
+    nv, ends, lengths = sample.vertex_count, sample.edge_ends, sample.edge_lengths
+    broken = ((ends < 0) | (ends >= nv)).any(axis=0) | (ends[0] == ends[1])
+    usable = np.flatnonzero(~broken)
+    per_edge = {idx: Violation("index", (idx,), f"edge {idx} has bad endpoints ({i},{j})")
+                for idx, i, j in zip(np.flatnonzero(broken).tolist(), *ends[:, broken].tolist())}
+    bad, dist = _bad_edge_lengths(sample.points_array, ends[:, usable], lengths[usable], rel_tol)
+    for idx, d in zip(usable[bad].tolist(), dist[bad].tolist()):
+        per_edge[idx] = Violation("edge_length", (idx,), f"edge {idx} stores "
+                                  f"{float(lengths[idx])!r} but endpoints are {d!r} apart")
+    out = [per_edge[idx] for idx in sorted(per_edge)]
     pts = sample.points_array
     for i in range(nv - 1):
         d = row_norms(pts[i + 1 :] - pts[i])
@@ -257,7 +267,7 @@ def validate(sample: SetSample, rel_tol: float = REL_TOL) -> ValidationReport:
             out.append(Violation("duplicate_points", (i, j), f"points {i} and {j} coincide"))
     if nv:
         nbrs: list[list[int]] = [[] for _ in range(nv)]
-        for i, j in usable:
+        for i, j in zip(*ends[:, usable].tolist()):
             nbrs[i].append(j)
             nbrs[j].append(i)
         seen = [False] * nv
@@ -489,8 +499,8 @@ def sample_to_dict(sample: SetSample) -> dict:
     return {
         "version": SCHEMA_VERSION,
         "ambient_dim": sample.ambient_dim,
-        "points": [list(p) for p in sample.points],
-        "edges": [[i, j, l] for i, j, l in sample.edges],
+        "points": sample.points_array.tolist(),
+        "edges": list(map(list, zip(*sample.edge_ends.tolist(), sample.edge_lengths.tolist()))),
         "label": sample.label,
     }
 
@@ -515,6 +525,49 @@ def _is_finite_number(x) -> bool:
         return False
 
 
+def _number_rows(rows: list, width: int, source: str, field: str, noun: str) -> np.ndarray:
+    """``rows``, each a list of ``width`` finite numbers, as one float array;
+    the first bad row raises a FormatError naming it as ``<noun> <index>``."""
+    for idx, row in enumerate(rows):
+        if not (isinstance(row, list) and len(row) == width
+                and all(map(_is_finite_number, row))):
+            raise FormatError(source, field, f"{noun} {idx} is not a list of {width} finite numbers")
+    return np.array(rows, dtype=float).reshape(len(rows), width)
+
+
+def _edge_table(edges) -> tuple[np.ndarray, np.ndarray]:
+    """Endpoints, as a C-contiguous (2, ne) index array, and lengths of (i, j, length) rows."""
+    table = np.array(edges, dtype=float).reshape(len(edges), 3)
+    return table[:, :2].T.astype(np.intp, order="C"), table[:, 2].copy()
+
+
+def _check_edges(edges: list, nv: int, source: str) -> None:
+    """The first [i, j, length] entry that is malformed, out of range or a
+    self-loop raises a FormatError naming it and the first check it fails."""
+    for idx, e in enumerate(edges):
+        if not (isinstance(e, list) and len(e) == 3 and _is_index(e[0]) and _is_index(e[1])
+                and _is_finite_number(e[2]) and e[2] >= 0):
+            fault = "is not [i, j, nonnegative finite length]"
+        elif not (0 <= e[0] < nv and 0 <= e[1] < nv):
+            fault = "index out of range"
+        elif e[0] == e[1]:
+            fault = f"is a self-loop at vertex {e[0]}"
+        else:
+            continue
+        raise FormatError(source, "edges", f"edge {idx} {fault}")
+
+
+def _bad_edge_lengths(points: np.ndarray, ends: np.ndarray, lengths: np.ndarray,
+                      rel_tol: float = REL_TOL) -> tuple[np.ndarray, np.ndarray]:
+    """Indices (in edge order) of stored lengths more than ``rel_tol`` relative
+    from their endpoint distance, and the distances.  ``np.hypot`` scales as it
+    goes, so subnormal and huge gaps, whose squares ``row_norms`` would flush
+    to 0 or inf, are measured correctly."""
+    dist = np.hypot.reduce(np.abs(points[ends[1]] - points[ends[0]]), axis=1)
+    bad = np.abs(lengths - dist) > rel_tol * np.maximum(dist, np.abs(lengths))
+    return np.flatnonzero(bad), dist
+
+
 def _first_coincident_pair(pts: np.ndarray) -> tuple[int, int] | None:
     """Smallest index pair (i < j) of exactly equal rows, or None.
 
@@ -529,26 +582,9 @@ def _first_coincident_pair(pts: np.ndarray) -> tuple[int, int] | None:
     return min(zip(order[:-1][same].tolist(), order[1:][same].tolist()))
 
 
-def _check_edge_lengths(edges: list, points: np.ndarray, source: str) -> None:
-    """Stored lengths against endpoint distances by ``validate``'s rule, in O(ne).
-
-    ``edges`` are [i, j, length] lists whose indices are already checked.
-    ``np.hypot`` scales as it goes, so subnormal and huge gaps, whose squares
-    ``row_norms`` would flush to 0 or inf, are measured correctly.
-    """
-    flat = np.fromiter(itertools.chain.from_iterable(edges), float, 3 * len(edges))
-    flat = flat.reshape(-1, 3)
-    ends = flat[:, :2].astype(np.intp)
-    dist = np.hypot.reduce(np.abs(points[ends[:, 1]] - points[ends[:, 0]]), axis=1)
-    length = flat[:, 2]
-    bad = np.flatnonzero(np.abs(length - dist) > REL_TOL * np.maximum(dist, length))
-    if bad.size:
-        idx = int(bad[0])
-        raise FormatError(source, "edges", f"edge {idx} stores {float(length[idx])!r} "
-                                           f"but endpoints are {float(dist[idx])!r} apart")
-
-
 def sample_from_dict(doc: dict, source: str = "<dict>") -> SetSample:
+    """The sample a JSON document describes; a bad document raises a FormatError
+    naming the field and, for points and edges, the first failing entry."""
     _expect(isinstance(doc, dict), source, "<root>", "document must be a JSON object")
     _expect("version" in doc, source, "version", "missing")
     _expect(doc["version"] == SCHEMA_VERSION, source, "version",
@@ -558,31 +594,22 @@ def sample_from_dict(doc: dict, source: str = "<dict>") -> SetSample:
     n = doc["ambient_dim"]
     pts = doc.get("points")
     _expect(isinstance(pts, list) and pts, source, "points", "must be a nonempty list")
-    for idx, p in enumerate(pts):
-        _expect(
-            isinstance(p, list) and len(p) == n and all(_is_finite_number(c) for c in p),
-            source, "points", f"point {idx} is not a list of {n} finite numbers",
-        )
-    points = np.array(pts, dtype=float)
+    points = _number_rows(pts, n, source, "points", "point")
     dup = _first_coincident_pair(points)
     if dup is not None:
         raise FormatError(source, "points", f"points {dup[0]} and {dup[1]} coincide")
     edges = doc.get("edges")
     _expect(isinstance(edges, list), source, "edges", "must be a list")
-    for idx, e in enumerate(edges):
-        _expect(
-            isinstance(e, list) and len(e) == 3 and _is_index(e[0]) and _is_index(e[1])
-            and _is_finite_number(e[2]) and e[2] >= 0,
-            source, "edges", f"edge {idx} is not [i, j, nonnegative finite length]",
-        )
-        _expect(0 <= e[0] < len(pts) and 0 <= e[1] < len(pts), source, "edges",
-                f"edge {idx} index out of range")
-        _expect(e[0] != e[1], source, "edges", f"edge {idx} is a self-loop at vertex {e[0]}")
-    _check_edge_lengths(edges, points, source)
+    _check_edges(edges, len(pts), source)
+    ends, lengths = _edge_table(edges)
+    bad, dist = _bad_edge_lengths(points, ends, lengths)
+    if bad.size:
+        idx = int(bad[0])
+        raise FormatError(source, "edges", f"edge {idx} stores {float(lengths[idx])!r} "
+                                           f"but endpoints are {float(dist[idx])!r} apart")
     label = doc.get("label", "")
     _expect(isinstance(label, str), source, "label", "must be a string")
-    return SetSample(n, tuple(tuple(p) for p in pts),
-                     tuple((e[0], e[1], float(e[2])) for e in edges), label)
+    return SetSample.__new__(SetSample)._own(n, points, ends, lengths, label)
 
 
 def dump_sample(sample: SetSample, path: str) -> None:

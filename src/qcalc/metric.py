@@ -28,24 +28,26 @@ def _check_vertex(sample: SetSample, v: int) -> None:
         raise BuildError(f"vertex {v} out of range")
 
 
-def _dijkstra(sample: SetSample, source: int, targets: Sequence[int] = ()) -> np.ndarray:
-    """Dijkstra distances from one vertex, settling each vertex once.
+def _settle(sample: SetSample, source: int, targets: Sequence[int] = ()) -> tuple[list, list]:
+    """Dijkstra from one vertex, settling each vertex once: distances, and the
+    rank (1, 2, ...) in which each vertex was settled, 0 for never.
 
     With ``targets`` (distinct vertices) the run stops once all of them are
     settled, and only their distances are final; without, it is a full run.
     """
     _check_vertex(sample, source)
     nv = sample.vertex_count
-    dist, settled = [math.inf] * nv, [False] * nv
+    dist, rank, count = [math.inf] * nv, [0] * nv, 0
     wanted, left = np.isin(np.arange(nv), targets).tolist(), len(targets)
     dist[source] = 0.0
     heap: list[tuple[float, int]] = [(0.0, source)]
     adjacency = sample.adjacency
     while heap:
         d, u = heapq.heappop(heap)
-        if settled[u]:
+        if rank[u]:
             continue
-        settled[u] = True
+        count += 1
+        rank[u] = count
         if wanted[u]:
             left -= 1
             if not left:
@@ -55,28 +57,34 @@ def _dijkstra(sample: SetSample, source: int, targets: Sequence[int] = ()) -> np
             if nd < dist[v]:
                 dist[v] = nd
                 heapq.heappush(heap, (nd, v))
-    return np.array(dist)
+    return dist, rank
+
+
+def _dijkstra(sample: SetSample, source: int, targets: Sequence[int] = ()) -> np.ndarray:
+    """The distances of ``_settle`` as an array."""
+    return np.array(_settle(sample, source, targets)[0])
 
 
 def predecessor_array(sample: SetSample, source: int) -> tuple[np.ndarray, np.ndarray]:
     """Distances plus the smallest-index predecessor of every reachable vertex.
 
     Tie rule: the predecessor of v is the smallest u over the edges {u, v},
-    read both ways, with |dist[u] + w - dist[v]| <= _TIE_TOL (1 + dist[v]);
-    never v itself.  The source and unreachable vertices get -1.
+    read both ways, with |dist[u] + w - dist[v]| <= _TIE_TOL (1 + dist[v])
+    and u settled before v.  The vertex whose relaxation set dist[v] always
+    qualifies, so every reachable vertex has a predecessor, and chains
+    strictly decrease in settle order and end at the source, even where
+    near-coincident points tie in float distance.  Self-loops never qualify.
+    The source and unreachable vertices get -1.
     """
-    dist, nv = _dijkstra(sample, source), sample.vertex_count
-    i, j, length = sample._edge_arrays
-    tail, head, w = np.r_[i, j], np.r_[j, i], np.r_[length, length]
+    dist, rank = map(np.array, _settle(sample, source))
+    (i, j), w = sample.edge_ends, np.tile(sample.edge_lengths, 2)
+    tail, head = np.r_[i, j], np.r_[j, i]
     with np.errstate(invalid="ignore"):  # inf - inf between unreachable vertices
         tied = np.abs(dist[tail] + w - dist[head]) <= _TIE_TOL * (1.0 + np.abs(dist[head]))
-    tied &= tail != head
+    tied &= rank[tail] < rank[head]
+    nv = sample.vertex_count
     pred = np.full(nv, nv)
     np.minimum.at(pred, head[tied], tail[tied])
-    pred[source] = -1
-    lost = np.flatnonzero(np.isfinite(dist) & (pred == nv))
-    if lost.size:
-        raise DisconnectedSampleError(f"no predecessor for vertex {lost[0]}")
     pred[pred == nv] = -1
     return dist, pred
 
@@ -142,7 +150,11 @@ def _scan_sources(sample: SetSample, rows) -> tuple[float, tuple[int, int], int]
         dist = _dijkstra(sample, i, js)[js]
         if not np.all(np.isfinite(dist)):
             raise DisconnectedSampleError("sample is not connected")
-        ratios = dist / row_norms(pts[js] - pts[i])
+        chord = row_norms(pts[js] - pts[i])
+        if not chord.all():
+            raise BuildError(f"points {i} and {js[np.argmin(chord)]} are too close: "
+                             "their chord rounds to 0")
+        ratios = dist / chord
         count += len(js)
         loc = int(np.argmax(ratios))
         if ratios[loc] > best:

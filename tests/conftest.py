@@ -11,6 +11,13 @@ from qcalc import geometry, metric
 from qcalc.fields import ScalarField
 
 
+# points 0 and 1 are 1e-300 apart, so from vertex 2 they tie in float distance
+# and their chord squares to 0; the loader accepts it (the points differ)
+NEAR_COINCIDENT_DOC = {"version": 1, "ambient_dim": 2, "label": "near",
+                       "points": [[0, 0], [1e-300, 0], [1, 0]],
+                       "edges": [[0, 1, 1e-300], [0, 2, 1.0], [1, 2, 1.0]]}
+
+
 def circle_points(n: int) -> list[tuple[float, float]]:
     return [(math.cos(2 * math.pi * j / n), math.sin(2 * math.pi * j / n)) for j in range(n)]
 

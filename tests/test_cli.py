@@ -4,18 +4,23 @@ import hashlib
 import io
 import json
 import math
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import qcalc
 from qcalc import cli, metric
 from qcalc.calculus import verify_remainder_bound
 from qcalc.cli import emit_pairs_csv, main
 from qcalc.errors import FormatError
 from qcalc.fields import CovectorField, ScalarField, dump_field, load_field
 from qcalc.geometry import build_carpet, build_gasket, build_polyline, dump_sample, load_sample
+
+from conftest import NEAR_COINCIDENT_DOC
 
 
 @pytest.fixture()
@@ -402,6 +407,67 @@ def test_wrong_edge_length_exits_two(tmp_path, capsys, command):
     assert captured.out == ""
     assert "set.json" in captured.err and "'edges'" in captured.err
     assert "edge 1 stores 5.0 but endpoints are 1.0 apart" in captured.err
+
+
+def run_qcalc_process(*argv):
+    """``python -m qcalc`` in a child process, killed after 60 s so that a hang fails."""
+    env = {**os.environ, "PYTHONPATH": str(Path(qcalc.__file__).parents[1])}
+    return subprocess.run([sys.executable, "-m", "qcalc", *argv], capture_output=True,
+                          text=True, timeout=60, env=env)
+
+
+@pytest.fixture()
+def near_path(tmp_path):
+    path = tmp_path / "near.json"
+    path.write_text(json.dumps(NEAR_COINCIDENT_DOC))
+    return str(path)
+
+
+@pytest.mark.parametrize("source,target,vertices", [(2, 0, [2, 0]), (2, 1, [2, 0, 1]),
+                                                     (0, 2, [0, 2]), (0, 1, [0, 1])])
+def test_geodesic_on_near_coincident_points_returns(near_path, source, target, vertices):
+    # vertices 0 and 1 tie in float distance from 2; each used to be the
+    # other's predecessor, and geodesic 2 0 walked that chain for ever
+    proc = run_qcalc_process("geodesic", near_path, str(source), str(target))
+    assert proc.returncode == 0, proc.stderr
+    report = json.loads(proc.stdout)
+    assert report["path_vertices"] == vertices
+    assert report["path_length"] == report["distance"]
+
+
+def test_k_estimate_names_pair_whose_chord_rounds_to_zero(near_path):
+    # the chord of points 0 and 1 squares to 0; it used to print k_hat Infinity
+    proc = run_qcalc_process("k-estimate", near_path)
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert proc.stderr == "qcalc: points 0 and 1 are too close: their chord rounds to 0\n"
+
+
+def test_reconstruct_on_near_coincident_points(near_path, tmp_path):
+    cov = tmp_path / "A.json"
+    cov.write_text(json.dumps({"version": 1, "set": "", "covectors": [[1, 0]] * 3}))
+    proc = run_qcalc_process("reconstruct", near_path, str(cov), "--base", "2")
+    assert proc.returncode == 0, proc.stderr
+    report = json.loads(proc.stdout)
+    assert report["field"]["values"] == [-1.0, -1.0, 0.0]  # x - 1
+    assert report["warning"] is None
+
+
+def test_geodesic_and_reconstruct_where_a_vertex_ties_its_only_predecessor(tmp_path):
+    # 1.0 + 1e-17 rounds to 1.0, so vertex 2 sits at vertex 1's float
+    # distance from vertex 0 and can only be reached through it
+    doc = {"version": 1, "ambient_dim": 2, "points": [[1, 0], [0, 0], [1e-17, 0]],
+           "edges": [[0, 1, 1.0], [1, 2, 1e-17]]}
+    path = tmp_path / "tail.json"
+    path.write_text(json.dumps(doc))
+    proc = run_qcalc_process("geodesic", str(path), "0", "2")
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout)["path_vertices"] == [0, 1, 2]
+    cov = tmp_path / "A.json"
+    cov.write_text(json.dumps({"version": 1, "set": "", "covectors": [[1, 0]] * 3}))
+    proc = run_qcalc_process("reconstruct", str(path), str(cov), "--base", "0")
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout)["field"]["values"] == [0.0, -1.0, -1.0]  # x - 1
 
 
 def test_holder_fit_rejects_nan_field(tmp_path, capsys):

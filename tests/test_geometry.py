@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import math
 
+import numpy as np
 import pytest
 
 from qcalc import geometry
@@ -18,6 +19,7 @@ from qcalc.geometry import (
     sample_to_dict,
     validate,
 )
+from qcalc.metric import geodesic_distance, shortest_path
 
 from conftest import circle_points
 
@@ -281,6 +283,16 @@ def test_validate_flags_duplicates_and_bad_index():
     assert "index" in kinds
 
 
+def test_validate_lists_every_bad_edge_in_edge_order():
+    s = SetSample(2, ((0, 0), (1, 0), (1, 1)),
+                  ((0, 1, 2.0), (0, 5, 1.0), (1, 2, 7.0), (2, 2, 0.0), (1, 2, 1.0)))
+    report = validate(s)
+    assert [(v.kind, v.where) for v in report.violations] == [
+        ("edge_length", (0,)), ("index", (1,)), ("edge_length", (2,)), ("index", (3,))]
+    assert report.violations[0].message == "edge 0 stores 2.0 but endpoints are 1.0 apart"
+    assert report.violations[1].message == "edge 1 has bad endpoints (0,5)"
+
+
 def test_builders_are_deterministic():
     a = build_gasket(3)
     b = build_gasket(3)
@@ -464,6 +476,124 @@ def test_reader_accepts_every_builder_sample():
               build_dumbbell(1.0, 0.1, math.pi / 16),
               build_lipschitz_graph([0.5, -2.0], 0.1, (0.0, 1.0))):
         assert sample_from_dict(sample_to_dict(s)) == s
+
+
+@pytest.mark.parametrize(
+    "points,edges,message",
+    [
+        ([[0, 0], [1, 0], [2, 0]], [[0, 0, 0.0], [0, 9, 1.0]],
+         "edge 0 is a self-loop at vertex 0"),
+        ([[0, 0], [1, 0], [2, 0]], [[0, 9, 1.0], [1, 1, 0.0]], "edge 0 index out of range"),
+        ([[0, 0], [1, 0], [2, 0]], [[0, 1, 1.0], [0, 1], [1, 1, 0.0]],
+         "edge 1 is not [i, j, nonnegative finite length]"),
+        ([[0, 0], [1, 0], [2, 0]], [[0, 1, 1.0], [1, 1, 0.0], [True, 1, 1.0]],
+         "edge 1 is a self-loop at vertex 1"),
+        ([[0, 0], [1, 0], [2, 0]], [[0, 1, -1.0], [0, 5, 1.0]],
+         "edge 0 is not [i, j, nonnegative finite length]"),
+        ([[0, 0], [1, 0], [2, 0]], [[0, 1, 1.0], [2, 10 ** 30, 1.0], [0, 0, 0.0]],
+         "edge 1 index out of range"),
+        # shape, range and self-loops come before any stored length
+        ([[0, 0], [1, 0], [2, 0]], [[0, 1, 5.0], [1, 2, 1.0], [2, 2, 0.0]],
+         "edge 2 is a self-loop at vertex 2"),
+        ([[0, 0], [1, 0], [2, 0]], [[0, 1, 5.0], [1, 2, 1.0], [0, 2, 3.0]],
+         "edge 0 stores 5.0 but endpoints are 1.0 apart"),
+    ],
+    ids=["loop-then-range", "range-then-loop", "short-then-loop", "loop-then-bool",
+         "negative-then-range", "huge-index-then-loop", "length-then-loop", "two-lengths"],
+)
+def test_reader_names_first_failing_edge(points, edges, message):
+    doc = {"version": 1, "ambient_dim": 2, "points": points, "edges": edges, "label": ""}
+    with pytest.raises(FormatError) as err:
+        sample_from_dict(doc, source="fixture.json")
+    assert str(err.value) == f"fixture.json: invalid field 'edges': {message}"
+
+
+@pytest.mark.parametrize(
+    "points,bad",
+    [
+        ([[0.0, 0.0], [1.0, "x"], [float("nan"), 0.0]], 1),
+        ([[0.0, 0.0], [1.0, 0.0], [2.0], [float("inf"), 0.0]], 2),
+        ([[0.0, 0.0], [1.0, 0.0], [10 ** 400, 0.0], [False, 0.0]], 2),
+        ([[0.0, 0.0], (1.0, 0.0), [1.0, 2.0, 3.0]], 1),
+    ],
+    ids=["string-then-nan", "short-then-inf", "huge-then-bool", "tuple-then-long"],
+)
+def test_reader_names_first_failing_point(points, bad):
+    doc = {"version": 1, "ambient_dim": 2, "points": points, "edges": [], "label": ""}
+    with pytest.raises(FormatError) as err:
+        sample_from_dict(doc, source="fixture.json")
+    assert str(err.value) == (f"fixture.json: invalid field 'points': "
+                              f"point {bad} is not a list of 2 finite numbers")
+
+
+@pytest.mark.parametrize(
+    "make,fingerprint",
+    [
+        (lambda: build_gasket(4), "f68427be6c8ee96a"),
+        (lambda: build_carpet(2), "8ac43e9b09a4a010"),
+        (lambda: build_dumbbell(1.0, 0.1, math.pi / 16), "f8602263c40555f8"),
+        (lambda: build_polyline([[0, 0, 0], [1, 2, 2], [3, 2, 2]]), "cdf35c6ed3ecb45e"),
+        (lambda: sample_from_dict({"version": 1, "ambient_dim": 2, "label": "ints",
+                                   "points": [[0, 0], [3, 4], [3, 0]],
+                                   "edges": [[1, 0, 5], [2, 1, 4.0], [0, 2, 3]]}),
+         "2dbbce91ac8da2a8"),
+    ],
+    ids=["gasket-4", "carpet-2", "dumbbell", "polyline-3d", "integer-document"],
+)
+def test_fingerprints_are_pinned(make, fingerprint):
+    # field files name their sample by this value in "set"
+    sample = make()
+    assert sample.fingerprint == fingerprint
+    assert sample_from_dict(sample_to_dict(sample)).fingerprint == fingerprint
+
+
+def test_sample_stores_read_only_arrays():
+    for s in (build_gasket(2), sample_from_dict(sample_to_dict(build_gasket(2))),
+              SetSample(2, ((0, 0), (3, 4)), ((1, 0, 5),))):
+        assert s.points_array.dtype == np.float64 and s.edge_lengths.dtype == np.float64
+        assert s.edge_ends.dtype == np.intp and s.edge_ends.flags.c_contiguous
+        assert s.edge_ends.shape == (2, s.edge_count)
+        assert s.edge_lengths.shape == (s.edge_count,)
+        for arr in (s.points_array, s.edge_ends, s.edge_lengths):
+            assert not arr.flags.writeable
+            with pytest.raises(ValueError):
+                arr[0] = 0
+        # no attribute can be rebound, so the cached views cannot go stale
+        for name in ("ambient_dim", "label", "points_array", "edge_ends", "edge_lengths"):
+            with pytest.raises(AttributeError):
+                setattr(s, name, getattr(s, name))
+
+
+@pytest.mark.parametrize(
+    "points,edges",
+    [([(0, 0, 0), (1, 1, 1)], []), ([(0, 0), (1, 1)], [(0, 1)]),
+     ([(0, 0), (1, 1)], [(0, 1, 1.0, 2.0)])],
+    ids=["3d-points", "short-edge", "long-edge"],
+)
+def test_sample_rejects_rows_of_the_wrong_width(points, edges):
+    with pytest.raises(ValueError):
+        SetSample(2, points, edges)
+
+
+def test_path_over_parallel_edges_takes_the_shortest():
+    # a shortest-path run relaxes through the shorter of two parallel edges,
+    # and the path length agrees with it whichever is listed first
+    for edges in ([(0, 1, 1.0), (1, 0, 1.0000000000000002)],
+                  [(0, 1, 1.0000000000000002), (1, 0, 1.0)]):
+        s = SetSample(2, [(0, 0), (1, 0)], edges)
+        assert PolylinePath.from_vertices(s, [0, 1]).length == 1.0
+        assert PolylinePath.from_vertices(s, [1, 0]).length == 1.0
+        assert shortest_path(s, 0, 1).length == geodesic_distance(s, 0, 1) == 1.0
+
+
+def test_sample_keeps_edge_order_and_orientation():
+    s = SetSample(2, [[0, 0], [3, 4], [3, 0]], [(1, 0, 5), (2, 1, 4.0), (0, 2, 3)])
+    assert s.points == ((0.0, 0.0), (3.0, 4.0), (3.0, 0.0))
+    assert s.edges == ((1, 0, 5.0), (2, 1, 4.0), (0, 2, 3.0))
+    assert s.edge_ends.tolist() == [[1, 2, 0], [0, 1, 2]]
+    assert s.adjacency == (((1, 5.0), (2, 3.0)), ((0, 5.0), (2, 4.0)), ((0, 3.0), (1, 4.0)))
+    assert s.max_edge_length == 5.0
+    assert s == SetSample(2, s.points, s.edges) and hash(s) == hash(SetSample(2, s.points, s.edges))
 
 
 def test_load_sample_invalid_json(tmp_path):

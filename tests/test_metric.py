@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from qcalc.errors import BuildError, DisconnectedSampleError
 from qcalc.fields import ScalarField
-from qcalc.geometry import SetSample, build_gasket, build_polyline
+from qcalc.geometry import SetSample, build_gasket, build_polyline, sample_from_dict
 from qcalc.metric import (
     estimate_chord_arc,
     geodesic_distance,
@@ -20,6 +20,7 @@ from qcalc.metric import (
 )
 
 from conftest import (
+    NEAR_COINCIDENT_DOC,
     brute_force_chord_arc,
     connected_planar_graphs,
     geodesic_field,
@@ -153,6 +154,40 @@ def test_self_loop_is_never_a_predecessor():
     assert shortest_path(s, 2, 0).vertices == (2, 1, 0)
     assert shortest_path(s, 0, 2).vertices == (0, 1, 2)
     assert predecessor_array(s, 0)[1].tolist() == [-1, 0, 1]
+
+
+def test_predecessors_follow_settle_order_on_near_coincident_points():
+    # vertices 0 and 1 sit at the same float distance 1.0 from vertex 2; the
+    # old tie rule made each the other's predecessor
+    s = sample_from_dict(NEAR_COINCIDENT_DOC)
+    dist, pred = predecessor_array(s, 2)
+    assert dist.tolist() == [1.0, 1.0, 0.0]
+    assert pred.tolist() == [2, 0, -1]  # 0 is settled before 1 and ties
+    assert shortest_path(s, 2, 0).vertices == (2, 0)
+    assert shortest_path(s, 2, 1).vertices == (2, 0, 1)
+    assert predecessor_array(s, 0)[1].tolist() == [-1, 0, 0]
+
+
+@pytest.mark.parametrize(
+    "points,edges,source,pred",
+    [
+        # 1.0 + 1e-17 rounds to 1.0: vertex 2 ties vertex 1 in float distance,
+        # and its only neighbor on the way back is vertex 1
+        ([[1, 0], [0, 0], [1e-17, 0]], [[0, 1, 1.0], [1, 2, 1e-17]], 0, [-1, 0, 1]),
+        # the same, with the far vertex numbered before the near one
+        ([[1, 0], [1e-17, 0], [0, 0]], [[0, 2, 1.0], [2, 1, 1e-17]], 0, [-1, 2, 0]),
+        ([[0, 0], [1e-300, 0], [1, 0]], [[0, 1, 1e-300], [0, 2, 1.0]], 2, [2, 0, -1]),
+    ],
+    ids=["tail-1e-17", "tail-1e-17-renumbered", "tail-1e-300"],
+)
+def test_vertex_tied_only_with_its_predecessor_gets_it(points, edges, source, pred):
+    s = sample_from_dict({"version": 1, "ambient_dim": 2, "points": points, "edges": edges})
+    dist, got = predecessor_array(s, source)
+    assert got.tolist() == pred
+    for target in range(3):
+        path = shortest_path(s, source, target)
+        assert (path.vertices[0], path.vertices[-1]) == (source, target)
+        assert path.length == dist[target]
 
 
 # ---------------------------------------------------------------------------
