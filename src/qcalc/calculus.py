@@ -26,7 +26,7 @@ import numpy as np
 
 from .errors import BuildError, PathError, QcalcError, UndersampledError
 from .fields import CovectorField, ScalarField, require_same_sample
-from .geometry import SCHEMA_VERSION, PolylinePath, SetSample, pair_blocks, row_norms
+from .geometry import PolylinePath, SetSample, pair_blocks, report_dict, row_norms
 from .metric import _check_vertex, predecessor_array
 
 #: bucket sups below this are treated as exactly zero in modulus fits
@@ -180,17 +180,8 @@ class RemainderBoundReport:
     pair_index: np.ndarray = field(repr=False, compare=False, default=None)
 
     def as_dict(self) -> dict:
-        return {
-            "schema_version": SCHEMA_VERSION,
-            "k": self.k,
-            "tol": self.tol,
-            "pair_count": self.pair_count,
-            "violation_count": len(self.violations),
-            "violations": [[i, j, lhs, rhs] for i, j, lhs, rhs in self.violations[:50]],
-            "max_ratio": self.max_ratio,
-            "max_ratio_pair": list(self.max_ratio_pair),
-            "passed": self.passed,
-        }
+        return report_dict(self, violations=self.violations[:50],
+                           violation_count=len(self.violations))
 
 
 def verify_remainder_bound(
@@ -318,15 +309,7 @@ class AffineRigidityReport:
     passed: bool
 
     def as_dict(self) -> dict:
-        return {
-            "schema_version": SCHEMA_VERSION,
-            "hypothesis_ok": self.hypothesis_ok,
-            "covector_spread": self.covector_spread,
-            "intercept": self.intercept,
-            "gradient": list(self.gradient),
-            "max_residual": self.max_residual,
-            "passed": self.passed,
-        }
+        return report_dict(self)
 
 
 def affine_rigidity_test(
@@ -371,15 +354,6 @@ class BucketStat:
     remainder_ratio_sup: float
     covector_osc_sup: float
     count: int
-
-    def as_dict(self) -> dict:
-        return {
-            "octave": self.octave,
-            "scale": self.scale,
-            "remainder_ratio_sup": self.remainder_ratio_sup,
-            "covector_osc_sup": self.covector_osc_sup,
-            "count": self.count,
-        }
 
 
 def _row_dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -448,11 +422,15 @@ def pair_modulus_profile(
         rem_fwd = np.abs(dv - fwd[:size])
         # f(x) - f(y) is -(f(y) - f(x)) exactly, so this is |f(x) - f(y) + A(y)(y - x)|
         rem_bwd = np.abs(_row_dots(diff[:, :size].T, cov_j[:, :size].T) - dv)
-        ratio = np.maximum(rem_fwd, rem_bwd) / d
         da = row_norms(dcov[:, :size].T)
-        # clipped as floats: a coincident pair's log2(0) = -inf lands in bucket 0
-        octv = np.clip(np.floor(np.log2(d)) + offset, 0, nbuckets - 1).astype(int)
-        np.maximum.at(sup_ratio, octv, ratio)
+        # a chord that rounds to 0 gives an infinite or NaN ratio, and its
+        # log2(0) = -inf, clipped as floats, lands in bucket 0
+        with np.errstate(divide="ignore", invalid="ignore"):
+            ratio = np.maximum(rem_fwd, rem_bwd) / d
+            octave = np.clip(np.floor(np.log2(d)) + offset, 0, nbuckets - 1)
+        octv = octave.astype(int)
+        with np.errstate(invalid="ignore"):  # a NaN ratio makes its bucket's sup NaN
+            np.maximum.at(sup_ratio, octv, ratio)
         np.maximum.at(sup_da, octv, da)
         counts += np.bincount(octv, minlength=nbuckets)
     stats = [
@@ -481,17 +459,6 @@ class ModulusReport:
     fit_residual: float | None
     scales: tuple[tuple[float, float, int], ...]
 
-    def as_dict(self) -> dict:
-        return {
-            "quantity": self.quantity,
-            "exact": self.exact,
-            "alpha_hat": self.alpha_hat,
-            "constant_hat": self.constant_hat,
-            "slope_raw": self.slope_raw,
-            "fit_residual": self.fit_residual,
-            "scales": [list(s) for s in self.scales],
-        }
-
 
 @dataclass(frozen=True)
 class HolderFit:
@@ -499,11 +466,7 @@ class HolderFit:
     differential: ModulusReport
 
     def as_dict(self) -> dict:
-        return {
-            "schema_version": SCHEMA_VERSION,
-            "remainder": self.remainder.as_dict(),
-            "differential": self.differential.as_dict(),
-        }
+        return report_dict(self)
 
 
 def _fit_modulus(quantity: str, scales: np.ndarray, sups: np.ndarray,

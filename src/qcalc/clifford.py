@@ -24,7 +24,7 @@ import numpy as np
 
 from .errors import AlgebraError, BuildError
 from .fields import ScalarField, require_same_sample
-from .geometry import SCHEMA_VERSION, SetSample, _expect, _is_index, _number_rows
+from .geometry import SCHEMA_VERSION, SetSample, _expect, _is_index, _number_rows, report_dict
 
 DIM_CAP = 6
 
@@ -156,7 +156,7 @@ class Multivector:
         return Multivector(self.dim, self.coeffs * float(other))
 
     def as_dict(self) -> dict:
-        return {"dim": self.dim, "coeffs": [float(c) for c in self.coeffs]}
+        return {"dim": self.dim, "coeffs": self.coeffs.tolist()}
 
 
 def multivector_from_dict(doc: dict, source: str = "<dict>") -> Multivector:
@@ -206,10 +206,7 @@ class LinearCliffordMap:
         return out
 
     def as_dict(self) -> dict:
-        return {
-            "dim": self.dim,
-            "columns": [[float(c) for c in col.coeffs] for col in self.columns],
-        }
+        return {"dim": self.dim, "columns": np.stack([c.coeffs for c in self.columns]).tolist()}
 
 
 def columns_from_dict(doc, source: str = "<dict>") -> tuple[int, list[Multivector]]:
@@ -242,13 +239,7 @@ class MonogenicReport:
     passed: bool
 
     def as_dict(self) -> dict:
-        return {
-            "schema_version": SCHEMA_VERSION,
-            "side": self.side,
-            "defect": self.defect,
-            "tol": self.tol,
-            "passed": self.passed,
-        }
+        return report_dict(self)
 
 
 def _dirac_sum(columns: Sequence[Multivector], side: str) -> Multivector:
@@ -428,15 +419,8 @@ class GraphDerivativeReport:
     passed: bool
 
     def as_dict(self) -> dict:
-        return {
-            "schema_version": SCHEMA_VERSION,
-            "node_count": self.node_count,
-            "grid_step": self.grid_step,
-            "max_residual": self.max_residual,
-            "threshold": self.threshold,
-            "passed": self.passed,
-            "phi_prime_convention": "centered secant slope at interior nodes",
-        }
+        return report_dict(self, drop=("residuals",),
+                           phi_prime_convention="centered secant slope at interior nodes")
 
 
 def _require_graph_chain(sample: SetSample) -> None:

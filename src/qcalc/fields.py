@@ -30,6 +30,13 @@ def _coerce(values, shape, what: str) -> np.ndarray:
     return arr
 
 
+def _json_values(arr: np.ndarray) -> list:
+    """``arr`` as nested lists of floats, each complex entry as [re, im]."""
+    if np.iscomplexobj(arr):
+        arr = np.stack((arr.real, arr.imag), -1)
+    return arr.tolist()
+
+
 @dataclass(frozen=True, eq=False)
 class ScalarField:
     """Sampled function on a set, one value per vertex."""
@@ -52,12 +59,8 @@ class ScalarField:
         return np.iscomplexobj(self.values)
 
     def as_dict(self) -> dict:
-        vals = (
-            [[float(v.real), float(v.imag)] for v in self.values]
-            if self.is_complex
-            else [float(v) for v in self.values]
-        )
-        doc = {"version": SCHEMA_VERSION, "set": self.sample.fingerprint, "values": vals}
+        doc = {"version": SCHEMA_VERSION, "set": self.sample.fingerprint,
+               "values": _json_values(self.values)}
         if self.warning is not None:
             doc["warning"] = self.warning
         return doc
@@ -88,11 +91,8 @@ class CovectorField:
         return np.iscomplexobj(self.covectors)
 
     def as_dict(self) -> dict:
-        if self.is_complex:
-            rows = [[[float(c.real), float(c.imag)] for c in row] for row in self.covectors]
-        else:
-            rows = [[float(c) for c in row] for row in self.covectors]
-        return {"version": SCHEMA_VERSION, "set": self.sample.fingerprint, "covectors": rows}
+        return {"version": SCHEMA_VERSION, "set": self.sample.fingerprint,
+                "covectors": _json_values(self.covectors)}
 
 
 def require_same_sample(*objs) -> SetSample:
@@ -110,7 +110,11 @@ def require_same_sample(*objs) -> SetSample:
     return first
 
 
-def _check_set_ref(doc: dict, sample: SetSample, source: str) -> None:
+def _check_header(doc, sample: SetSample, source: str) -> None:
+    """A field document is a JSON object of this schema version whose ``set``,
+    if given, names ``sample`` by fingerprint or label."""
+    _expect(isinstance(doc, dict), source, "<root>", "document must be a JSON object")
+    _expect(doc.get("version") == SCHEMA_VERSION, source, "version", "unknown version")
     ref = doc.get("set", "")
     _expect(isinstance(ref, str), source, "set", "must be a string")
     if ref and ref not in (sample.fingerprint, sample.label):
@@ -127,9 +131,7 @@ def _parse_value(v, source: str, field: str):
 
 
 def scalar_field_from_dict(doc: dict, sample: SetSample, source: str = "<dict>") -> ScalarField:
-    _expect(isinstance(doc, dict), source, "<root>", "document must be a JSON object")
-    _expect(doc.get("version") == SCHEMA_VERSION, source, "version", "unknown version")
-    _check_set_ref(doc, sample, source)
+    _check_header(doc, sample, source)
     vals = doc.get("values")
     _expect(isinstance(vals, list), source, "values", "must be a list")
     _expect(len(vals) == sample.vertex_count, source, "values",
@@ -140,9 +142,7 @@ def scalar_field_from_dict(doc: dict, sample: SetSample, source: str = "<dict>")
 
 
 def covector_field_from_dict(doc: dict, sample: SetSample, source: str = "<dict>") -> CovectorField:
-    _expect(isinstance(doc, dict), source, "<root>", "document must be a JSON object")
-    _expect(doc.get("version") == SCHEMA_VERSION, source, "version", "unknown version")
-    _check_set_ref(doc, sample, source)
+    _check_header(doc, sample, source)
     rows = doc.get("covectors")
     _expect(isinstance(rows, list) and len(rows) == sample.vertex_count, source, "covectors",
             f"must be a list of {sample.vertex_count} vectors")

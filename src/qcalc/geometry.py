@@ -16,7 +16,7 @@ import bisect
 import json
 import math
 from collections import deque
-from dataclasses import dataclass
+from dataclasses import dataclass, fields, is_dataclass
 from functools import cached_property
 from typing import Iterator, Sequence
 
@@ -35,6 +35,31 @@ GASKET_LEVEL_CAP = 8
 CARPET_LEVEL_CAP = 5
 
 _SQRT3 = math.sqrt(3.0)
+
+
+def report_dict(report, drop: Sequence[str] = (), **extra) -> dict:
+    """The JSON document of a report dataclass.
+
+    ``schema_version``, then every field shown in the report's repr except
+    those named in ``drop``; ``extra`` replaces field values or adds keys.
+    Nested report dataclasses become documents without ``schema_version``,
+    and tuples become lists.  The extras are applied before the conversion,
+    so a report's long tuples are cut before they are copied.
+    """
+    doc = {f.name: getattr(report, f.name) for f in fields(report)
+           if f.repr and f.name not in drop}
+    doc.update(extra)
+    return {"schema_version": SCHEMA_VERSION, **_plain(doc)}
+
+
+def _plain(value):
+    if is_dataclass(value):
+        value = {f.name: getattr(value, f.name) for f in fields(value) if f.repr}
+    if isinstance(value, dict):
+        return {key: _plain(v) for key, v in value.items()}
+    if isinstance(value, tuple):
+        return [_plain(v) for v in value]
+    return value
 
 
 def row_norms(diff: np.ndarray) -> np.ndarray:
@@ -219,9 +244,6 @@ class Violation:
     where: tuple[int, ...]
     message: str
 
-    def as_dict(self) -> dict:
-        return {"kind": self.kind, "where": list(self.where), "message": self.message}
-
 
 @dataclass(frozen=True)
 class ValidationReport:
@@ -233,12 +255,7 @@ class ValidationReport:
         return not self.violations
 
     def as_dict(self) -> dict:
-        return {
-            "schema_version": SCHEMA_VERSION,
-            "label": self.label,
-            "ok": self.ok,
-            "violations": [v.as_dict() for v in self.violations],
-        }
+        return report_dict(self, ok=self.ok)
 
 
 def validate(sample: SetSample, rel_tol: float = REL_TOL) -> ValidationReport:

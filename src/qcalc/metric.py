@@ -16,7 +16,7 @@ import numpy as np
 
 from .errors import BuildError, DisconnectedSampleError
 from .fields import ScalarField, require_same_sample
-from .geometry import SCHEMA_VERSION, PolylinePath, SetSample, pair_blocks, row_norms
+from .geometry import PolylinePath, SetSample, pair_blocks, report_dict, row_norms
 
 #: relative tolerance for recognizing "dist[u] + w == dist[v]" on float sums
 _TIE_TOL = 1e-12
@@ -130,16 +130,7 @@ class ChordArcReport:
     seed: int | None = None
 
     def as_dict(self) -> dict:
-        doc = {
-            "schema_version": SCHEMA_VERSION,
-            "k_hat": self.k_hat,
-            "witness_pair": list(self.witness_pair),
-            "pair_count": self.pair_count,
-            "method": self.method,
-        }
-        if self.seed is not None:
-            doc["seed"] = self.seed
-        return doc
+        return report_dict(self, drop=("seed",) if self.seed is None else ())
 
 
 def _scan_sources(sample: SetSample, rows) -> tuple[float, tuple[int, int], int]:
@@ -215,20 +206,7 @@ class LocalToGlobalReport:
         return self.hypothesis_ok and self.bound_ok
 
     def as_dict(self) -> dict:
-        return {
-            "schema_version": SCHEMA_VERSION,
-            "radius": self.radius,
-            "local_constant": self.local_constant,
-            "k": self.k,
-            "tol": self.tol,
-            "hypothesis_ok": self.hypothesis_ok,
-            "local_violations": [list(v) for v in self.local_violations[:20]],
-            "l_glob": self.l_glob,
-            "witness_pair": list(self.witness_pair),
-            "bound": self.bound,
-            "bound_ok": self.bound_ok,
-            "passed": self.passed,
-        }
+        return report_dict(self, local_violations=self.local_violations[:20], passed=self.passed)
 
 
 def verify_local_to_global(
@@ -272,7 +250,8 @@ def verify_local_to_global(
             np.subtract(vals[i + 1 :], vals[i], out=dval[start:stop])
         d = row_norms(diff[:, :size].T)
         df = np.abs(dval[:size])
-        ratios = df / d
+        with np.errstate(divide="ignore", invalid="ignore"):  # a chord that rounds to 0
+            ratios = df / d
         rows, starts, _ = np.array(segs).T
         near = np.flatnonzero(d <= radius)
         bad = near[df[near] > C * d[near] + tol]

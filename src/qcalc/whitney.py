@@ -17,7 +17,7 @@ import numpy as np
 from .calculus import pair_modulus_profile
 from .errors import UndersampledError, UnderdeterminedNeighborhoodError
 from .fields import CovectorField, ScalarField, require_same_sample
-from .geometry import SCHEMA_VERSION, SetSample, row_norms
+from .geometry import SetSample, report_dict, row_norms
 
 
 def _ball_indices(sample: SetSample, x: int, radius: float) -> np.ndarray:
@@ -48,16 +48,8 @@ class FlatnessReport:
     flatness_score: float
 
     def as_dict(self) -> dict:
-        return {
-            "schema_version": SCHEMA_VERSION,
-            "center": self.center,
-            "radius": self.radius,
-            "singular_values": list(self.singular_values),
-            "thin_direction": list(self.thin_direction),
-            "flatness_score": self.flatness_score,
-            "score_convention": "smallest/largest singular value of the "
-                                "mean-centered, radius-normalized neighbor matrix",
-        }
+        return report_dict(self, score_convention="smallest/largest singular value of the "
+                           "mean-centered, radius-normalized neighbor matrix")
 
 
 def local_flatness(sample: SetSample, x: int, radius: float) -> FlatnessReport:
@@ -90,15 +82,7 @@ class SubspaceReport:
     singular_values: tuple[float, ...]
 
     def as_dict(self) -> dict:
-        return {
-            "schema_version": SCHEMA_VERSION,
-            "center": self.center,
-            "radius": self.radius,
-            "slack": self.slack,
-            "dimension": self.dimension,
-            "basis": [list(b) for b in self.basis],
-            "singular_values": list(self.singular_values),
-        }
+        return report_dict(self)
 
 
 def determined_subspace(
@@ -136,14 +120,7 @@ class StabilityReport:
     singular_values: tuple[float, ...]
 
     def as_dict(self) -> dict:
-        return {
-            "schema_version": SCHEMA_VERSION,
-            "center": self.center,
-            "radius": self.radius,
-            "unique": self.unique,
-            "condition": self.condition,
-            "singular_values": list(self.singular_values),
-        }
+        return report_dict(self)
 
 
 def differential_stability(
@@ -184,16 +161,7 @@ class WhitneyC1Report:
         return self.decay_ok and self.small_scale_ok
 
     def as_dict(self) -> dict:
-        return {
-            "schema_version": SCHEMA_VERSION,
-            "threshold": self.threshold,
-            "decay_tol": self.decay_tol,
-            "buckets": [list(b) for b in self.buckets],
-            "smallest_scale_ratio": self.smallest_scale_ratio,
-            "decay_ok": self.decay_ok,
-            "small_scale_ok": self.small_scale_ok,
-            "passed": self.passed,
-        }
+        return report_dict(self, passed=self.passed)
 
 
 def check_whitney_c1(

@@ -17,7 +17,8 @@ from qcalc import cli, metric
 from qcalc.calculus import verify_remainder_bound
 from qcalc.cli import emit_pairs_csv, main
 from qcalc.errors import FormatError
-from qcalc.fields import CovectorField, ScalarField, dump_field, load_field
+from qcalc.fields import (CovectorField, ScalarField, covector_field_from_dict, dump_field,
+                          load_field, scalar_field_from_dict)
 from qcalc.geometry import build_carpet, build_gasket, build_polyline, dump_sample, load_sample
 
 from conftest import NEAR_COINCIDENT_DOC
@@ -443,6 +444,19 @@ def test_k_estimate_names_pair_whose_chord_rounds_to_zero(near_path):
     assert proc.stderr == "qcalc: points 0 and 1 are too close: their chord rounds to 0\n"
 
 
+@pytest.mark.parametrize("command", ["holder-fit", "whitney"])
+def test_pair_scans_on_near_coincident_points_write_one_error_line(near_path, tmp_path, command):
+    # the profile divides by the chord of points 0 and 1, which rounds to 0,
+    # and takes its log2; numpy used to print RuntimeWarnings before the error
+    f, A = tmp_path / "f.json", tmp_path / "A.json"
+    f.write_text(json.dumps({"version": 1, "set": "", "values": [0, 1e-300, 1]}))
+    A.write_text(json.dumps({"version": 1, "set": "", "covectors": [[1, 0]] * 3}))
+    proc = run_qcalc_process(command, near_path, str(f), str(A))
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert proc.stderr == "qcalc: only 0 populated scale buckets, need at least 3\n"
+
+
 def test_reconstruct_on_near_coincident_points(near_path, tmp_path):
     cov = tmp_path / "A.json"
     cov.write_text(json.dumps({"version": 1, "set": "", "covectors": [[1, 0]] * 3}))
@@ -505,6 +519,24 @@ def test_field_loader_rejects_non_finite_and_bool(tmp_path, payload, field):
     with pytest.raises(FormatError) as err:
         load_field(str(path), sample)
     assert err.value.field == field
+
+
+@pytest.mark.parametrize("reader", [scalar_field_from_dict, covector_field_from_dict])
+@pytest.mark.parametrize("header,message", [
+    (None, "'<root>': document must be a JSON object"),
+    ({}, "'version': unknown version"),
+    ({"version": 2}, "'version': unknown version"),
+    ({"version": 1, "set": 5}, "'set': must be a string"),
+    ({"version": 1, "set": "other"}, "'set': refers to a different sample"),
+], ids=["not-an-object", "no-version", "version-2", "set-not-a-string", "other-set"])
+def test_field_readers_share_header_errors(reader, header, message):
+    sample = build_polyline([(0, 0), (1, 0), (2, 0)], label="seg")
+    payload = {"values": [0.0] * 3, "covectors": [[0.0, 0.0]] * 3}
+    doc = [payload] if header is None else {**header, **payload}
+    with pytest.raises(FormatError) as err:
+        reader(doc, sample, source="f.json")
+    assert str(err.value) == f"f.json: invalid field {message}"
+    reader({"version": 1, "set": "seg", **payload}, sample)  # named by label
 
 
 # ---------------------------------------------------------------------------

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -154,6 +155,16 @@ def test_self_loop_is_never_a_predecessor():
     assert shortest_path(s, 2, 0).vertices == (2, 1, 0)
     assert shortest_path(s, 0, 2).vertices == (0, 1, 2)
     assert predecessor_array(s, 0)[1].tolist() == [-1, 0, 1]
+
+
+def test_local_to_global_on_near_coincident_points_warns_nothing():
+    # the chord of points 0 and 1 rounds to 0, so their ratio is 1e-300 / 0
+    s = sample_from_dict(NEAR_COINCIDENT_DOC)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        report = verify_local_to_global(s, ScalarField(s, [0.0, 1e-300, 1.0]))
+    assert report.l_glob == math.inf and report.witness_pair == (0, 1)
+    assert report.hypothesis_ok and not report.passed
 
 
 def test_predecessors_follow_settle_order_on_near_coincident_points():

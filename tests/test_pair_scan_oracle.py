@@ -11,6 +11,7 @@ exactly, bit for bit.
 from __future__ import annotations
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -33,8 +34,11 @@ from qcalc.geometry import (
     build_polyline,
     pair_blocks,
     row_norms,
+    sample_from_dict,
 )
 from qcalc.metric import LocalToGlobalReport, verify_local_to_global
+
+from conftest import NEAR_COINCIDENT_DOC
 
 
 def profile_reference(f, A, min_pairs=8):
@@ -379,3 +383,16 @@ def test_coincident_pair_lands_in_bucket_zero():
     assert profile[0] == BucketStat(-80, 2.0 ** -80, math.inf, da, 1)
     assert all(b.octave > -10 for b in profile[1:])
     assert sum(b.count for b in profile) == 12 * 11 // 2
+
+
+def test_profile_on_near_coincident_points_warns_nothing():
+    # the chord of points 0 and 1 rounds to 0: their ratio is 0 / 0 and the
+    # log2 of their distance -inf, which lands in bucket 0
+    s = sample_from_dict(NEAR_COINCIDENT_DOC)
+    f = ScalarField(s, [0.0, 1e-300, 1.0])
+    A = CovectorField(s, [[1.0, 0.0]] * 3)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        profile = pair_modulus_profile(f, A, 1)
+    assert [(b.octave, b.count) for b in profile] == [(-80, 1), (0, 2)]
+    assert math.isnan(profile[0].remainder_ratio_sup)
