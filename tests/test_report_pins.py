@@ -3,7 +3,8 @@
 Captured before the report classes shared one serializer: the stdout of the
 CLI commands below, ``json.dumps(report.as_dict(), sort_keys=True)`` of the
 reports only the library writes, the bytes of ``dump_field`` and the
-documents of the Clifford values.  Inputs are literals or come from the
+documents of the Clifford values and of the hyperplane completion in a
+rotated frame.  Inputs are literals or come from the
 builders, so a change in the writers under test cannot move them.
 """
 from __future__ import annotations
@@ -16,7 +17,7 @@ import pytest
 
 from qcalc.calculus import affine_rigidity_test, verify_remainder_bound
 from qcalc.cli import main
-from qcalc.clifford import LinearCliffordMap, Multivector
+from qcalc.clifford import LinearCliffordMap, Multivector, complete_from_hyperplane
 from qcalc.fields import CovectorField, ScalarField, dump_field
 from qcalc.geometry import (SetSample, build_gasket, build_lipschitz_graph, build_polyline,
                             dump_sample, validate)
@@ -66,8 +67,19 @@ def _cli_args(name, tmp_path):
         return ["clifford", "complete", "--dim", "3", "--partial", partial]
     if name == "clifford dimension":
         return ["clifford", "dimension", "--dim", "4", "--side", "right"]
+    sample = build_gasket(4)
     set_path = str(tmp_path / "g4.json")
-    dump_sample(build_gasket(4), set_path)
+    dump_sample(sample, set_path)
+    if name.startswith("ftc"):
+        f, A = _quadratic(sample)
+        fp = _write(tmp_path / "f.json", {"version": 1, "set": "", "values": f.values.tolist()})
+        ap = _write(tmp_path / "A.json",
+                    {"version": 1, "set": "", "covectors": A.covectors.tolist()})
+        if name == "ftc pass":
+            return ["ftc", set_path, fp, ap, "--from", "0", "--to", "40"]
+        # a 14-edge chain whose residual is one rounding error, above this tolerance
+        chain = "0,2,5,12,14,30,33,39,41,83,85,88,90,97,100"
+        return ["ftc", set_path, fp, ap, "--vertices", chain, "--tol", "ftc=1e-30"]
     if name == "k-estimate sampled":
         return ["k-estimate", set_path, "--sample", "50", "--seed", "7"]
     return ["flatness", set_path, "--index", "9", "--radius", "0.2"]
@@ -76,6 +88,8 @@ def _cli_args(name, tmp_path):
 # name -> (exit status, sha256 of stdout)
 CLI_DIGESTS = {
     "k-estimate sampled": (0, "de5b898cd521bbb3780810710d28d25c74a92025c044b10a0e96e32981ce9425"),
+    "ftc pass": (0, "9cc0a0dd592ca16e5b4bd767c871bc6ee843c3e95c518fda10ed69c8620a0e50"),
+    "ftc fail": (1, "32f3a7fb76aaa1fe0e8c564b4c02faf5fd3af359e46baed892e8e3cc60953e5c"),
     "flatness": (0, "7737b406b61b855dd446310fef9d9dd1ce8925952304a2746a8a6dc6be819a96"),
     "clifford check left": (0, "38f7d78b6a010e23e4cc20b8ef2cc803bc4e3fb3901064da67dc0b63cbf7c0b2"),
     "clifford check right": (1, "fa87322b2fe3a0b798d1c54f1dffc5c984cb3b4c6495fdfcac64d04414829374"),
@@ -193,3 +207,30 @@ VALUE_DIGESTS = {
 @pytest.mark.parametrize("name", sorted(VALUE_DIGESTS))
 def test_value_documents_are_pinned(tmp_path, name):
     assert hashlib.sha256(_value_document(name, tmp_path)).hexdigest() == VALUE_DIGESTS[name]
+
+
+def _completion_frame(dim):
+    """A non-identity orthogonal frame: the reflection across the hyperplane
+    orthogonal to (1, -2, 3, ...)."""
+    v = np.array([(-1.0) ** k * (k + 1) for k in range(dim)])
+    return np.eye(dim) - 2.0 * np.outer(v, v) / (v @ v)
+
+
+# "dim side" -> sha256 of the sorted JSON of the completed map's as_dict()
+COMPLETION_DIGESTS = {
+    "3 left": "6589cc31ca75a616bf1504cb31c97a4022939eaf1e24c08797e856a259d3b20c",
+    "3 right": "4df3a672bdb63099d9d5c8d9efd0000c12069e93aa6f12ff99dc5a89e5057e9d",
+    "4 left": "4005a5c412fe246df5a3ed2d17fd88ac0a12cd9a6aeb89a36e0df07e61a424e9",
+    "4 right": "00a9e7a3754b01eca74102bca3dc8566d1c2a5485fbaaf5a72675e9e4c373eab",
+}
+
+
+@pytest.mark.parametrize("name", sorted(COMPLETION_DIGESTS))
+def test_completion_in_rotated_frame_is_pinned(name):
+    dim, side = int(name.split()[0]), name.split()[1]
+    rows = (PARTIAL_COLUMNS["columns"] if dim == 3 else
+            [[((5 * i + 3 * k) % 13 - 6) / 4 for k in range(16)] for i in range(3)])
+    cols = [Multivector(dim, row) for row in rows]
+    completed = complete_from_hyperplane(cols, side, frame=_completion_frame(dim))
+    doc = json.dumps(completed.as_dict(), sort_keys=True)
+    assert hashlib.sha256(doc.encode()).hexdigest() == COMPLETION_DIGESTS[name]
