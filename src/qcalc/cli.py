@@ -17,7 +17,7 @@ import numpy as np
 from . import geometry
 from .errors import QcalcError
 from .fields import CovectorField, ScalarField, load_field
-from .geometry import SCHEMA_VERSION, load_sample, path_to_dict, read_json, sample_to_dict
+from .geometry import document, load_sample, path_to_dict, read_json, sample_to_dict
 
 TOLERANCE_DEFAULTS = {
     "ftc": 1e-9,        # pass threshold for the path-integral identity
@@ -236,14 +236,9 @@ def _geodesic(config: RunConfig, opt: dict):
     sample = load_sample(opt["set"])
     from . import metric
     path = metric.shortest_path(sample, opt["i"], opt["j"])
-    doc = {
-        "schema_version": SCHEMA_VERSION,
-        "source": opt["i"],
-        "target": opt["j"],
-        "distance": metric.geodesic_distance(sample, opt["i"], opt["j"]),
-        "path_vertices": list(path.vertices),
-        "path_length": path.length,
-    }
+    doc = document(source=opt["i"], target=opt["j"], path_vertices=path.vertices,
+                   distance=metric.geodesic_distance(sample, opt["i"], opt["j"]),
+                   path_length=path.length)
     if opt.get("path"):
         with open(opt["path"], "w") as fh:
             json.dump(path_to_dict(path), fh, sort_keys=True, indent=2)
@@ -263,14 +258,8 @@ def _ftc(config: RunConfig, opt: dict):
         raise UsageError("ftc needs either --vertices or both --from and --to")
     residual = calculus.verify_ftc(f, A, path)
     tol = config.tol("ftc")
-    doc = {
-        "schema_version": SCHEMA_VERSION,
-        "path_vertices": list(path.vertices),
-        "residual": residual,
-        "tol": tol,
-        "passed": residual <= tol,
-    }
-    return (0 if doc["passed"] else 1), doc
+    return (0 if residual <= tol else 1), document(
+        path_vertices=path.vertices, residual=residual, tol=tol, passed=residual <= tol)
 
 
 def _reconstruct(config: RunConfig, opt: dict):
@@ -278,13 +267,8 @@ def _reconstruct(config: RunConfig, opt: dict):
     A = _field(opt["A"], sample, CovectorField)
     from . import calculus
     rec = calculus.reconstruct(sample, A, opt["base"], opt["value"], defect_tol=config.tol("loop"))
-    return 0, {
-        "schema_version": SCHEMA_VERSION,
-        "basepoint": opt["base"],
-        "base_value": opt["value"],
-        "field": rec.as_dict(),
-        "warning": rec.warning,
-    }
+    return 0, document(basepoint=opt["base"], base_value=opt["value"], field=rec.as_dict(),
+                       warning=rec.warning)
 
 
 def _remainder_check(config: RunConfig, opt: dict):
@@ -335,21 +319,14 @@ def _clifford_complete(config: RunConfig, opt: dict):
     dim, cols = clifford.columns_from_dict(doc, source=opt["partial"])
     if dim != opt["dim"]:
         raise UsageError(f"--dim {opt['dim']} does not match the file's dim {dim!r}")
-    out = clifford.complete_from_hyperplane(cols, side=opt["side"]).as_dict()
-    out["schema_version"] = SCHEMA_VERSION
-    return 0, out
+    return 0, document(**clifford.complete_from_hyperplane(cols, side=opt["side"]).as_dict())
 
 
 def _clifford_dimension(config: RunConfig, opt: dict):
     from . import clifford
     n = opt["dim"]
-    return 0, {
-        "schema_version": SCHEMA_VERSION,
-        "n": n,
-        "side": opt["side"],
-        "dimension": clifford.monogenic_space_dimension(n, side=opt["side"]),
-        "closed_form": (n - 1) * 2 ** n,
-    }
+    return 0, document(n=n, side=opt["side"], closed_form=(n - 1) * 2 ** n,
+                       dimension=clifford.monogenic_space_dimension(n, side=opt["side"]))
 
 
 def _graph_derivative(config: RunConfig, opt: dict):

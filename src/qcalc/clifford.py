@@ -24,7 +24,7 @@ import numpy as np
 
 from .errors import AlgebraError, BuildError
 from .fields import ScalarField, require_same_sample
-from .geometry import SCHEMA_VERSION, SetSample, _expect, _is_index, _number_rows, report_dict
+from .geometry import SetSample, _expect, _is_index, _number_rows, report_dict
 
 DIM_CAP = 6
 
@@ -242,32 +242,29 @@ class MonogenicReport:
         return report_dict(self)
 
 
-def _dirac_sum(columns: Sequence[Multivector], side: str) -> Multivector:
-    dim = columns[0].dim
-    total = Multivector.zero(dim)
-    for i, col in enumerate(columns, start=1):
-        e_i = Multivector.basis_vector(dim, i)
-        total = total + (e_i * col if side == "left" else col * e_i)
+def _basis(dim: int) -> tuple[Multivector, ...]:
+    return tuple(Multivector.basis_vector(dim, i) for i in range(1, dim + 1))
+
+
+def _dirac_sum(directions: Sequence[Multivector], columns: Sequence[Multivector],
+               side: str) -> Multivector:
+    """sum_i d_i c_i (left) or sum_i c_i d_i (right), over the pairs of directions and columns."""
+    total = Multivector.zero(columns[0].dim)
+    for d_i, col in zip(directions, columns):
+        total = total + (d_i * col if side == "left" else col * d_i)
     return total
 
 
 def is_left_monogenic(L: LinearCliffordMap, tol: float = 1e-12) -> MonogenicReport:
     """Defect norm of the left Dirac condition sum_i e_i c_i = 0."""
-    defect = _dirac_sum(L.columns, "left").norm()
+    defect = _dirac_sum(_basis(L.dim), L.columns, "left").norm()
     return MonogenicReport("left", defect, tol, defect <= tol)
 
 
 def is_right_monogenic(L: LinearCliffordMap, tol: float = 1e-12) -> MonogenicReport:
     """Defect norm of the right Dirac condition sum_i c_i e_i = 0."""
-    defect = _dirac_sum(L.columns, "right").norm()
+    defect = _dirac_sum(_basis(L.dim), L.columns, "right").norm()
     return MonogenicReport("right", defect, tol, defect <= tol)
-
-
-def _vector_multivector(dim: int, v: np.ndarray) -> Multivector:
-    out = Multivector.zero(dim)
-    for i, c in enumerate(v, start=1):
-        out = out + float(c) * Multivector.basis_vector(dim, i)
-    return out
 
 
 def complete_from_hyperplane(
@@ -299,21 +296,14 @@ def complete_from_hyperplane(
     frame = np.asarray(frame, dtype=float)
     if frame.shape != (dim, dim) or not np.allclose(frame.T @ frame, np.eye(dim), atol=1e-9):
         raise AlgebraError("frame must be an orthogonal matrix of shape (dim, dim)")
-    directions = [_vector_multivector(dim, frame[:, i]) for i in range(dim)]
-    acc = Multivector.zero(dim)
-    for eps, col in zip(directions[:-1], partial):
-        acc = acc + (eps * col if side == "left" else col * eps)
+    embed = LinearCliffordMap(dim, _basis(dim))  # x -> sum_i x_i e_i
+    directions = [embed.apply(frame[:, i]) for i in range(dim)]
+    acc = _dirac_sum(directions[:-1], partial, side)
     nu = directions[-1]
     # nu^{-1} = -nu; c_nu = -nu^{-1} acc (left) resp. -acc nu^{-1} (right)
     c_nu = nu * acc if side == "left" else acc * nu
-    cols_std = []
-    for j in range(dim):
-        col = Multivector.zero(dim)
-        for i in range(dim - 1):
-            col = col + float(frame[j, i]) * partial[i]
-        col = col + float(frame[j, dim - 1]) * c_nu
-        cols_std.append(col)
-    return LinearCliffordMap(dim, tuple(cols_std))
+    in_frame = LinearCliffordMap(dim, (*partial, c_nu))
+    return LinearCliffordMap(dim, tuple(in_frame.apply(frame[j]) for j in range(dim)))
 
 
 def dirac_constraint_matrix(dim: int, side: str = "left") -> np.ndarray:
@@ -370,9 +360,17 @@ def complex_to_even(z: complex) -> Multivector:
 
 @dataclass(frozen=True)
 class ComplexLinearMap:
-    """The complex-linear map on R^2 = C sending z to on_one * z."""
+    """The complex-linear map on R^2 = C sending z to on_one * z: the unique
+    complex-linear extension of x -> on_one x from the real axis to C.
+
+    Under the documented embedding (i -> e2 e1) this agrees with the left
+    Clifford completion from the hyperplane x_2 = 0.
+    """
 
     on_one: complex
+
+    def __post_init__(self):
+        object.__setattr__(self, "on_one", complex(self.on_one))
 
     @property
     def on_i(self) -> complex:
@@ -388,21 +386,8 @@ class ComplexLinearMap:
     def clifford_columns(self) -> tuple[Multivector, Multivector]:
         return complex_to_even(self.on_one), complex_to_even(self.on_i)
 
-    def as_dict(self) -> dict:
-        return {
-            "schema_version": SCHEMA_VERSION,
-            "on_one": [self.on_one.real, self.on_one.imag],
-            "on_i": [self.on_i.real, self.on_i.imag],
-        }
 
-
-def complex_complete(a_on_reals: complex) -> ComplexLinearMap:
-    """Unique complex-linear extension of x -> a x from the real axis to C.
-
-    Under the documented embedding (i -> e2 e1) this agrees with the left
-    Clifford completion from the hyperplane x_2 = 0.
-    """
-    return ComplexLinearMap(complex(a_on_reals))
+complex_complete = ComplexLinearMap
 
 
 # ---------------------------------------------------------------------------

@@ -13,7 +13,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .errors import FieldMismatchError, FormatError
-from .geometry import SCHEMA_VERSION, SetSample, _expect, _is_finite_number, read_json
+from .geometry import SCHEMA_VERSION, SetSample, _expect, _is_finite_number, _is_index, read_json
 
 
 def _coerce(values, shape, what: str) -> np.ndarray:
@@ -114,7 +114,8 @@ def _check_header(doc, sample: SetSample, source: str) -> None:
     """A field document is a JSON object of this schema version whose ``set``,
     if given, names ``sample`` by fingerprint or label."""
     _expect(isinstance(doc, dict), source, "<root>", "document must be a JSON object")
-    _expect(doc.get("version") == SCHEMA_VERSION, source, "version", "unknown version")
+    version = doc.get("version")
+    _expect(_is_index(version) and version == SCHEMA_VERSION, source, "version", "unknown version")
     ref = doc.get("set", "")
     _expect(isinstance(ref, str), source, "set", "must be a string")
     if ref and ref not in (sample.fingerprint, sample.label):

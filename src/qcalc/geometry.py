@@ -37,19 +37,27 @@ CARPET_LEVEL_CAP = 5
 _SQRT3 = math.sqrt(3.0)
 
 
-def report_dict(report, drop: Sequence[str] = (), **extra) -> dict:
-    """The JSON document of a report dataclass.
+def document(**entries) -> dict:
+    """A report document: ``schema_version``, then ``entries``.
 
-    ``schema_version``, then every field shown in the report's repr except
-    those named in ``drop``; ``extra`` replaces field values or adds keys.
-    Nested report dataclasses become documents without ``schema_version``,
-    and tuples become lists.  The extras are applied before the conversion,
-    so a report's long tuples are cut before they are copied.
+    Every report qcalc prints or returns is written here.  Nested report
+    dataclasses become objects without ``schema_version``, and tuples
+    become lists.
+    """
+    return {"schema_version": SCHEMA_VERSION, **_plain(entries)}
+
+
+def report_dict(report, drop: Sequence[str] = (), **extra) -> dict:
+    """The ``document`` of a report dataclass.
+
+    Every field shown in the report's repr except those named in ``drop``;
+    ``extra`` replaces field values or adds keys.  The extras are applied
+    before the conversion, so a report's long tuples are cut before they
+    are copied.
     """
     doc = {f.name: getattr(report, f.name) for f in fields(report)
            if f.repr and f.name not in drop}
-    doc.update(extra)
-    return {"schema_version": SCHEMA_VERSION, **_plain(doc)}
+    return document(**{**doc, **extra})
 
 
 def _plain(value):
@@ -276,12 +284,8 @@ def validate(sample: SetSample, rel_tol: float = REL_TOL) -> ValidationReport:
         per_edge[idx] = Violation("edge_length", (idx,), f"edge {idx} stores "
                                   f"{float(lengths[idx])!r} but endpoints are {d!r} apart")
     out = [per_edge[idx] for idx in sorted(per_edge)]
-    pts = sample.points_array
-    for i in range(nv - 1):
-        d = row_norms(pts[i + 1 :] - pts[i])
-        for off in np.nonzero(d <= DUPLICATE_TOL)[0]:
-            j = i + 1 + int(off)
-            out.append(Violation("duplicate_points", (i, j), f"points {i} and {j} coincide"))
+    for i, j in _duplicate_pairs(sample.points_array):
+        out.append(Violation("duplicate_points", (i, j), f"points {i} and {j} coincide"))
     if nv:
         nbrs: list[list[int]] = [[] for _ in range(nv)]
         for i, j in zip(*ends[:, usable].tolist()):
@@ -308,6 +312,13 @@ def validate(sample: SetSample, rel_tol: float = REL_TOL) -> ValidationReport:
     return ValidationReport(sample.label, tuple(out))
 
 
+def _duplicate_pairs(pts: np.ndarray) -> Iterator[tuple[int, int]]:
+    """The index pairs (i < j), in order, of points at most ``DUPLICATE_TOL`` apart."""
+    for i in range(len(pts) - 1):
+        for off in np.flatnonzero(row_norms(pts[i + 1 :] - pts[i]) <= DUPLICATE_TOL).tolist():
+            yield i, i + 1 + off
+
+
 # ---------------------------------------------------------------------------
 # builders
 
@@ -332,13 +343,14 @@ def build_polyline(
     dims = {len(p) for p in pts}
     if len(dims) != 1:
         raise BuildError("points have mixed dimensions")
-    for i in range(len(pts) - 1):
-        if math.dist(pts[i], pts[i + 1]) <= DUPLICATE_TOL:
-            raise BuildError(f"duplicate consecutive points at index {i}")
-    for i in range(len(pts) - 1):
-        for j in range(i + 1, len(pts)):
-            if math.dist(pts[i], pts[j]) <= DUPLICATE_TOL:
-                raise BuildError(f"duplicate points at indices {i} and {j}")
+    if 0 in dims:
+        raise BuildError("points need at least one coordinate")
+    pairs = list(_duplicate_pairs(np.array(pts)))
+    consecutive = [i for i, j in pairs if j == i + 1]
+    if consecutive:
+        raise BuildError(f"duplicate consecutive points at index {consecutive[0]}")
+    if pairs:
+        raise BuildError("duplicate points at indices {} and {}".format(*pairs[0]))
     edges = _chain_edges(pts)
     if closed:
         edges.append((len(pts) - 1, 0, math.dist(pts[-1], pts[0])))
@@ -604,7 +616,7 @@ def sample_from_dict(doc: dict, source: str = "<dict>") -> SetSample:
     naming the field and, for points and edges, the first failing entry."""
     _expect(isinstance(doc, dict), source, "<root>", "document must be a JSON object")
     _expect("version" in doc, source, "version", "missing")
-    _expect(doc["version"] == SCHEMA_VERSION, source, "version",
+    _expect(_is_index(doc["version"]) and doc["version"] == SCHEMA_VERSION, source, "version",
             f"unknown version {doc['version']!r}, expected {SCHEMA_VERSION}")
     _expect(_is_index(doc.get("ambient_dim")) and doc["ambient_dim"] >= 1,
             source, "ambient_dim", "must be a positive integer")

@@ -314,6 +314,22 @@ def test_malformed_json_names_file_and_field(tmp_path, capsys):
     assert "bad.json" in err and "version" in err
 
 
+@pytest.mark.parametrize("kind", ["set", "field"])
+@pytest.mark.parametrize("version", [True, 1.0], ids=["true", "float"])
+def test_version_must_be_a_json_integer(workspace, tmp_path, capsys, kind, version):
+    _, paths = workspace
+    doc = json.loads(Path(paths["set" if kind == "set" else "A"]).read_text())
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps({**doc, "version": version}))
+    args = (["k-estimate", str(bad)] if kind == "set"
+            else ["reconstruct", paths["set"], str(bad), "--base", "0"])
+    capsys.readouterr()
+    assert main(args) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "'version'" in captured.err
+
+
 def test_unparseable_json_exits_two(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text("{oops")

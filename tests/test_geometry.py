@@ -59,6 +59,16 @@ def test_polyline_rejects_any_duplicate():
         build_polyline([(0, 0), (1, 0), (0, 0.5), (0, 0)])
 
 
+@pytest.mark.parametrize("points,message", [
+    ([(0, 0), (1, 0), (0, 0), (2, 0), (2, 0)], "duplicate consecutive points at index 3$"),
+    ([(0, 0), (1, 0), (0, 0.5), (0, 0)], "duplicate points at indices 0 and 3$"),
+    ([(), ()], "at least one coordinate"),
+], ids=["consecutive-first", "non-consecutive", "no-coordinates"])
+def test_polyline_names_the_duplicate_pair(points, message):
+    with pytest.raises(BuildError, match=message):
+        build_polyline(points)
+
+
 def test_polyline_needs_two_points():
     with pytest.raises(BuildError):
         build_polyline([(0, 0)])

@@ -9,12 +9,15 @@ builders, so a change in the writers under test cannot move them.
 """
 from __future__ import annotations
 
+import ast
 import hashlib
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import qcalc
 from qcalc.calculus import affine_rigidity_test, verify_remainder_bound
 from qcalc.cli import main
 from qcalc.clifford import LinearCliffordMap, Multivector, complete_from_hyperplane
@@ -234,3 +237,13 @@ def test_completion_in_rotated_frame_is_pinned(name):
     completed = complete_from_hyperplane(cols, side, frame=_completion_frame(dim))
     doc = json.dumps(completed.as_dict(), sort_keys=True)
     assert hashlib.sha256(doc.encode()).hexdigest() == COMPLETION_DIGESTS[name]
+
+
+def test_only_geometry_writes_schema_version():
+    """Every report document comes from ``geometry.document``: no other module
+    names the ``schema_version`` key."""
+    found = [path.name for path in sorted(Path(qcalc.__file__).parent.glob("*.py"))
+             if path.name != "geometry.py"
+             for node in ast.walk(ast.parse(path.read_text()))
+             if isinstance(node, ast.Constant) and node.value == "schema_version"]
+    assert found == []
