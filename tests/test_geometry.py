@@ -55,15 +55,14 @@ def test_polyline_rejects_duplicate_consecutive():
 
 
 def test_polyline_rejects_any_duplicate():
-    with pytest.raises(BuildError, match="duplicate"):
+    with pytest.raises(BuildError, match="duplicate points at indices 0 and 3$"):
         build_polyline([(0, 0), (1, 0), (0, 0.5), (0, 0)])
 
 
 @pytest.mark.parametrize("points,message", [
     ([(0, 0), (1, 0), (0, 0), (2, 0), (2, 0)], "duplicate consecutive points at index 3$"),
-    ([(0, 0), (1, 0), (0, 0.5), (0, 0)], "duplicate points at indices 0 and 3$"),
     ([(), ()], "at least one coordinate"),
-], ids=["consecutive-first", "non-consecutive", "no-coordinates"])
+], ids=["consecutive-first", "no-coordinates"])
 def test_polyline_names_the_duplicate_pair(points, message):
     with pytest.raises(BuildError, match=message):
         build_polyline(points)

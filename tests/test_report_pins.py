@@ -1,11 +1,11 @@
 """sha256 pins of report documents that no other pin covers.
 
-Captured before the report classes shared one serializer: the stdout of the
-CLI commands below, ``json.dumps(report.as_dict(), sort_keys=True)`` of the
-reports only the library writes, the bytes of ``dump_field`` and the
+Each was captured before the writer it covers last changed: the stdout of
+the CLI commands below, ``json.dumps(report.as_dict(), sort_keys=True)`` of
+the reports only the library writes, the bytes of ``dump_field``, and the
 documents of the Clifford values and of the hyperplane completion in a
-rotated frame.  Inputs are literals or come from the
-builders, so a change in the writers under test cannot move them.
+reflected frame.  Inputs are literals or come from the builders, so a
+change in the writers under test cannot move them.
 """
 from __future__ import annotations
 
@@ -229,7 +229,7 @@ COMPLETION_DIGESTS = {
 
 
 @pytest.mark.parametrize("name", sorted(COMPLETION_DIGESTS))
-def test_completion_in_rotated_frame_is_pinned(name):
+def test_completion_in_reflected_frame_is_pinned(name):
     dim, side = int(name.split()[0]), name.split()[1]
     rows = (PARTIAL_COLUMNS["columns"] if dim == 3 else
             [[((5 * i + 3 * k) % 13 - 6) / 4 for k in range(16)] for i in range(3)])
