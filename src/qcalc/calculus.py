@@ -26,7 +26,7 @@ import numpy as np
 
 from .errors import BuildError, PathError, QcalcError, UndersampledError
 from .fields import CovectorField, ScalarField, require_same_sample
-from .geometry import PolylinePath, SetSample, pair_blocks, report_dict, row_norms
+from .geometry import PolylinePath, SetSample, pair_blocks, report_dict, row_map, row_norms
 from .metric import _check_vertex, predecessor_array
 
 #: bucket sups below this are treated as exactly zero in modulus fits
@@ -35,6 +35,10 @@ _EXACT_TOL = 1e-13
 _LSQR_TOL = 1e-14
 #: LSQR iteration cap of ``discrete_gradient`` per vertex unknown
 _LSQR_ITERS_PER_UNKNOWN = 4
+#: vertex count from which ``verify_remainder_bound(pairs=False)`` splits its
+#: source rows over ``geometry.worker_count()`` processes; gasket 5 (nv 366)
+#: with 36,571 violations ran slower split
+REMAINDER_MIN_ROWS = 1000
 
 
 def _fsum(parts: Sequence) -> float | complex:
@@ -215,6 +219,9 @@ def verify_remainder_bound(
     (about 48 bytes per unordered pair), which ``qcalc remainder-check
     --csv`` writes out.  With ``pairs=False`` they are neither allocated nor
     filled and are ``None``; every other field of the report is the same.
+    Such a scan splits its source rows over processes by
+    ``geometry.row_map`` from ``REMAINDER_MIN_ROWS`` vertices on; the
+    buffers are filled in place, so a scan with them runs in this process.
     """
     if sample is None:
         sample = f.sample
@@ -223,9 +230,6 @@ def verify_remainder_bound(
     vals = f.values
     cov = A.covectors
     nv = sample.vertex_count
-    violations: list[tuple[int, int, float, float]] = []
-    max_ratio = 0.0
-    max_pair = (0, 0)
     up_d = up_rem = up_bound = up_idx = None
     if pairs:
         # per unordered pair, keep the direction with the larger slack
@@ -240,49 +244,52 @@ def verify_remainder_bound(
         ar = np.arange(nv)
         row_base = ar * nv - ar * (ar + 1) // 2 - ar - 1
 
-    for x in range(nv):
-        diff = pts - pts[x]
-        d = row_norms(diff)
-        osc_all = row_norms(cov - cov[x])
-        order = np.argsort(d, kind="stable")
-        prefix = np.maximum.accumulate(osc_all[order])
-        d_sorted = d[order]
-        radius = k * d
-        pos = np.searchsorted(d_sorted, radius, side="right") - 1
-        osc = prefix[np.maximum(pos, 0)]
-        lhs = np.abs(vals - vals[x] - diff @ cov[x])
-        rhs = radius * osc
+    def scan_rows(xs):
+        for x in xs:
+            diff = pts - pts[x]
+            d = row_norms(diff)
+            osc_all = row_norms(cov - cov[x])
+            order = np.argsort(d, kind="stable")
+            prefix = np.maximum.accumulate(osc_all[order])
+            d_sorted = d[order]
+            radius = k * d
+            pos = np.searchsorted(d_sorted, radius, side="right") - 1
+            osc = prefix[np.maximum(pos, 0)]
+            lhs = np.abs(vals - vals[x] - diff @ cov[x])
+            rhs = radius * osc
 
-        bad = np.nonzero(lhs > rhs + tol)[0]
-        bad = bad[bad != x]
-        violations.extend(zip([x] * len(bad), bad.tolist(),
-                              lhs[bad].tolist(), rhs[bad].tolist()))
+            bad = np.nonzero(lhs > rhs + tol)[0]
+            bad = bad[bad != x]
+            # the diagonal y = x has lhs = rhs = 0 and so ratio 0
+            with np.errstate(divide="ignore", invalid="ignore"):
+                ratio = np.where(rhs > 0, lhs / rhs, np.where(lhs > 0, np.inf, 0.0))
+            ratio[np.isnan(ratio)] = 0.0
+            best = int(np.argmax(ratio))
+            if pairs:
+                # the y > x entries are the pair's first visit, the y < x entries
+                # the second; either replaces the stored direction only on a
+                # strictly larger slack
+                slack = lhs - rhs
+                for keys, ys in ((row_base[x] + ar[x + 1 :], ar[x + 1 :]),
+                                 (row_base[:x] + x, ar[:x])):
+                    take = slack[ys] > up_slack[keys]
+                    keys, ys = keys[take], ys[take]
+                    up_slack[keys] = slack[ys]
+                    up_d[keys] = d[ys]
+                    up_rem[keys] = lhs[ys]
+                    up_bound[keys] = rhs[ys]
+                    up_idx[keys, 0] = x
+                    up_idx[keys, 1] = ys
+            yield bad, lhs[bad], rhs[bad], float(ratio[best]), best
 
-        # the diagonal y = x has lhs = rhs = 0 and so ratio 0
-        with np.errstate(divide="ignore", invalid="ignore"):
-            ratio = np.where(rhs > 0, lhs / rhs, np.where(lhs > 0, np.inf, 0.0))
-        ratio[np.isnan(ratio)] = 0.0
-        best = int(np.argmax(ratio))
-        if ratio[best] > max_ratio:
-            max_ratio = float(ratio[best])
-            max_pair = (x, best)
-        if not pairs:
-            continue
-
-        # the y > x entries are the pair's first visit, the y < x entries
-        # the second; either replaces the stored direction only on a
-        # strictly larger slack
-        slack = lhs - rhs
-        for keys, ys in ((row_base[x] + ar[x + 1 :], ar[x + 1 :]),
-                         (row_base[:x] + x, ar[:x])):
-            take = slack[ys] > up_slack[keys]
-            keys, ys = keys[take], ys[take]
-            up_slack[keys] = slack[ys]
-            up_d[keys] = d[ys]
-            up_rem[keys] = lhs[ys]
-            up_bound[keys] = rhs[ys]
-            up_idx[keys, 0] = x
-            up_idx[keys, 1] = ys
+    rows = row_map(scan_rows, range(nv), split=not pairs and nv >= REMAINDER_MIN_ROWS)
+    violations: list[tuple[int, int, float, float]] = []
+    max_ratio = 0.0
+    max_pair = (0, 0)
+    for x, (bad, lhs_bad, rhs_bad, top, best) in enumerate(rows):
+        violations.extend(zip([x] * len(bad), bad.tolist(), lhs_bad.tolist(), rhs_bad.tolist()))
+        if top > max_ratio:
+            max_ratio, max_pair = top, (x, best)
     violations.sort()
     return RemainderBoundReport(
         k=float(k),
@@ -375,15 +382,26 @@ def _row_dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return acc
 
 
+#: vertex count from which ``pair_modulus_profile`` splits its pair blocks
+#: over ``geometry.worker_count()`` processes
+PROFILE_MIN_ROWS = 1000
+
+
 def pair_modulus_profile(
-    f: ScalarField, A: CovectorField, min_pairs: int = 8
+    f: ScalarField, A: CovectorField, min_pairs: int = 8, *, covectors: bool = True
 ) -> tuple[BucketStat, ...]:
     """Dyadic-distance profile of remainder ratios and covector oscillation.
 
     Pairs are bucketed by the octave floor(log2 |x-y|).  Each bucket records
     the sup over its pairs of remainder/|x-y| (worse of the two directions)
     and of |A(x) - A(y)|.  Buckets with fewer than ``min_pairs`` pairs are
-    dropped.
+    dropped.  With ``covectors=False`` the second sup is not computed and
+    is NaN in every bucket.
+
+    From ``PROFILE_MIN_ROWS`` vertices on, the pair blocks are split over
+    processes by ``geometry.row_map``; a bucket's sups are the largest of
+    its blocks' sups (a NaN ratio makes it NaN, as it would in one scan),
+    and its count their sum.
     """
     sample = require_same_sample(f, A)
     pts = sample.points_array
@@ -391,9 +409,6 @@ def pair_modulus_profile(
     cov = A.covectors
     offset = 80
     nbuckets = 161
-    sup_ratio = np.zeros(nbuckets)
-    sup_da = np.zeros(nbuckets)
-    counts = np.zeros(nbuckets, dtype=int)
     n = pts.shape[1]
     pts_t, cov_t = np.ascontiguousarray(pts.T), np.ascontiguousarray(cov.T)
     cap, blocks = pair_blocks(sample.vertex_count)
@@ -404,35 +419,48 @@ def pair_modulus_profile(
     diff_rows = np.empty((cap, n))
     dval = np.empty(cap, dtype=vals.dtype)
     fwd = np.empty(cap, dtype=np.result_type(pts, cov))
-    for size, segs in blocks:
-        for i, start, length in segs:
-            stop = start + length
-            np.subtract(pts_t[:, i + 1 :], pts_t[:, i, None], out=diff[:, start:stop])
-            np.subtract(cov_t[:, i + 1 :], cov_t[:, i, None], out=dcov[:, start:stop])
-            cov_j[:, start:stop] = cov_t[:, i + 1 :]
-            np.subtract(vals[i + 1 :], vals[i], out=dval[start:stop])
-        for c in range(n):
-            diff_rows[:size, c] = diff[c, :size]
-        # one matmul per row on its (length, n) rows: OpenBLAS's gemv rounds
-        # unlike an elementwise dot
-        for i, start, length in segs:
-            np.matmul(diff_rows[start : start + length], cov[i], out=fwd[start : start + length])
-        d = row_norms(diff[:, :size].T)
-        dv = dval[:size]
-        rem_fwd = np.abs(dv - fwd[:size])
-        # f(x) - f(y) is -(f(y) - f(x)) exactly, so this is |f(x) - f(y) + A(y)(y - x)|
-        rem_bwd = np.abs(_row_dots(diff[:, :size].T, cov_j[:, :size].T) - dv)
-        da = row_norms(dcov[:, :size].T)
-        # a chord that rounds to 0 gives an infinite or NaN ratio, and its
-        # log2(0) = -inf, clipped as floats, lands in bucket 0
-        with np.errstate(divide="ignore", invalid="ignore"):
-            ratio = np.maximum(rem_fwd, rem_bwd) / d
-            octave = np.clip(np.floor(np.log2(d)) + offset, 0, nbuckets - 1)
-        octv = octave.astype(int)
-        with np.errstate(invalid="ignore"):  # a NaN ratio makes its bucket's sup NaN
-            np.maximum.at(sup_ratio, octv, ratio)
-        np.maximum.at(sup_da, octv, da)
-        counts += np.bincount(octv, minlength=nbuckets)
+
+    def scan_blocks(bs):
+        for size, segs in bs:
+            for i, start, length in segs:
+                stop = start + length
+                np.subtract(pts_t[:, i + 1 :], pts_t[:, i, None], out=diff[:, start:stop])
+                if covectors:
+                    np.subtract(cov_t[:, i + 1 :], cov_t[:, i, None], out=dcov[:, start:stop])
+                cov_j[:, start:stop] = cov_t[:, i + 1 :]
+                np.subtract(vals[i + 1 :], vals[i], out=dval[start:stop])
+            for c in range(n):
+                diff_rows[:size, c] = diff[c, :size]
+            # one matmul per row on its (length, n) rows: OpenBLAS's gemv rounds
+            # unlike an elementwise dot
+            for i, start, length in segs:
+                np.matmul(diff_rows[start : start + length], cov[i],
+                          out=fwd[start : start + length])
+            d = row_norms(diff[:, :size].T)
+            dv = dval[:size]
+            rem_fwd = np.abs(dv - fwd[:size])
+            # f(x) - f(y) is -(f(y) - f(x)) exactly, so this is |f(x) - f(y) + A(y)(y - x)|
+            rem_bwd = np.abs(_row_dots(diff[:, :size].T, cov_j[:, :size].T) - dv)
+            # a chord that rounds to 0 gives an infinite or NaN ratio, and its
+            # log2(0) = -inf, clipped as floats, lands in bucket 0
+            with np.errstate(divide="ignore", invalid="ignore"):
+                ratio = np.maximum(rem_fwd, rem_bwd) / d
+                octave = np.clip(np.floor(np.log2(d)) + offset, 0, nbuckets - 1)
+            octv = octave.astype(int)
+            sup_ratio, sup_da = np.zeros(nbuckets), np.full(nbuckets, 0.0 if covectors else np.nan)
+            with np.errstate(invalid="ignore"):  # a NaN ratio makes its bucket's sup NaN
+                np.maximum.at(sup_ratio, octv, ratio)
+            if covectors:
+                np.maximum.at(sup_da, octv, row_norms(dcov[:, :size].T))
+            yield sup_ratio, sup_da, np.bincount(octv, minlength=nbuckets)
+
+    parts = row_map(scan_blocks, blocks, split=sample.vertex_count >= PROFILE_MIN_ROWS)
+    sup_ratio, sup_da = np.zeros(nbuckets), np.full(nbuckets, 0.0 if covectors else np.nan)
+    counts = np.zeros(nbuckets, dtype=int)
+    for block_ratio, block_da, block_counts in parts:
+        np.maximum(sup_ratio, block_ratio, out=sup_ratio)
+        np.maximum(sup_da, block_da, out=sup_da)
+        counts += block_counts
     stats = [
         BucketStat(m - offset, 2.0 ** (m - offset), float(sup_ratio[m]),
                    float(sup_da[m]), int(counts[m]))

@@ -375,20 +375,24 @@ def emit_pairs_csv(report, out: TextIO) -> None:
 
     Each row shows the direction of the pair with the larger remainder-bound
     slack; rows are sorted by distance, then pair indices, so output is
-    stable across runs.  Rows are formatted and written to ``out`` in chunks
-    of ``_CSV_CHUNK_ROWS``, so the whole document is never held in memory.
+    stable across runs.  Each column's distinct doubles (told apart by their
+    bits, so -0.0 and every NaN keep their own text) are formatted with
+    ``repr`` once; rows are then joined and written to ``out`` in chunks of
+    ``_CSV_CHUNK_ROWS``, so the whole document is never held in memory.
     A report without pair buffers gives the header alone.
     """
     out.write("dist,remainder,bound\n")
     if report.pair_dist is None:
         return
     order = np.lexsort((report.pair_index[:, 1], report.pair_index[:, 0], report.pair_dist))
-    row = "{!r},{!r},{!r}".format
+    columns = []
+    for values in (report.pair_dist, report.pair_remainder, report.pair_bound):
+        bits, which = np.unique(values[order].view(np.uint64), return_inverse=True)
+        text = np.array([repr(v) for v in bits.view(np.float64).tolist()], dtype=object)
+        columns.append((text, which))
     for start in range(0, len(order), _CSV_CHUNK_ROWS):
-        idx = order[start : start + _CSV_CHUNK_ROWS]
-        rows = map(row, report.pair_dist[idx].tolist(), report.pair_remainder[idx].tolist(),
-                   report.pair_bound[idx].tolist())
-        out.write("\n".join(rows))
+        cells = (text[which[start : start + _CSV_CHUNK_ROWS]].tolist() for text, which in columns)
+        out.write("\n".join(map(",".join, zip(*cells))))
         out.write("\n")
 
 

@@ -15,14 +15,16 @@ from __future__ import annotations
 import bisect
 import json
 import math
+import os
+import pickle
 from collections import deque
 from dataclasses import dataclass, fields, is_dataclass
 from functools import cached_property
-from typing import Iterator, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
-from .errors import BuildError, FormatError, PathError, ResourceLimitError
+from .errors import BuildError, FormatError, PathError, QcalcError, ResourceLimitError
 
 SCHEMA_VERSION = 1
 
@@ -120,6 +122,112 @@ def pair_blocks(nv: int) -> tuple[int, list[tuple[int, list[tuple[int, int, int]
                 size += i + 1
         blocks.append((size, segs))
     return (blocks[0][0] if blocks else 0), blocks
+
+
+#: most processes a scan is split over
+MAX_WORKERS = 8
+
+
+def worker_count() -> int:
+    """Processes a split scan runs in: the CPUs this process may use, at most
+    ``MAX_WORKERS``, and 1 where ``os.fork`` does not exist.  ``taskset -c 0
+    qcalc ...`` therefore runs every scan serially."""
+    if not hasattr(os, "fork"):
+        return 1
+    try:
+        cpus = len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        cpus = os.cpu_count() or 1
+    return min(cpus, MAX_WORKERS)
+
+
+def row_map(scan: Callable[[Sequence], Iterable], rows: Sequence, split: bool = True) -> list:
+    """``list(scan(rows))``, with the rows split over ``worker_count()``
+    processes when ``split`` is true.
+
+    ``scan`` yields one result per row, in order, for any subsequence of
+    ``rows``; as a generator it keeps its buffers and temporaries from row
+    to row, as a plain loop does.  Worker w scans rows w, w + workers,
+    w + 2 workers, ...: this process runs worker 0, and workers
+    1 .. workers - 1 are forked children that send their results back
+    pickled through a pipe.  The results, and so whatever the caller
+    reduces them to, are those of the serial loop.  A worker stops at its
+    first row that raises, and the exception of the lowest such row is
+    raised here, as the serial loop would raise it.  Every child has been
+    reaped when this returns or raises.
+    """
+    if not split:
+        return list(scan(rows))
+    workers = worker_count()
+    if not 1 <= workers <= MAX_WORKERS:
+        raise BuildError(f"worker count {workers} is outside 1..{MAX_WORKERS}")
+    workers = min(workers, len(rows))
+    if workers <= 1:
+        return list(scan(rows))
+    children, sent = [], []  # (pid, read end) per child; (status, bytes) per child
+    try:
+        for w in range(1, workers):
+            read_end, write_end = os.pipe()
+            pid = os.fork()
+            if not pid:
+                os.close(read_end)
+                _child_share(scan, rows, w, workers, write_end)
+            os.close(write_end)
+            children.append((pid, read_end))
+        shares = [_run_share(scan, rows, 0, workers)]
+    except BaseException:
+        import signal
+
+        for pid, _ in children:
+            os.kill(pid, signal.SIGKILL)
+        raise
+    finally:
+        for pid, read_end in children:
+            with os.fdopen(read_end, "rb") as pipe:
+                data = pipe.read()
+            sent.append((os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1]), data))
+    for w, (status, data) in enumerate(sent, 1):
+        if status or not data:
+            raise QcalcError(f"worker process {w} of {workers} exited with status {status} "
+                             "and no result")
+        shares.append(pickle.loads(data))
+    failures = [failure for _, failure in shares if failure]
+    if failures:
+        raise min(failures, key=lambda failure: failure[0])[1]
+    results = [None] * len(rows)
+    for w, (done, _) in enumerate(shares):
+        results[w::workers] = done
+    return results
+
+
+def _run_share(scan: Callable, rows: Sequence, first: int, step: int) -> tuple[list, tuple | None]:
+    """``scan`` over rows first, first + step, ... up to the first that raises:
+    the results, and then (row index, exception), or None if none raised."""
+    done = []
+    try:
+        for result in scan(rows[first::step]):
+            done.append(result)
+    except Exception as exc:
+        return done, (first + len(done) * step, exc)
+    return done, None
+
+
+def _child_share(scan: Callable, rows: Sequence, first: int, step: int, write_end: int):
+    """Run one share in a forked child, write it to ``write_end`` and leave by
+    ``os._exit``: the child never returns into its caller's stack, and an
+    interrupt is sent back like a row's exception."""
+    status = 1
+    try:
+        try:
+            share = _run_share(scan, rows, first, step)
+        except BaseException as exc:
+            share = [], (first, exc)
+        data = pickle.dumps(share, pickle.HIGHEST_PROTOCOL)
+        with os.fdopen(write_end, "wb") as pipe:
+            pipe.write(data)
+        status = 0
+    finally:
+        os._exit(status)
 
 
 @dataclass(frozen=True, init=False, eq=False)

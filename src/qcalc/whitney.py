@@ -181,7 +181,7 @@ def check_whitney_c1(
     a systematically perturbed one plateaus.
     """
     require_same_sample(sample, f, A)
-    profile = pair_modulus_profile(f, A, min_pairs=min_pairs)
+    profile = pair_modulus_profile(f, A, min_pairs=min_pairs, covectors=False)
     if len(profile) < 3:
         raise UndersampledError(
             f"only {len(profile)} populated scale buckets, need at least 3"
