@@ -219,9 +219,10 @@ def verify_remainder_bound(
     (about 48 bytes per unordered pair), which ``qcalc remainder-check
     --csv`` writes out.  With ``pairs=False`` they are neither allocated nor
     filled and are ``None``; every other field of the report is the same.
-    Such a scan splits its source rows over processes by
-    ``geometry.row_map`` from ``REMAINDER_MIN_ROWS`` vertices on; the
-    buffers are filled in place, so a scan with them runs in this process.
+    Such a scan forks: from ``REMAINDER_MIN_ROWS`` vertices on it splits
+    its source rows over processes by ``geometry.row_map``, whose docstring
+    says when that is unsafe.  The buffers are filled in place, so a scan
+    with them runs in this process.
     """
     if sample is None:
         sample = f.sample
@@ -249,12 +250,17 @@ def verify_remainder_bound(
             diff = pts - pts[x]
             d = row_norms(diff)
             osc_all = row_norms(cov - cov[x])
-            order = np.argsort(d, kind="stable")
+            # osc(y) is the prefix max of osc_all in order of distance, read at
+            # the last point of the ball d <= k d(y): the order among equal
+            # distances cannot change it, and the ball radii are looked up in
+            # ascending order, which searchsorted walks faster
+            order = np.argsort(d)
             prefix = np.maximum.accumulate(osc_all[order])
             d_sorted = d[order]
             radius = k * d
-            pos = np.searchsorted(d_sorted, radius, side="right") - 1
-            osc = prefix[np.maximum(pos, 0)]
+            pos = np.searchsorted(d_sorted, k * d_sorted, side="right") - 1
+            osc = np.empty_like(prefix)
+            osc[order] = prefix[np.maximum(pos, 0)]
             lhs = np.abs(vals - vals[x] - diff @ cov[x])
             rhs = radius * osc
 
@@ -399,7 +405,8 @@ def pair_modulus_profile(
     is NaN in every bucket.
 
     From ``PROFILE_MIN_ROWS`` vertices on, the pair blocks are split over
-    processes by ``geometry.row_map``; a bucket's sups are the largest of
+    forked processes by ``geometry.row_map``, whose docstring says when
+    that is unsafe; a bucket's sups are the largest of
     its blocks' sups (a NaN ratio makes it NaN, as it would in one scan),
     and its count their sum.
     """
@@ -526,7 +533,8 @@ def fit_holder_modulus(
 
     Remainder data is sup over pairs at each dyadic scale of
     remainder/(k |x-y|); the covector data is sup |A(x)-A(y)|.  At least
-    three populated octaves are required.
+    three populated octaves are required.  The profile forks worker
+    processes on large samples (see ``pair_modulus_profile``).
     """
     if sample is None:
         sample = f.sample

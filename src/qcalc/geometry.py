@@ -155,13 +155,17 @@ def row_map(scan: Callable[[Sequence], Iterable], rows: Sequence, split: bool = 
     first row that raises, and the exception of the lowest such row is
     raised here, as the serial loop would raise it.  Every child has been
     reaped when this returns or raises.
+
+    A child is forked from the calling process as it stands, with every
+    thread but the caller's gone.  numpy's OpenBLAS keeps a pool of threads
+    in every process that imports it; its fork handler leaves the child's
+    BLAS usable.  A caller whose own threads may hold a lock the scan needs
+    (a logging handler's, say) while it forks should run the scans
+    serially, by restricting its affinity mask to one CPU
+    (``os.sched_setaffinity``).  Python 3.12 and later warn at each fork
+    of a process that has threads.
     """
-    if not split:
-        return list(scan(rows))
-    workers = worker_count()
-    if not 1 <= workers <= MAX_WORKERS:
-        raise BuildError(f"worker count {workers} is outside 1..{MAX_WORKERS}")
-    workers = min(workers, len(rows))
+    workers = min(worker_count(), len(rows)) if split else 1
     if workers <= 1:
         return list(scan(rows))
     children, sent = [], []  # (pid, read end) per child; (status, bytes) per child

@@ -16,7 +16,7 @@ import numpy as np
 
 from .errors import BuildError, DisconnectedSampleError
 from .fields import ScalarField, require_same_sample
-from .geometry import PolylinePath, SetSample, pair_blocks, report_dict, row_map, row_norms
+from .geometry import PolylinePath, SetSample, pair_blocks, report_dict, row_norms
 
 #: relative tolerance for recognizing "dist[u] + w == dist[v]" on float sums
 _TIE_TOL = 1e-12
@@ -133,34 +133,24 @@ class ChordArcReport:
         return report_dict(self, drop=("seed",) if self.seed is None else ())
 
 
-#: vertex count from which the exhaustive scan splits its source rows over
-#: ``geometry.worker_count()`` processes; gasket 4 (nv 123) is no faster split
-CHORD_ARC_MIN_ROWS = 300
-
-
-def _source_ratio(sample: SetSample, i: int, js: np.ndarray) -> tuple[float, tuple[int, int], int]:
-    """The largest geodesic/Euclidean ratio from i over the sorted targets js,
-    the first pair (i, j) that has it, and the number of targets."""
-    dist = _dijkstra(sample, i, js)[js]
-    if not np.all(np.isfinite(dist)):
-        raise DisconnectedSampleError("sample is not connected")
-    chord = row_norms(sample.points_array[js] - sample.points_array[i])
-    if not chord.all():
-        raise BuildError(f"points {i} and {js[np.argmin(chord)]} are too close: "
-                         "their chord rounds to 0")
-    ratios = dist / chord
-    loc = int(np.argmax(ratios))
-    return float(ratios[loc]), (i, int(js[loc])), len(js)
-
-
-def _largest_ratio(rows) -> tuple[float, tuple[int, int], int]:
-    """The ``_source_ratio`` of rows in source order: the largest ratio, the
-    first pair that has it, and the pair count."""
+def _scan_sources(sample: SetSample, rows) -> tuple[float, tuple[int, int], int]:
+    """Largest geodesic/Euclidean ratio over rows (i, sorted targets js)."""
+    pts = sample.points_array
     best, witness, count = -math.inf, (-1, -1), 0
-    for ratio, pair, n in rows:
-        count += n
-        if ratio > best:
-            best, witness = ratio, pair
+    for i, js in rows:
+        dist = _dijkstra(sample, i, js)[js]
+        if not np.all(np.isfinite(dist)):
+            raise DisconnectedSampleError("sample is not connected")
+        chord = row_norms(pts[js] - pts[i])
+        if not chord.all():
+            raise BuildError(f"points {i} and {js[np.argmin(chord)]} are too close: "
+                             "their chord rounds to 0")
+        ratios = dist / chord
+        count += len(js)
+        loc = int(np.argmax(ratios))
+        if ratios[loc] > best:
+            best = float(ratios[loc])
+            witness = (i, int(js[loc]))
     return best, witness, count
 
 
@@ -173,20 +163,16 @@ def estimate_chord_arc(
     """Estimate the chord-arc constant as the max geodesic/Euclidean ratio.
 
     Exhaustive mode maximizes over all vertex pairs and is the optimal graph
-    constant; from ``CHORD_ARC_MIN_ROWS`` vertices on its source rows are
-    split over processes by ``geometry.row_map``.  Sampled mode lower-bounds
-    it on ``pair_budget`` seeded random pairs.  Ties go to the
-    lexicographically smallest witness pair.
+    constant; sampled mode lower-bounds it on ``pair_budget`` seeded random
+    pairs.  Ties go to the lexicographically smallest witness pair.
     """
     nv = sample.vertex_count
     if nv < 2:
         raise BuildError("need at least 2 points")
     if mode == "exhaustive":
-        sample.adjacency  # built before the workers fork, not once in each
-        rows = row_map(lambda sources: (_source_ratio(sample, i, np.arange(i + 1, nv))
-                                        for i in sources),
-                       range(nv - 1), split=nv >= CHORD_ARC_MIN_ROWS)
-        return ChordArcReport(*_largest_ratio(rows), "exhaustive")
+        rows = ((i, np.arange(i + 1, nv)) for i in range(nv - 1))
+        best, witness, count = _scan_sources(sample, rows)
+        return ChordArcReport(best, witness, count, "exhaustive")
     if mode == "sampled":
         if not pair_budget or pair_budget <= 0:
             raise BuildError("sampled mode needs a positive pair_budget")
@@ -197,7 +183,7 @@ def estimate_chord_arc(
         keys = np.unique(np.minimum(a, b) * nv + np.maximum(a, b))
         sources, starts = np.unique(keys // nv, return_index=True)
         rows = zip(sources.tolist(), np.split(keys % nv, starts[1:]))
-        best, witness, _ = _largest_ratio(_source_ratio(sample, i, js) for i, js in rows)
+        best, witness, _ = _scan_sources(sample, rows)
         return ChordArcReport(best, witness, int(pair_budget), "sampled", seed=seed)
     raise BuildError(f"unknown mode {mode!r}")
 

@@ -178,7 +178,8 @@ def check_whitney_c1(
     Passes when the smallest-scale bucket ratio is at most ``threshold`` and
     the ratios are nonincreasing (within ``decay_tol`` relative slack)
     across the three smallest buckets.  A genuine differential decays to 0;
-    a systematically perturbed one plateaus.
+    a systematically perturbed one plateaus.  The profile forks worker
+    processes on large samples (see ``calculus.pair_modulus_profile``).
     """
     require_same_sample(sample, f, A)
     profile = pair_modulus_profile(f, A, min_pairs=min_pairs, covectors=False)

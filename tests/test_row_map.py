@@ -15,14 +15,14 @@ import os
 import numpy as np
 import pytest
 
-from qcalc import calculus, geometry, metric
+from qcalc import calculus, geometry
 from qcalc.calculus import (
     RemainderBoundReport,
     pair_modulus_profile,
     verify_remainder_bound,
 )
 from qcalc.cli import emit_pairs_csv, main
-from qcalc.errors import BuildError, DisconnectedSampleError, QcalcError
+from qcalc.errors import QcalcError
 from qcalc.fields import CovectorField, ScalarField
 from qcalc.geometry import SetSample, build_carpet, build_gasket, build_polyline, row_map
 from qcalc.metric import estimate_chord_arc
@@ -52,7 +52,6 @@ def forks(monkeypatch):
 @pytest.fixture
 def no_threshold(monkeypatch):
     """Every scan splits, whatever the sample's size."""
-    monkeypatch.setattr(metric, "CHORD_ARC_MIN_ROWS", 0)
     monkeypatch.setattr(calculus, "REMAINDER_MIN_ROWS", 0)
     monkeypatch.setattr(calculus, "PROFILE_MIN_ROWS", 0)
 
@@ -129,17 +128,6 @@ def test_lowest_failing_row_is_raised(monkeypatch, forks, failing, first):
     assert len(forks) == 1
 
 
-@pytest.mark.parametrize("count", [0, 9, -1])
-def test_worker_count_outside_the_cap_raises_before_any_fork(monkeypatch, count):
-    def no_fork():
-        raise AssertionError("forked")
-
-    monkeypatch.setattr(os, "fork", no_fork)
-    use_workers(monkeypatch, count)
-    with pytest.raises(BuildError, match=f"worker count {count} is outside 1..8"):
-        row_map(lambda share: map(str, share), range(10))
-
-
 def test_worker_count_is_capped():
     count = geometry.worker_count()
     assert 1 <= count <= geometry.MAX_WORKERS
@@ -178,74 +166,16 @@ def test_child_that_cannot_send_its_result_is_an_error(monkeypatch, forks):
 
 
 # ---------------------------------------------------------------------------
-# the three kernels, one worker against two
+# the kernels, one worker against two
 
 
-@pytest.mark.parametrize("build", [lambda: build_gasket(3), lambda: build_carpet(2),
-                                   lambda: build_polyline([(math.cos(t / 7), math.sin(t / 5))
-                                                           for t in range(40)])])
-def test_split_chord_arc_scan_equals_serial(monkeypatch, forks, no_threshold, build):
-    sample = build()
-    one, two = one_and_two(monkeypatch, lambda: estimate_chord_arc(sample, "exhaustive"))
-    assert one == two
-    assert len(forks) == 1
-
-
-@pytest.mark.parametrize("level, splits", [(4, False), (5, True)])
-def test_chord_arc_threshold(monkeypatch, forks, level, splits):
-    # gasket 4 (nv 123) stays serial, gasket 5 (nv 366) splits
-    sample = build_gasket(level)
-    one, two = one_and_two(monkeypatch, lambda: estimate_chord_arc(sample, "exhaustive"))
-    assert one == two
-    assert (sample.vertex_count >= metric.CHORD_ARC_MIN_ROWS) is splits
-    assert len(forks) == int(splits)
-
-
-def test_sampled_chord_arc_scan_stays_serial(monkeypatch, forks, no_threshold):
-    sample = build_gasket(3)
+@pytest.mark.parametrize("mode, budget", [("exhaustive", None), ("sampled", 400)])
+def test_chord_arc_scans_stay_serial(monkeypatch, forks, no_threshold, mode, budget):
+    sample = build_gasket(5)
     one, two = one_and_two(monkeypatch, lambda: estimate_chord_arc(
-        sample, "sampled", seed=3, pair_budget=40))
+        sample, mode, seed=3, pair_budget=budget))
     assert one == two
     assert not forks
-
-
-def test_chord_arc_tie_won_in_the_other_workers_rows(monkeypatch, forks, no_threshold):
-    # a unit square 1-2-3-4 with a tail 0-1: the diagonals (1, 3) and (2, 4)
-    # both have ratio 2 / sqrt(2); row 1 is the child's, row 2 this process's
-    sample = build_polyline([(-2, 0), (0, 0), (1, 0), (1, 1), (0, 1)])
-    sample = SetSample(2, sample.points, sample.edges + ((1, 4, 1.0),))
-    tie = [metric._source_ratio(sample, i, np.arange(i + 1, 5)) for i in (1, 2)]
-    assert tie[0][0] == tie[1][0] and [pair for _, pair, _ in tie] == [(1, 3), (2, 4)]
-    one, two = one_and_two(monkeypatch, lambda: estimate_chord_arc(sample, "exhaustive"))
-    assert one == two
-    assert two.witness_pair == (1, 3) and two.k_hat == tie[0][0]
-    assert two.pair_count == 10
-
-
-def test_disconnected_sample_error_is_the_serial_one(monkeypatch, forks, no_threshold):
-    # row 0 targets every other vertex, so on a disconnected sample it is the
-    # first failing row, and this process runs it; the child's rows fail too
-    sample = SetSample(1, [(0,), (1,), (2,), (3,), (4,)],
-                       [(0, 1, 1.0), (1, 2, 1.0), (3, 4, 1.0)])
-    for count in (1, 2):
-        use_workers(monkeypatch, count)
-        with pytest.raises(DisconnectedSampleError, match="^sample is not connected$"):
-            estimate_chord_arc(sample, "exhaustive")
-    assert len(forks) == 1
-
-
-def test_zero_chord_first_failing_in_the_child_is_the_serial_error(monkeypatch, forks,
-                                                                   no_threshold):
-    # points 1, 2 and points 4, 5 are 1e-300 apart: rows 1 (the child's) and 4
-    # (this process's) both fail, and the serial scan names the pair of row 1
-    xs = [0.0, 1.0, 1.0 + 1e-300, 2.0, 3.0, 3.0 + 1e-300]
-    sample = SetSample(1, [(x,) for x in xs],
-                       [(i, i + 1, xs[i + 1] - xs[i]) for i in range(5)])
-    for count in (1, 2):
-        use_workers(monkeypatch, count)
-        with pytest.raises(BuildError, match="^points 1 and 2 are too close"):
-            estimate_chord_arc(sample, "exhaustive")
-    assert len(forks) == 1
 
 
 REMAINDER_CASES = {
@@ -397,7 +327,7 @@ def test_pinned_scan_bytes_with_two_workers(tmp_path, capsys, monkeypatch, forks
     capsys.readouterr()
     assert main([command, *inputs, *extra]) == expect_code
     assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
-    assert len(forks) == 1
+    assert len(forks) == (0 if command == "k-estimate" else 1)
 
 
 @pytest.mark.parametrize("k", sorted(REMAINDER_DIGESTS))
