@@ -35,10 +35,10 @@ _EXACT_TOL = 1e-13
 _LSQR_TOL = 1e-14
 #: LSQR iteration cap of ``discrete_gradient`` per vertex unknown
 _LSQR_ITERS_PER_UNKNOWN = 4
-#: vertex count from which ``verify_remainder_bound(pairs=False)`` splits its
-#: source rows over ``geometry.worker_count()`` processes; gasket 5 (nv 366)
-#: with 36,571 violations ran slower split
-REMAINDER_MIN_ROWS = 1000
+#: vertex count from which ``verify_remainder_bound(pairs=False)`` and
+#: ``pair_modulus_profile`` split their rows over ``geometry.worker_count()``
+#: processes; gasket 5 (nv 366) with 36,571 violations ran slower split
+SPLIT_MIN_ROWS = 1000
 
 
 def _fsum(parts: Sequence) -> float | complex:
@@ -212,14 +212,15 @@ def verify_remainder_bound(
       wins;
     * per unordered pair {i < j} the buffers keep the direction with the
       strictly larger slack lhs - rhs, so (i, j) wins a slack tie;
-    * violations are listed in sorted (x, y) order.
+    * violations are listed in sorted (x, y) order: the rows come back in
+      order of x, and ``np.nonzero`` lists each row's y in ascending order.
 
     With ``pairs=True`` the report carries the per-unordered-pair buffers
     ``pair_dist``, ``pair_remainder``, ``pair_bound`` and ``pair_index``
     (about 48 bytes per unordered pair), which ``qcalc remainder-check
     --csv`` writes out.  With ``pairs=False`` they are neither allocated nor
     filled and are ``None``; every other field of the report is the same.
-    Such a scan forks: from ``REMAINDER_MIN_ROWS`` vertices on it splits
+    Such a scan forks: from ``SPLIT_MIN_ROWS`` vertices on it splits
     its source rows over processes by ``geometry.row_map``, whose docstring
     says when that is unsafe.  The buffers are filled in place, so a scan
     with them runs in this process.
@@ -288,7 +289,7 @@ def verify_remainder_bound(
                     up_idx[keys, 1] = ys
             yield bad, lhs[bad], rhs[bad], float(ratio[best]), best
 
-    rows = row_map(scan_rows, range(nv), split=not pairs and nv >= REMAINDER_MIN_ROWS)
+    rows = row_map(scan_rows, range(nv), split=not pairs and nv >= SPLIT_MIN_ROWS)
     violations: list[tuple[int, int, float, float]] = []
     max_ratio = 0.0
     max_pair = (0, 0)
@@ -296,7 +297,6 @@ def verify_remainder_bound(
         violations.extend(zip([x] * len(bad), bad.tolist(), lhs_bad.tolist(), rhs_bad.tolist()))
         if top > max_ratio:
             max_ratio, max_pair = top, (x, best)
-    violations.sort()
     return RemainderBoundReport(
         k=float(k),
         tol=float(tol),
@@ -388,11 +388,6 @@ def _row_dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return acc
 
 
-#: vertex count from which ``pair_modulus_profile`` splits its pair blocks
-#: over ``geometry.worker_count()`` processes
-PROFILE_MIN_ROWS = 1000
-
-
 def pair_modulus_profile(
     f: ScalarField, A: CovectorField, min_pairs: int = 8, *, covectors: bool = True
 ) -> tuple[BucketStat, ...]:
@@ -404,7 +399,7 @@ def pair_modulus_profile(
     dropped.  With ``covectors=False`` the second sup is not computed and
     is NaN in every bucket.
 
-    From ``PROFILE_MIN_ROWS`` vertices on, the pair blocks are split over
+    From ``SPLIT_MIN_ROWS`` vertices on, the pair blocks are split over
     forked processes by ``geometry.row_map``, whose docstring says when
     that is unsafe; a bucket's sups are the largest of
     its blocks' sups (a NaN ratio makes it NaN, as it would in one scan),
@@ -461,7 +456,7 @@ def pair_modulus_profile(
                 np.maximum.at(sup_da, octv, row_norms(dcov[:, :size].T))
             yield sup_ratio, sup_da, np.bincount(octv, minlength=nbuckets)
 
-    parts = row_map(scan_blocks, blocks, split=sample.vertex_count >= PROFILE_MIN_ROWS)
+    parts = row_map(scan_blocks, blocks, split=sample.vertex_count >= SPLIT_MIN_ROWS)
     sup_ratio, sup_da = np.zeros(nbuckets), np.full(nbuckets, 0.0 if covectors else np.nan)
     counts = np.zeros(nbuckets, dtype=int)
     for block_ratio, block_da, block_counts in parts:

@@ -17,7 +17,8 @@ import numpy as np
 from . import geometry
 from .errors import QcalcError
 from .fields import CovectorField, ScalarField, load_field
-from .geometry import document, load_sample, path_to_dict, read_json, sample_to_dict
+from .geometry import (_is_finite_number, document, load_sample, path_to_dict, read_json,
+                       sample_to_dict)
 
 TOLERANCE_DEFAULTS = {
     "ftc": 1e-9,        # pass threshold for the path-integral identity
@@ -62,123 +63,6 @@ def _parse_tolerances(entries: list[str] | None) -> dict:
     return out
 
 
-def _common(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument("--tol", action="append", metavar="NAME=VAL")
-    parser.add_argument("--out", metavar="PATH")
-    parser.add_argument("--csv", metavar="PATH")
-
-
-def build_parser() -> argparse.ArgumentParser:
-    top = argparse.ArgumentParser(prog="qcalc", description=__doc__)
-    sub = top.add_subparsers(dest="command", required=True)
-
-    build = sub.add_parser("build", help="construct a test set")
-    shapes = build.add_subparsers(dest="shape", required=True)
-    p = shapes.add_parser("gasket")
-    p.add_argument("--level", type=int, required=True)
-    _common(p)
-    p = shapes.add_parser("carpet")
-    p.add_argument("--level", type=int, required=True)
-    _common(p)
-    p = shapes.add_parser("polyline")
-    p.add_argument("--coords", required=True, help="JSON list of points")
-    p.add_argument("--closed", action="store_true")
-    _common(p)
-    p = shapes.add_parser("graph")
-    p.add_argument("--slopes", required=True, help="comma separated slopes")
-    p.add_argument("--step", type=float, required=True)
-    p.add_argument("--span", type=float, nargs=2, required=True)
-    _common(p)
-    p = shapes.add_parser("dumbbell")
-    p.add_argument("--radius", type=float, required=True)
-    p.add_argument("--neck", type=float, required=True)
-    p.add_argument("--step", type=float, required=True)
-    _common(p)
-
-    p = sub.add_parser("k-estimate", help="estimate the chord-arc constant")
-    p.add_argument("set")
-    p.add_argument("--exhaustive", action="store_true")
-    p.add_argument("--sample", type=int, metavar="N")
-    _common(p)
-
-    p = sub.add_parser("geodesic", help="shortest intrinsic path")
-    p.add_argument("set")
-    p.add_argument("i", type=int)
-    p.add_argument("j", type=int)
-    p.add_argument("--path", metavar="PATH", help="write the path JSON here")
-    _common(p)
-
-    p = sub.add_parser("ftc", help="path-integral identity residual")
-    p.add_argument("set")
-    p.add_argument("f")
-    p.add_argument("A")
-    p.add_argument("--from", dest="src", type=int)
-    p.add_argument("--to", dest="dst", type=int)
-    p.add_argument("--vertices", help="comma separated vertex chain")
-    _common(p)
-
-    p = sub.add_parser("reconstruct", help="integrate a covector field from a basepoint")
-    p.add_argument("set")
-    p.add_argument("A")
-    p.add_argument("--base", type=int, required=True)
-    p.add_argument("--value", type=float, default=0.0)
-    _common(p)
-
-    p = sub.add_parser("remainder-check", help="first-order remainder bound over all pairs")
-    p.add_argument("set")
-    p.add_argument("f")
-    p.add_argument("A")
-    p.add_argument("--k", type=float, required=True)
-    _common(p)
-
-    p = sub.add_parser("holder-fit", help="Holder modulus fits")
-    p.add_argument("set")
-    p.add_argument("f")
-    p.add_argument("A")
-    p.add_argument("--k", type=float, default=1.0)
-    _common(p)
-
-    p = sub.add_parser("whitney", help="Whitney C1 scale-decay check")
-    p.add_argument("set")
-    p.add_argument("f")
-    p.add_argument("A")
-    p.add_argument("--buckets", type=int, default=6)
-    p.add_argument("--slack", type=float, default=0.1, help="relative decay slack")
-    _common(p)
-
-    p = sub.add_parser("flatness", help="local flatness spectrum")
-    p.add_argument("set")
-    p.add_argument("--index", type=int, required=True)
-    p.add_argument("--radius", type=float, required=True)
-    _common(p)
-
-    cliff = sub.add_parser("clifford", help="monogenic linear-map operations")
-    csub = cliff.add_subparsers(dest="cliffcmd", required=True)
-    p = csub.add_parser("check")
-    p.add_argument("columns", help="JSON file with dim and columns")
-    p.add_argument("--side", choices=("left", "right"), default="left")
-    _common(p)
-    p = csub.add_parser("complete")
-    p.add_argument("--dim", type=int, required=True)
-    p.add_argument("--side", choices=("left", "right"), default="left")
-    p.add_argument("--partial", required=True, help="JSON file with dim and columns")
-    _common(p)
-    p = csub.add_parser("dimension")
-    p.add_argument("--dim", type=int, required=True)
-    p.add_argument("--side", choices=("left", "right"), default="left")
-    _common(p)
-
-    p = sub.add_parser("graph-derivative", help="tangential derivative check on a graph")
-    p.add_argument("set")
-    p.add_argument("f")
-    p.add_argument("A")
-    p.add_argument("--cquad", type=float, default=1.0)
-    _common(p)
-
-    return top
-
-
 def _field(path: str, sample, kind=ScalarField):
     """The field stored at ``path``, which must be a ``kind`` field."""
     loaded = load_field(path, sample)
@@ -194,40 +78,29 @@ def _set_f_A(opt: dict):
     return sample, _field(opt["f"], sample), _field(opt["A"], sample, CovectorField)
 
 
-def _verdict(report) -> tuple[int, dict]:
-    return (0 if report.passed else 1), report.as_dict()
+def _coords(text: str) -> list:
+    """The ``--coords`` document, which must be a JSON list of numeric points."""
+    try:
+        coords = json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise UsageError(f"--coords is not valid JSON ({exc})") from exc
+    if not (isinstance(coords, list)
+            and all(isinstance(p, list) and all(map(_is_finite_number, p)) for p in coords)):
+        raise UsageError("--coords must be a JSON list of points, each a list of finite numbers")
+    return coords
 
 
-# Each handler reads its inputs first and imports its kernel module only then,
-# so a subcommand loads just what it uses and a rejected document none of it.
-
-
-def _build(config: RunConfig, opt: dict):
-    shape = opt["shape"]
-    if shape == "gasket":
-        sample = geometry.build_gasket(opt["level"])
-    elif shape == "carpet":
-        sample = geometry.build_carpet(opt["level"])
-    elif shape == "polyline":
-        try:
-            coords = json.loads(opt["coords"])
-        except json.JSONDecodeError as exc:
-            raise UsageError(f"--coords is not valid JSON ({exc})") from exc
-        sample = geometry.build_polyline(coords, closed=opt["closed"])
-    elif shape == "graph":
-        slopes = [float(s) for s in opt["slopes"].split(",") if s.strip()]
-        sample = geometry.build_lipschitz_graph(slopes, opt["step"], opt["span"])
-    else:
-        sample = geometry.build_dumbbell(opt["radius"], opt["neck"], opt["step"])
-    return 0, sample_to_dict(sample)
+# Each handler returns the report document; one with ``passed: false`` exits 1.
+# It reads its inputs first and imports its kernel module only then, so a
+# subcommand loads just what it uses and a rejected document none of it.
 
 
 def _k_estimate(config: RunConfig, opt: dict):
     sample = load_sample(opt["set"])
     from . import metric
     if opt["sample"] is None:
-        return 0, metric.estimate_chord_arc(sample, "exhaustive").as_dict()
-    return 0, metric.estimate_chord_arc(
+        return metric.estimate_chord_arc(sample, "exhaustive").as_dict()
+    return metric.estimate_chord_arc(
         sample, "sampled", seed=config.seed, pair_budget=opt["sample"]
     ).as_dict()
 
@@ -243,23 +116,22 @@ def _geodesic(config: RunConfig, opt: dict):
         with open(opt["path"], "w") as fh:
             json.dump(path_to_dict(path), fh, sort_keys=True, indent=2)
             fh.write("\n")
-    return 0, doc
+    return doc
 
 
 def _ftc(config: RunConfig, opt: dict):
     sample, f, A = _set_f_A(opt)
     from . import calculus, metric
     if opt.get("vertices"):
-        chain = [int(v) for v in opt["vertices"].split(",")]
-        path = geometry.PolylinePath.from_vertices(sample, chain)
+        path = geometry.PolylinePath.from_vertices(sample, opt["vertices"])
     elif opt.get("src") is not None and opt.get("dst") is not None:
         path = metric.shortest_path(sample, opt["src"], opt["dst"])
     else:
         raise UsageError("ftc needs either --vertices or both --from and --to")
     residual = calculus.verify_ftc(f, A, path)
     tol = config.tol("ftc")
-    return (0 if residual <= tol else 1), document(
-        path_vertices=path.vertices, residual=residual, tol=tol, passed=residual <= tol)
+    return document(path_vertices=path.vertices, residual=residual, tol=tol,
+                    passed=residual <= tol)
 
 
 def _reconstruct(config: RunConfig, opt: dict):
@@ -267,8 +139,8 @@ def _reconstruct(config: RunConfig, opt: dict):
     A = _field(opt["A"], sample, CovectorField)
     from . import calculus
     rec = calculus.reconstruct(sample, A, opt["base"], opt["value"], defect_tol=config.tol("loop"))
-    return 0, document(basepoint=opt["base"], base_value=opt["value"], field=rec.as_dict(),
-                       warning=rec.warning)
+    return document(basepoint=opt["base"], base_value=opt["value"], field=rec.as_dict(),
+                    warning=rec.warning)
 
 
 def _remainder_check(config: RunConfig, opt: dict):
@@ -280,28 +152,28 @@ def _remainder_check(config: RunConfig, opt: dict):
     if config.csv:
         with open(config.csv, "w") as fh:
             emit_pairs_csv(report, fh)
-    return _verdict(report)
+    return report.as_dict()
 
 
 def _holder_fit(config: RunConfig, opt: dict):
     sample, f, A = _set_f_A(opt)
     from . import calculus
-    return 0, calculus.fit_holder_modulus(f, A, sample, k=opt["k"]).as_dict()
+    return calculus.fit_holder_modulus(f, A, sample, k=opt["k"]).as_dict()
 
 
 def _whitney(config: RunConfig, opt: dict):
     sample, f, A = _set_f_A(opt)
     from . import whitney
-    return _verdict(whitney.check_whitney_c1(
+    return whitney.check_whitney_c1(
         sample, f, A, scale_buckets=opt["buckets"], threshold=config.tol("whitney"),
         decay_tol=opt["slack"],
-    ))
+    ).as_dict()
 
 
 def _flatness(config: RunConfig, opt: dict):
     sample = load_sample(opt["set"])
     from . import whitney
-    return 0, whitney.local_flatness(sample, opt["index"], opt["radius"]).as_dict()
+    return whitney.local_flatness(sample, opt["index"], opt["radius"]).as_dict()
 
 
 def _clifford_check(config: RunConfig, opt: dict):
@@ -310,7 +182,7 @@ def _clifford_check(config: RunConfig, opt: dict):
     L = clifford.map_from_dict(doc, source=opt["columns"])
     tol = config.tol("monogenic")
     check = clifford.is_left_monogenic if opt["side"] == "left" else clifford.is_right_monogenic
-    return _verdict(check(L, tol))
+    return check(L, tol).as_dict()
 
 
 def _clifford_complete(config: RunConfig, opt: dict):
@@ -319,51 +191,139 @@ def _clifford_complete(config: RunConfig, opt: dict):
     dim, cols = clifford.columns_from_dict(doc, source=opt["partial"])
     if dim != opt["dim"]:
         raise UsageError(f"--dim {opt['dim']} does not match the file's dim {dim!r}")
-    return 0, document(**clifford.complete_from_hyperplane(cols, side=opt["side"]).as_dict())
+    return document(**clifford.complete_from_hyperplane(cols, side=opt["side"]).as_dict())
 
 
 def _clifford_dimension(config: RunConfig, opt: dict):
     from . import clifford
     n = opt["dim"]
-    return 0, document(n=n, side=opt["side"], closed_form=(n - 1) * 2 ** n,
-                       dimension=clifford.monogenic_space_dimension(n, side=opt["side"]))
+    return document(n=n, side=opt["side"], closed_form=(n - 1) * 2 ** n,
+                    dimension=clifford.monogenic_space_dimension(n, side=opt["side"]))
 
 
 def _graph_derivative(config: RunConfig, opt: dict):
     sample = load_sample(opt["set"])
     f, deriv = _field(opt["f"], sample), _field(opt["A"], sample)
     from . import clifford
-    return _verdict(clifford.tangential_derivative_on_graph(
+    return clifford.tangential_derivative_on_graph(
         f, deriv, c_quad=opt["cquad"], tol=config.tol("graph")
-    ))
+    ).as_dict()
 
 
-#: subcommand (``clifford`` with its action) -> handler(config, options)
+def _arg(*flags, **kwargs) -> tuple[tuple, dict]:
+    """One ``add_argument`` call of a ``COMMANDS`` row."""
+    return flags, kwargs
+
+
+def _comma_list(kind):
+    """An argparse type: comma separated ``kind`` values, blank entries skipped."""
+    def parse(text: str) -> list:
+        return [kind(s) for s in text.split(",") if s.strip()]
+    parse.__name__ = f"comma separated {kind.__name__}"  # argparse names it in errors
+    return parse
+
+
+_COMMON = (
+    _arg("--seed", type=int, default=0),
+    _arg("--tol", action="append", metavar="NAME=VAL"),
+    _arg("--out", metavar="PATH"),
+    _arg("--csv", metavar="PATH"),
+)
+_SET = _arg("set")
+_SET_F_A = (_SET, _arg("f"), _arg("A"))
+_LEVEL = _arg("--level", type=int, required=True)
+_STEP = _arg("--step", type=float, required=True)
+_DIM = _arg("--dim", type=int, required=True)
+_SIDE = _arg("--side", choices=("left", "right"), default="left")
+_COLUMNS_HELP = "JSON file with dim and columns"
+
+#: command group -> (dest of its action, help)
+_GROUPS = {
+    "build": ("shape", "construct a test set"),
+    "clifford": ("cliffcmd", "monogenic linear-map operations"),
+}
+
+#: "<command>" or "<group> <action>" -> (help, arguments, handler(config, options)).
+#: ``build_parser`` adds the rows in this order, each with its arguments and then
+#: ``_COMMON``; a group's parser comes with its first row, and its actions have no help.
 COMMANDS = {
-    "build": _build,
-    "k-estimate": _k_estimate,
-    "geodesic": _geodesic,
-    "ftc": _ftc,
-    "reconstruct": _reconstruct,
-    "remainder-check": _remainder_check,
-    "holder-fit": _holder_fit,
-    "whitney": _whitney,
-    "flatness": _flatness,
-    "clifford check": _clifford_check,
-    "clifford complete": _clifford_complete,
-    "clifford dimension": _clifford_dimension,
-    "graph-derivative": _graph_derivative,
+    "build gasket": (None, (_LEVEL,), lambda config, opt: sample_to_dict(
+        geometry.build_gasket(opt["level"]))),
+    "build carpet": (None, (_LEVEL,), lambda config, opt: sample_to_dict(
+        geometry.build_carpet(opt["level"]))),
+    "build polyline": (None, (_arg("--coords", required=True, help="JSON list of points"),
+                              _arg("--closed", action="store_true")),
+                       lambda config, opt: sample_to_dict(geometry.build_polyline(
+                           _coords(opt["coords"]), closed=opt["closed"]))),
+    "build graph": (None, (_arg("--slopes", type=_comma_list(float), required=True,
+                                help="comma separated slopes"),
+                           _STEP, _arg("--span", type=float, nargs=2, required=True)),
+                    lambda config, opt: sample_to_dict(geometry.build_lipschitz_graph(
+                        opt["slopes"], opt["step"], opt["span"]))),
+    "build dumbbell": (None, (_arg("--radius", type=float, required=True),
+                              _arg("--neck", type=float, required=True), _STEP),
+                       lambda config, opt: sample_to_dict(geometry.build_dumbbell(
+                           opt["radius"], opt["neck"], opt["step"]))),
+    "k-estimate": ("estimate the chord-arc constant",
+                   (_SET, _arg("--exhaustive", action="store_true"),
+                    _arg("--sample", type=int, metavar="N")), _k_estimate),
+    "geodesic": ("shortest intrinsic path",
+                 (_SET, _arg("i", type=int), _arg("j", type=int),
+                  _arg("--path", metavar="PATH", help="write the path JSON here")), _geodesic),
+    "ftc": ("path-integral identity residual",
+            (*_SET_F_A, _arg("--from", dest="src", type=int), _arg("--to", dest="dst", type=int),
+             _arg("--vertices", type=_comma_list(int), help="comma separated vertex chain")),
+            _ftc),
+    "reconstruct": ("integrate a covector field from a basepoint",
+                    (_SET, _arg("A"), _arg("--base", type=int, required=True),
+                     _arg("--value", type=float, default=0.0)), _reconstruct),
+    "remainder-check": ("first-order remainder bound over all pairs",
+                        (*_SET_F_A, _arg("--k", type=float, required=True)), _remainder_check),
+    "holder-fit": ("Holder modulus fits",
+                   (*_SET_F_A, _arg("--k", type=float, default=1.0)), _holder_fit),
+    "whitney": ("Whitney C1 scale-decay check",
+                (*_SET_F_A, _arg("--buckets", type=int, default=6),
+                 _arg("--slack", type=float, default=0.1, help="relative decay slack")), _whitney),
+    "flatness": ("local flatness spectrum",
+                 (_SET, _arg("--index", type=int, required=True),
+                  _arg("--radius", type=float, required=True)), _flatness),
+    "clifford check": (None, (_arg("columns", help=_COLUMNS_HELP), _SIDE), _clifford_check),
+    "clifford complete": (None, (_DIM, _SIDE, _arg("--partial", required=True, help=_COLUMNS_HELP)),
+                          _clifford_complete),
+    "clifford dimension": (None, (_DIM, _SIDE), _clifford_dimension),
+    "graph-derivative": ("tangential derivative check on a graph",
+                         (*_SET_F_A, _arg("--cquad", type=float, default=1.0)), _graph_derivative),
 }
 
 
-def dispatch(config: RunConfig) -> tuple[int, dict | None]:
+def build_parser() -> argparse.ArgumentParser:
+    top = argparse.ArgumentParser(prog="qcalc", description=__doc__)
+    parents = {"": top.add_subparsers(dest="command", required=True)}
+    for name, (help_text, arguments, _handler) in COMMANDS.items():
+        group, _, action = name.rpartition(" ")
+        if group not in parents:
+            dest, group_help = _GROUPS[group]
+            parents[group] = parents[""].add_parser(group, help=group_help).add_subparsers(
+                dest=dest, required=True)
+        # a help=None keyword would still list the action under its parent
+        parser = parents[group].add_parser(action, **({"help": help_text} if help_text else {}))
+        for flags, kwargs in (*arguments, *_COMMON):
+            parser.add_argument(*flags, **kwargs)
+    return top
+
+
+def dispatch(config: RunConfig) -> tuple[int, dict]:
     """Run one subcommand; returns (exit status, report document)."""
-    key = config.command
-    if key == "clifford":
-        key = f"clifford {config.options.get('cliffcmd')}"
-    if key not in COMMANDS:
+    name = config.command
+    if name in _GROUPS:
+        name = f"{name} {config.options.get(_GROUPS[name][0])}"
+    if name not in COMMANDS:
         raise UsageError(f"unknown command {config.command!r}")
-    return COMMANDS[key](config, config.options)
+    handler = COMMANDS[name][2]
+    if config.csv and handler is not _remainder_check:
+        raise UsageError("--csv is only supported for remainder-check")
+    doc = handler(config, config.options)
+    return (0 if doc.get("passed", True) else 1), doc
 
 
 #: rows formatted and written per chunk by ``emit_pairs_csv``
@@ -425,14 +385,11 @@ def main(argv: list[str] | None = None) -> int:
         return 2 if exc.code not in (0, None) else 0
     try:
         config = _config_from_args(args)
-        if config.csv and config.command != "remainder-check":
-            raise UsageError("--csv is only supported for remainder-check")
         status, doc = dispatch(config)
     except QcalcError as exc:  # usage and input errors alike
         print(f"qcalc: {exc}", file=sys.stderr)
         return 2
-    if doc is not None:
-        _write_report(doc, config.out)
+    _write_report(doc, config.out)
     return status
 
 

@@ -251,8 +251,11 @@ class SetSample:
     def __init__(self, ambient_dim: int, points: Sequence[Sequence[float]],
                  edges: Sequence[tuple[int, int, float]], label: str = ""):
         n = int(ambient_dim)
-        self._own(n, np.array(points, dtype=float).reshape(len(points), n),
-                  *_edge_table(edges), label)
+        pts = np.array(points, dtype=float).reshape(len(points), n)
+        ends, lengths = _edge_table(edges)
+        if not (np.isfinite(pts).all() and np.isfinite(lengths).all()):
+            raise BuildError("points and edge lengths must be finite")
+        self._own(n, pts, ends, lengths, label)
 
     def _own(self, ambient_dim, points, ends, lengths, label) -> "SetSample":
         """Take already converted arrays as this (frozen) sample's storage."""
@@ -560,6 +563,8 @@ def build_lipschitz_graph(
     if len(span) != 2:
         raise BuildError("span must be a pair (a, b)")
     a, b = float(span[0]), float(span[1])
+    if not (math.isfinite(a) and math.isfinite(b)):
+        raise BuildError("span must be finite")
     if not b > a:
         raise BuildError("empty span")
     slope_list = [float(s) for s in slopes]

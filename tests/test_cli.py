@@ -351,6 +351,40 @@ def test_usage_error_exits_two():
     assert main(["definitely-not-a-command"]) == 2
 
 
+@pytest.mark.parametrize("argv,option", [
+    (["ftc", "S", "f", "A", "--vertices", "0,x"], "--vertices"),
+    (["build", "graph", "--slopes", "1,x", "--step", "0.5", "--span", "0", "1"], "--slopes"),
+    (["build", "polyline", "--coords", '[[0,"a"],[1,1]]'], "--coords"),
+    (["build", "polyline", "--coords", "5"], "--coords"),
+], ids=["vertices", "slopes", "coords-text", "coords-scalar"])
+def test_malformed_option_value_exits_two(capsys, argv, option):
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert option in captured.err.splitlines()[-1]
+
+
+def test_comma_lists_skip_blank_entries(tmp_path):
+    out = str(tmp_path / "g.json")
+    assert main(["build", "graph", "--slopes", "0.5,,-0.5,", "--step", "0.25",
+                 "--span", "0", "2", "--out", out]) == 0
+    assert load_sample(out).vertex_count == 9
+
+
+@pytest.mark.parametrize("argv,message", [
+    (["polyline", "--coords", "[[0,0],[1e400,1],[2,2]]"], "--coords"),
+    (["dumbbell", "--radius", "inf", "--neck", "0.1", "--step", "0.5"], "finite"),
+    (["graph", "--slopes", "1e308,1e308", "--step", "0.5", "--span", "0", "4"], "finite"),
+    (["graph", "--slopes", "1", "--step", "0.5", "--span", "0", "inf"], "span must be finite"),
+], ids=["polyline", "dumbbell", "graph-slopes", "graph-span"])
+def test_build_never_writes_a_non_finite_sample(tmp_path, capsys, argv, message):
+    out = tmp_path / "s.json"
+    assert main(["build", *argv, "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and not out.exists()
+    assert captured.err.count("\n") == 1 and message in captured.err
+
+
 @pytest.mark.parametrize("bad", [float("nan"), True], ids=["nan", "true"])
 def test_k_estimate_rejects_bad_coordinate(tmp_path, capsys, bad):
     set_path = tmp_path / "set.json"

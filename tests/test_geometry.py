@@ -227,6 +227,18 @@ def test_graph_bad_inputs():
         build_lipschitz_graph([math.inf], 0.5, (0.0, 1.0))
     with pytest.raises(BuildError):
         build_lipschitz_graph([1.0], 0.0, (0.0, 1.0))
+    with pytest.raises(BuildError, match="span must be finite"):
+        build_lipschitz_graph([1.0], 0.5, (0.0, math.inf))
+
+
+@pytest.mark.parametrize("points,edges", [
+    ([(0.0, 0.0), (math.inf, 0.0)], [(0, 1, 1.0)]),
+    ([(0.0, 0.0), (math.nan, 0.0)], [(0, 1, 1.0)]),
+    ([(0.0, 0.0), (1.0, 0.0)], [(0, 1, math.inf)]),
+], ids=["inf-point", "nan-point", "inf-length"])
+def test_sample_constructor_rejects_non_finite_values(points, edges):
+    with pytest.raises(BuildError, match="finite"):
+        SetSample(2, points, edges)
 
 
 # ---------------------------------------------------------------------------

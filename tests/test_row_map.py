@@ -52,8 +52,7 @@ def forks(monkeypatch):
 @pytest.fixture
 def no_threshold(monkeypatch):
     """Every scan splits, whatever the sample's size."""
-    monkeypatch.setattr(calculus, "REMAINDER_MIN_ROWS", 0)
-    monkeypatch.setattr(calculus, "PROFILE_MIN_ROWS", 0)
+    monkeypatch.setattr(calculus, "SPLIT_MIN_ROWS", 0)
 
 
 def use_workers(monkeypatch, count):
@@ -211,7 +210,7 @@ def test_remainder_scan_with_pair_buffers_stays_serial(monkeypatch, forks, no_th
 
 def test_remainder_scan_above_its_threshold(monkeypatch, forks):
     sample = build_gasket(6)
-    assert sample.vertex_count >= calculus.REMAINDER_MIN_ROWS
+    assert sample.vertex_count >= calculus.SPLIT_MIN_ROWS
     f, A = quadratic_fields(sample)
     one, two = one_and_two(monkeypatch, lambda: verify_remainder_bound(f, A, sample, k=2.5,
                                                                        pairs=False))
@@ -281,7 +280,7 @@ def test_split_profile_equals_serial(monkeypatch, forks, no_threshold, name, cov
 
 def test_profile_above_its_threshold(monkeypatch, forks):
     sample = build_gasket(6)
-    assert sample.vertex_count >= calculus.PROFILE_MIN_ROWS
+    assert sample.vertex_count >= calculus.SPLIT_MIN_ROWS
     f, A = quadratic_fields(sample)
     one, two = one_and_two(monkeypatch, lambda: pair_modulus_profile(f, A))
     assert one == two
