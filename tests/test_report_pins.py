@@ -2,9 +2,9 @@
 
 Each was captured before the writer it covers last changed: the stdout of
 the CLI commands below, ``json.dumps(report.as_dict(), sort_keys=True)`` of
-the reports only the library writes, the bytes of ``dump_field``, and the
-documents of the Clifford values and of the hyperplane completion in a
-reflected frame.  Inputs are literals or come from the builders, so a
+the reports only the library writes, the bytes of ``dump_field``, of
+``qcalc build --out`` and of ``dump_sample``, and the documents of the
+Clifford values and of the hyperplane completion in a reflected frame.  Inputs are literals or come from the builders, so a
 change in the writers under test cannot move them.
 """
 from __future__ import annotations
@@ -210,6 +210,38 @@ VALUE_DIGESTS = {
 @pytest.mark.parametrize("name", sorted(VALUE_DIGESTS))
 def test_value_documents_are_pinned(tmp_path, name):
     assert hashlib.sha256(_value_document(name, tmp_path)).hexdigest() == VALUE_DIGESTS[name]
+
+
+# name -> (build arguments, sha256 of the ``qcalc build ... --out`` file),
+# captured while ``dump_sample`` still called ``json.dump`` itself
+BUILD_DIGESTS = {
+    "gasket 5": (["gasket", "--level", "5"],
+                 "4775864cbb8241d1ab6ce54c5fe680cbb9dde7882afd13cb394d4ba2fcfe60dd"),
+    "carpet 3": (["carpet", "--level", "3"],
+                 "62ff256537f63e73b9a26e92c72fc5286368e65777618f29fd62a70ab5f86f44"),
+    "polyline": (["polyline", "--closed",
+                  "--coords", "[[0,0],[1,0.5],[2.25,-1e-3],[3,1e16],[-0.1,2]]"],
+                 "343e50df8a82da1eb9c001172041fcbe4dd009ebcd7de3da6dd79d63ed9efae9"),
+    "graph": (["graph", "--slopes", "1,-0.5,2", "--step", "0.03125", "--span", "0", "3"],
+              "bc9c3ba7e571542e8f195b8788716237eea670a6f19347e555584d1cd3590504"),
+    "dumbbell": (["dumbbell", "--radius", "1", "--neck", "0.2", "--step", "0.19634954084936207"],
+                 "29dd49078e112aeb29a2f2472efa63344b1bba1e0cd17e05f5af54beeb8bab29"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(BUILD_DIGESTS))
+def test_build_files_are_pinned(tmp_path, name):
+    args, digest = BUILD_DIGESTS[name]
+    out = tmp_path / "sample.json"
+    assert main(["build", *args, "--out", str(out)]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+
+
+def test_dump_sample_of_gasket_7_is_pinned(tmp_path):
+    out = tmp_path / "g7.json"
+    dump_sample(build_gasket(7), str(out))
+    assert (hashlib.sha256(out.read_bytes()).hexdigest()
+            == "3700dad5c9442d44464e2a2ecd076efc8ee70344257b99aef5959bc1a6e1a974")
 
 
 def _completion_frame(dim):
