@@ -113,9 +113,7 @@ def _geodesic(config: RunConfig, opt: dict):
                    distance=metric.geodesic_distance(sample, opt["i"], opt["j"]),
                    path_length=path.length)
     if opt.get("path"):
-        with open(opt["path"], "w") as fh:
-            json.dump(path_to_dict(path), fh, sort_keys=True, indent=2)
-            fh.write("\n")
+        geometry.write_json(path_to_dict(path), opt["path"])
     return doc
 
 
@@ -368,15 +366,6 @@ def _config_from_args(args: argparse.Namespace) -> RunConfig:
     )
 
 
-def _write_report(doc: dict, out: str | None) -> None:
-    text = json.dumps(doc, sort_keys=True, indent=2) + "\n"
-    if out:
-        with open(out, "w") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
-
-
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     try:
@@ -389,7 +378,7 @@ def main(argv: list[str] | None = None) -> int:
     except QcalcError as exc:  # usage and input errors alike
         print(f"qcalc: {exc}", file=sys.stderr)
         return 2
-    _write_report(doc, config.out)
+    geometry.write_json(doc, config.out)
     return status
 
 

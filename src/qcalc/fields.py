@@ -6,14 +6,14 @@ carry the planar holomorphic test data.
 """
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
 
 from .errors import FieldMismatchError, FormatError
-from .geometry import SCHEMA_VERSION, SetSample, _expect, _is_finite_number, _is_index, read_json
+from .geometry import (SCHEMA_VERSION, SetSample, _expect, _is_finite_number, _is_index, read_json,
+                       write_json)
 
 
 def _coerce(values, shape, what: str) -> np.ndarray:
@@ -167,6 +167,4 @@ def load_field(path: str, sample: SetSample):
 
 
 def dump_field(field, path: str) -> None:
-    with open(path, "w") as fh:
-        json.dump(field.as_dict(), fh, sort_keys=True, indent=2)
-        fh.write("\n")
+    write_json(field.as_dict(), path)

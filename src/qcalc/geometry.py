@@ -35,6 +35,8 @@ DUPLICATE_TOL = 1e-12
 
 GASKET_LEVEL_CAP = 8
 CARPET_LEVEL_CAP = 5
+#: most points of a Lipschitz graph or dumbbell: the largest carpet's (level 5)
+POINT_CAP = 8 ** CARPET_LEVEL_CAP
 
 _SQRT3 = math.sqrt(3.0)
 
@@ -427,11 +429,15 @@ def validate(sample: SetSample, rel_tol: float = REL_TOL) -> ValidationReport:
     return ValidationReport(sample.label, tuple(out))
 
 
-def _duplicate_pairs(pts: np.ndarray) -> Iterator[tuple[int, int]]:
-    """The index pairs (i < j), in order, of points at most ``DUPLICATE_TOL`` apart."""
-    for i in range(len(pts) - 1):
-        for off in np.flatnonzero(row_norms(pts[i + 1 :] - pts[i]) <= DUPLICATE_TOL).tolist():
-            yield i, i + 1 + off
+def _duplicate_pairs(pts: np.ndarray) -> list[tuple[int, int]]:
+    """The index pairs (i < j), in order, of points at most ``DUPLICATE_TOL`` apart;
+    a gap too large for a double overflows to inf, which is no duplicate."""
+    pairs = []
+    with np.errstate(over="ignore"):
+        for i in range(len(pts) - 1):
+            near = np.flatnonzero(row_norms(pts[i + 1 :] - pts[i]) <= DUPLICATE_TOL)
+            pairs.extend((i, i + 1 + off) for off in near.tolist())
+    return pairs
 
 
 # ---------------------------------------------------------------------------
@@ -460,7 +466,7 @@ def build_polyline(
         raise BuildError("points have mixed dimensions")
     if 0 in dims:
         raise BuildError("points need at least one coordinate")
-    pairs = list(_duplicate_pairs(np.array(pts)))
+    pairs = _duplicate_pairs(np.array(pts))
     consecutive = [i for i, j in pairs if j == i + 1]
     if consecutive:
         raise BuildError(f"duplicate consecutive points at index {consecutive[0]}")
@@ -575,6 +581,9 @@ def build_lipschitz_graph(
     grid_step = float(grid_step)
     if not grid_step > 0:
         raise BuildError("grid_step must be positive")
+    if (b - a) / grid_step + 2 > POINT_CAP:  # floor(span / step) + 1 grid points, and b
+        raise ResourceLimitError(f"graph over [{a:g}, {b:g}] with step {grid_step:g} "
+                                 f"exceeds the cap of {POINT_CAP} points")
     piece = (b - a) / len(slope_list)
     knots = [0.0]
     for s in slope_list:
@@ -611,6 +620,9 @@ def build_dumbbell(bubble_radius: float, neck_width: float, step: float) -> SetS
         raise BuildError("need 0 < neck_width < bubble_radius")
     if not step > 0:
         raise BuildError("step must be positive")
+    if 4 * math.pi / step + 2 > POINT_CAP:  # 2 n + 1 points, n = round(2 pi / step)
+        raise ResourceLimitError(f"dumbbell with step {step:g} exceeds the cap of "
+                                 f"{POINT_CAP} points")
     n = int(round(2 * math.pi / step))
     if n < 3:
         raise BuildError("step too coarse for a polygonal circle")
@@ -759,9 +771,64 @@ def sample_from_dict(doc: dict, source: str = "<dict>") -> SetSample:
 
 
 def dump_sample(sample: SetSample, path: str) -> None:
-    with open(path, "w") as fh:
-        json.dump(sample_to_dict(sample), fh, sort_keys=True, indent=2)
-        fh.write("\n")
+    write_json(sample_to_dict(sample), path)
+
+
+def write_json(doc, path: str | None = None) -> None:
+    """Write ``json.dumps(doc, sort_keys=True, indent=2)`` and a newline to the
+    file ``path``, or to stdout if ``path`` is empty.  Every document qcalc
+    writes goes through here."""
+    text = _json_text(doc, "\n") + "\n"
+    if path:
+        with open(path, "w") as fh:
+            fh.write(text)
+    else:
+        print(text, end="")
+
+
+def _json_text(value, nl: str) -> str:
+    """``json.dumps(value, sort_keys=True, indent=2)`` for a value whose own
+    line starts after ``nl`` (a newline and that line's indent).
+
+    Objects with plain string keys and nonempty lists are written here, item by
+    item; lists of numbers take ``_number_list_text``.  Everything else,
+    scalars included, is written by ``json`` itself, re-indented: a JSON
+    text holds no raw newline outside its layout.
+    """
+    inner = nl + "  "
+    if type(value) is dict and value and set(map(type, value)) == {str}:
+        return "{" + inner + ("," + inner).join(
+            json.dumps(key) + ": " + _json_text(v, inner)
+            for key, v in sorted(value.items())) + nl + "}"
+    if type(value) is list and value:
+        return _number_list_text(value, inner, nl) or (
+            "[" + inner + ("," + inner).join(_json_text(v, inner) for v in value) + nl + "]")
+    if isinstance(value, (list, tuple, dict)):
+        return json.dumps(value, sort_keys=True, indent=2).replace("\n", nl)
+    return json.dumps(value)  # a scalar, for which indent and sort_keys change nothing
+
+
+def _number_list_text(value: list, inner: str, nl: str) -> str | None:
+    """A list of plain ints and finite floats, or of equal-length nonempty rows
+    of them, formatted by one ``%r`` template as ``json`` lays it out; None
+    for any other list.  The reprs of ``int`` and ``float`` are the ones
+    ``json`` writes."""
+    kinds = set(map(type, value))
+    if kinds <= {int, float}:
+        args, item = tuple(value), "%r"
+    elif kinds == {list} and len(widths := set(map(len, value))) == 1 and 0 not in widths:
+        from itertools import chain
+
+        args = tuple(chain.from_iterable(value))
+        if not set(map(type, args)) <= {int, float}:
+            return None
+        row = inner + "  "
+        item = "[" + row + ("," + row).join(["%r"] * widths.pop()) + inner + "]"
+    else:
+        return None
+    text = ("[" + inner + ("," + inner).join([item] * len(value)) + nl + "]") % args
+    # only the reprs of inf and nan hold an "n"; json writes those as Infinity and NaN
+    return None if "n" in text else text
 
 
 def read_json(path: str):

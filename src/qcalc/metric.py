@@ -151,7 +151,8 @@ def _scan_sources(sample: SetSample, rows) -> tuple[float, tuple[int, int], int]
         if ratios[loc] > best:
             best = float(ratios[loc])
             witness = (i, int(js[loc]))
-    return best, witness, count
+    # a path is never shorter than its chord: a ratio below 1 is rounding
+    return max(best, 1.0), witness, count
 
 
 def estimate_chord_arc(

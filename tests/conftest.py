@@ -101,7 +101,8 @@ def chord(p, q) -> float:
 
 
 def brute_force_chord_arc(sample) -> tuple[float, tuple[int, int]]:
-    """Max geodesic/Euclidean ratio by a plain pair scan over scipy distances.
+    """Max geodesic/Euclidean ratio by a plain pair scan over scipy distances,
+    and at least 1, since no path is shorter than its chord.
 
     The first pair in (i, j) order with the largest ratio is the witness.
     """
@@ -112,7 +113,7 @@ def brute_force_chord_arc(sample) -> tuple[float, tuple[int, int]]:
             ratio = dist[i, j] / chord(sample.points[i], sample.points[j])
             if ratio > best:
                 best, witness = ratio, (i, j)
-    return best, witness
+    return max(best, 1.0), witness
 
 
 def measured_local_constant(sample, f: ScalarField, radius: float) -> float:

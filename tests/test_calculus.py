@@ -428,10 +428,8 @@ def test_remainder_bound_holds_for_every_admissible_k(graph, excess, coef):
         sample, lambda p: a * p[0] ** 2 + b * p[0] * p[1] + c * p[1] ** 2 + d * p[0] + e * p[1])
     A = CovectorField.from_function(
         sample, lambda p: (2 * a * p[0] + b * p[1] + d, b * p[0] + 2 * c * p[1] + e))
-    # k-hat can round one ulp below 1 on a straight pair (stored edge length
-    # against the row-norm chord), and the ball of radius k |x - y| must
-    # reach y itself, so k is at least 1 as the true chord-arc constant is
-    khat = max(metric.estimate_chord_arc(sample).k_hat, 1.0)
+    # the ball of radius k |x - y| must reach y itself; k-hat is at least 1
+    khat = metric.estimate_chord_arc(sample).k_hat
     rep = verify_remainder_bound(f, A, sample, k=khat * (1.0 + excess), pairs=False)
     assert rep.passed and not rep.violations
 

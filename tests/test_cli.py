@@ -460,11 +460,35 @@ def test_wrong_edge_length_exits_two(tmp_path, capsys, command):
     assert "edge 1 stores 5.0 but endpoints are 1.0 apart" in captured.err
 
 
-def run_qcalc_process(*argv):
-    """``python -m qcalc`` in a child process, killed after 60 s so that a hang fails."""
+def run_qcalc_process(*argv, flags=()):
+    """``python [flags] -m qcalc`` in a child process, killed after 60 s so that a
+    hang fails."""
     env = {**os.environ, "PYTHONPATH": str(Path(qcalc.__file__).parents[1])}
-    return subprocess.run([sys.executable, "-m", "qcalc", *argv], capture_output=True,
+    return subprocess.run([sys.executable, *flags, "-m", "qcalc", *argv], capture_output=True,
                           text=True, timeout=60, env=env)
+
+
+def test_far_apart_points_write_one_error_line():
+    # the duplicate-point scan's gaps overflow to inf; numpy used to print
+    # two RuntimeWarnings before the error line
+    proc = run_qcalc_process("build", "polyline", "--coords", "[[0,0],[1e308,0],[-1e308,0]]",
+                             flags=("-W", "error::RuntimeWarning"))
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert proc.stderr == "qcalc: points and edge lengths must be finite\n"
+
+
+@pytest.mark.parametrize("argv", [
+    ["graph", "--slopes", "1", "--step", "1", "--span", "0", "200000"],
+    ["graph", "--slopes", "1", "--step", "1e-300", "--span", "0", "1e300"],
+    ["dumbbell", "--radius", "1", "--neck", "0.1", "--step", "1e-9"],
+], ids=["graph-200000", "graph-1e600", "dumbbell"])
+def test_builds_over_the_point_cap_exit_two(tmp_path, capsys, argv):
+    out = tmp_path / "s.json"
+    assert main(["build", *argv, "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and not out.exists()
+    assert captured.err.count("\n") == 1 and "exceeds the cap of 32768 points" in captured.err
 
 
 @pytest.fixture()

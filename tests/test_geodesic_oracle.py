@@ -113,6 +113,7 @@ def chord_arc_reference(sample, mode="exhaustive", seed=0, pair_budget=None):
         loc = int(np.argmax(ratios))
         if ratios[loc] > best:
             best, witness = float(ratios[loc]), (i, int(js[loc]))
+    best = max(best, 1.0)  # the report's rule: no path is shorter than its chord
     if mode == "exhaustive":
         return ChordArcReport(best, witness, count, "exhaustive")
     return ChordArcReport(best, witness, int(pair_budget), "sampled", seed=seed)

@@ -1,9 +1,14 @@
 from __future__ import annotations
 
+import contextlib
+import io
+import json
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qcalc import geometry
 from qcalc.errors import BuildError, FormatError, PathError, ResourceLimitError
@@ -239,6 +244,18 @@ def test_graph_bad_inputs():
 def test_sample_constructor_rejects_non_finite_values(points, edges):
     with pytest.raises(BuildError, match="finite"):
         SetSample(2, points, edges)
+
+
+def test_point_cap_is_checked_before_building():
+    assert geometry.POINT_CAP == build_carpet(5).vertex_count == 32768
+    assert build_lipschitz_graph([1.0], 1.0, (0.0, 32766.0)).vertex_count == 32767
+    assert build_dumbbell(1.0, 0.1, 4 * math.pi / 32766).vertex_count == 32767
+    for build in (lambda: build_lipschitz_graph([1.0], 1.0, (0.0, 200000.0)),
+                  lambda: build_lipschitz_graph([1.0], 1e-300, (0.0, 1e300)),
+                  lambda: build_dumbbell(1.0, 0.1, 1e-9),
+                  lambda: build_dumbbell(1.0, 0.1, 5e-324)):
+        with pytest.raises(ResourceLimitError, match="cap of 32768 points"):
+            build()
 
 
 # ---------------------------------------------------------------------------
@@ -623,3 +640,51 @@ def test_load_sample_invalid_json(tmp_path):
     with pytest.raises(FormatError) as err:
         geometry.load_sample(str(path))
     assert str(path) in str(err.value)
+
+
+# ---------------------------------------------------------------------------
+# the JSON writer
+
+SPECIAL_NUMBERS = [math.nan, math.inf, -math.inf, -0.0, 5e-324, 1e16, 2 ** 70, -(2 ** 70),
+                   0.1, 1 / 3, 1e308, True, False]
+NUMBERS = st.one_of(st.integers(-(2 ** 80), 2 ** 80), st.floats(), st.sampled_from(SPECIAL_NUMBERS),
+                    st.floats().map(np.float64))
+SCALARS = st.one_of(NUMBERS, st.none(), st.text(max_size=6),
+                    st.sampled_from(["", "é", "\n\t\"\\", "\u2028", "\U0001d11e", "\x00"]))
+# equal-length rows, complex-field rows ([re, im] per coordinate) and ragged rows
+ROWS = st.integers(0, 4).flatmap(
+    lambda w: st.lists(st.lists(NUMBERS, min_size=w, max_size=w), max_size=6))
+COMPLEX_ROWS = st.integers(1, 3).flatmap(lambda w: st.lists(
+    st.lists(st.lists(NUMBERS, min_size=2, max_size=2), min_size=w, max_size=w), max_size=4))
+RAGGED = st.lists(st.lists(NUMBERS, max_size=4), max_size=5)
+DOCUMENTS = st.recursive(
+    st.one_of(SCALARS, st.lists(NUMBERS, max_size=8), ROWS, COMPLEX_ROWS, RAGGED),
+    lambda inner: st.one_of(st.lists(inner, max_size=4),
+                            st.dictionaries(st.text(max_size=4), inner, max_size=4),
+                            st.lists(inner, max_size=3).map(tuple)),
+    max_leaves=24)
+
+
+def _written(doc) -> str:
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        geometry.write_json(doc)
+    return out.getvalue()
+
+
+@settings(deadline=None, max_examples=400)
+@given(DOCUMENTS)
+def test_write_json_writes_the_text_of_json_dumps(doc):
+    assert _written(doc) == json.dumps(doc, sort_keys=True, indent=2) + "\n"
+
+
+@pytest.mark.parametrize("doc", [
+    {"values": [[1.5, -0.0], [math.nan, 2]], "set": "abc", "warning": None},
+    {"points": [[0, 0], [1e16, 5e-324]], "edges": [[0, 1, 1e16]], "label": "é"},
+    [[], []], [[1, 2], [3]], [[True, 1], [2, 3]], [[[0.5, 1.0], [2.0, -3.0]]], [(1, 2.5), (3, 4.0)],
+    {"nested": {"b": [], "a": {}}}, {1: [1.0, 2.0], 2: "x"}, [math.inf], [2 ** 70, -1, 0.25],
+])
+def test_write_json_writes_files_as_json_dumps(tmp_path, doc):
+    path = tmp_path / "doc.json"
+    geometry.write_json(doc, str(path))
+    assert path.read_text() == json.dumps(doc, sort_keys=True, indent=2) + "\n"

@@ -220,6 +220,16 @@ def test_chord_arc_exact_tie_takes_smallest_witness():
     assert rep.witness_pair == (0, 1)
 
 
+def test_chord_arc_is_never_below_one():
+    # the stored edge length (math.dist) of this straight pair is one ulp
+    # shorter than its row-norm chord; k_hat used to read 0.9999999999999998
+    s = build_polyline([(0.0, 0.0), (2.025, 0.339)])
+    assert s.edge_lengths[0] / math.sqrt(2.025 ** 2 + 0.339 ** 2) < 1.0
+    for rep in (estimate_chord_arc(s), estimate_chord_arc(s, "sampled", pair_budget=3)):
+        assert rep.k_hat == 1.0
+        assert rep.witness_pair == (0, 1)
+
+
 def test_chord_arc_l_polyline():
     s = build_polyline([(0, 0), (1, 0), (1, 1)])
     rep = estimate_chord_arc(s)

@@ -4,8 +4,9 @@ Each was captured before the writer it covers last changed: the stdout of
 the CLI commands below, ``json.dumps(report.as_dict(), sort_keys=True)`` of
 the reports only the library writes, the bytes of ``dump_field``, of
 ``qcalc build --out`` and of ``dump_sample``, and the documents of the
-Clifford values and of the hyperplane completion in a reflected frame.  Inputs are literals or come from the builders, so a
-change in the writers under test cannot move them.
+Clifford values and of the hyperplane completion in a reflected frame.
+Inputs are literals or come from the builders, so a change in the writers
+under test cannot move them.
 """
 from __future__ import annotations
 
@@ -278,4 +279,14 @@ def test_only_geometry_writes_schema_version():
              if path.name != "geometry.py"
              for node in ast.walk(ast.parse(path.read_text()))
              if isinstance(node, ast.Constant) and node.value == "schema_version"]
+    assert found == []
+
+
+def test_only_geometry_indents_json():
+    """Every JSON document is written by ``geometry.write_json``: no other
+    module passes ``indent=`` to a call."""
+    found = [path.name for path in sorted(Path(qcalc.__file__).parent.glob("*.py"))
+             if path.name != "geometry.py"
+             for node in ast.walk(ast.parse(path.read_text()))
+             if isinstance(node, ast.keyword) and node.arg == "indent"]
     assert found == []
