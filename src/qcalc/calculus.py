@@ -157,6 +157,12 @@ def whitney_remainder(f: ScalarField, A: CovectorField, x: int, y: int) -> float
     return float(abs(f.values[y] - f.values[x] - A.covectors[x] @ (pts[y] - pts[x])))
 
 
+def _check_k(k: float) -> None:
+    """Reject a chord-arc constant k that is not finite and positive."""
+    if not (math.isfinite(k) and k > 0):
+        raise BuildError(f"k must be finite and positive, got {k!r}")
+
+
 def oscillation(A: CovectorField, x: int, radius: float) -> float:
     """Sup of |A(w) - A(x)| over sample points w in the closed ball around x."""
     if radius < 0:
@@ -201,7 +207,8 @@ def verify_remainder_bound(
     For each pair (x, y) the remainder |f(y) - f(x) - A(x)(y-x)| must stay
     below k |x-y| times the oscillation of A over the closed ball of radius
     k |x-y| around x, plus ``tol``.  The caller must pass an admissible k
-    (at least the chord-arc constant of the sample).
+    (at least the chord-arc constant of the sample); a k that is not finite
+    and positive raises a ``BuildError``.
 
     Each source row x is evaluated as whole arrays over y, with these
     deterministic tie rules:
@@ -225,6 +232,7 @@ def verify_remainder_bound(
     says when that is unsafe.  The buffers are filled in place, so a scan
     with them runs in this process.
     """
+    _check_k(k)
     if sample is None:
         sample = f.sample
     require_same_sample(sample, f, A)
@@ -528,9 +536,11 @@ def fit_holder_modulus(
 
     Remainder data is sup over pairs at each dyadic scale of
     remainder/(k |x-y|); the covector data is sup |A(x)-A(y)|.  At least
-    three populated octaves are required.  The profile forks worker
-    processes on large samples (see ``pair_modulus_profile``).
+    three populated octaves are required, and k must be finite and
+    positive.  The profile forks worker processes on large samples (see
+    ``pair_modulus_profile``).
     """
+    _check_k(k)
     if sample is None:
         sample = f.sample
     require_same_sample(sample, f, A)

@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from dataclasses import dataclass, field
 from typing import TextIO
@@ -60,6 +61,8 @@ def _parse_tolerances(entries: list[str] | None) -> dict:
             out[name] = float(value)
         except ValueError as exc:
             raise UsageError(f"--tol {name}: {value!r} is not a number") from exc
+        if not (math.isfinite(out[name]) and out[name] >= 0):
+            raise UsageError(f"--tol {name}: {value!r} is not a finite nonnegative number")
     return out
 
 

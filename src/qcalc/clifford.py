@@ -24,7 +24,8 @@ import numpy as np
 
 from .errors import AlgebraError, BuildError
 from .fields import ScalarField, require_same_sample
-from .geometry import SetSample, _expect, _is_index, _number_rows, report_dict
+from .geometry import (SetSample, _expect, _is_finite_number, _is_index, _number_rows,
+                       report_dict)
 
 DIM_CAP = 6
 
@@ -159,10 +160,30 @@ class Multivector:
         return {"dim": self.dim, "coeffs": self.coeffs.tolist()}
 
 
-def multivector_from_dict(doc: dict, source: str = "<dict>") -> Multivector:
-    if not isinstance(doc, dict) or "dim" not in doc or "coeffs" not in doc:
-        raise AlgebraError(f"{source}: expected an object with 'dim' and 'coeffs'")
-    return Multivector(doc["dim"], np.asarray(doc["coeffs"], dtype=float))
+def _dim_from_dict(doc, source: str) -> int:
+    """The ``dim`` of a Clifford document, which must be a JSON object whose
+    ``dim`` is an integer in 1..DIM_CAP; else a ``FormatError`` names
+    ``<root>`` or ``dim``."""
+    _expect(isinstance(doc, dict), source, "<root>", "document must be a JSON object")
+    dim = doc.get("dim")
+    _expect(_is_index(dim) and 1 <= dim <= DIM_CAP, source, "dim",
+            f"must be an integer in 1..{DIM_CAP}")
+    return dim
+
+
+def multivector_from_dict(doc, source: str = "<dict>") -> Multivector:
+    """The multivector of a ``{"dim": n, "coeffs": [...]}`` document.
+
+    ``dim`` is checked as in ``columns_from_dict``, and ``coeffs`` must be a
+    list of 2**dim finite numbers (JSON booleans are not numbers); anything
+    else raises a ``FormatError`` naming the field.
+    """
+    dim = _dim_from_dict(doc, source)
+    coeffs = doc.get("coeffs")
+    _expect(isinstance(coeffs, list) and len(coeffs) == 1 << dim
+            and all(map(_is_finite_number, coeffs)), source, "coeffs",
+            f"must be a list of {1 << dim} finite numbers")
+    return Multivector(dim, np.array(coeffs, dtype=float))
 
 
 def geometric_product(a: Multivector, b: Multivector) -> Multivector:
@@ -217,10 +238,7 @@ def columns_from_dict(doc, source: str = "<dict>") -> tuple[int, list[Multivecto
     raises a ``FormatError`` naming ``<root>``, ``dim`` or ``columns`` and,
     for a bad column, its index.
     """
-    _expect(isinstance(doc, dict), source, "<root>", "document must be a JSON object")
-    dim = doc.get("dim")
-    _expect(_is_index(dim) and 1 <= dim <= DIM_CAP, source, "dim",
-            f"must be an integer in 1..{DIM_CAP}")
+    dim = _dim_from_dict(doc, source)
     cols = doc.get("columns")
     _expect(isinstance(cols, list), source, "columns", "must be a list")
     return dim, [Multivector(dim, row)

@@ -401,7 +401,7 @@ def validate(sample: SetSample, rel_tol: float = REL_TOL) -> ValidationReport:
         per_edge[idx] = Violation("edge_length", (idx,), f"edge {idx} stores "
                                   f"{float(lengths[idx])!r} but endpoints are {d!r} apart")
     out = [per_edge[idx] for idx in sorted(per_edge)]
-    for i, j in _duplicate_pairs(sample.points_array):
+    for i, j in _near_pairs(sample.points_array):
         out.append(Violation("duplicate_points", (i, j), f"points {i} and {j} coincide"))
     if nv:
         nbrs: list[list[int]] = [[] for _ in range(nv)]
@@ -429,15 +429,76 @@ def validate(sample: SetSample, rel_tol: float = REL_TOL) -> ValidationReport:
     return ValidationReport(sample.label, tuple(out))
 
 
-def _duplicate_pairs(pts: np.ndarray) -> list[tuple[int, int]]:
-    """The index pairs (i < j), in order, of points at most ``DUPLICATE_TOL`` apart;
-    a gap too large for a double overflows to inf, which is no duplicate."""
-    pairs = []
-    with np.errstate(over="ignore"):
-        for i in range(len(pts) - 1):
-            near = np.flatnonzero(row_norms(pts[i + 1 :] - pts[i]) <= DUPLICATE_TOL)
-            pairs.extend((i, i + 1 + off) for off in near.tolist())
-    return pairs
+def _sweep_order(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray, float]:
+    """The order of finite ``rows`` by sweep key, the sorted keys, and a window
+    that the keys of two rows ``row_norms`` puts at most ``DUPLICATE_TOL``
+    apart differ by no more than.
+
+    The rows are scaled by a power of two, so that every coordinate is below
+    1 in magnitude, and dotted with a fixed unit vector u with no zero entry:
+    the keys are finite whatever the rows' magnitude.  Two rows within the
+    tolerance have exact keys within 2^-shift · DUPLICATE_TOL of each other;
+    the window adds twice the rounding of a computed key (below
+    d^1.5 · 2^-52 for keys of magnitude below sqrt(d)) and a few subnormal
+    steps for scaled coordinates and products that underflow, with margin.
+
+    Rows that are equal under ``==`` (-0.0 equals 0.0) have equal keys.  Runs
+    of equal keys are ordered by the coordinates and then the index, so
+    such rows sit next to each other in index order.
+    """
+    dim = rows.shape[1]
+    shift = max(math.frexp(float(np.max(np.abs(rows))))[1], 0)
+    scaled = np.ldexp(rows, -shift)
+    unit = np.sqrt(np.arange(dim) + math.pi)
+    unit /= np.linalg.norm(unit)
+    keys = scaled[:, 0] * unit[0]
+    for c in range(1, dim):
+        keys += scaled[:, c] * unit[c]
+    order = np.argsort(keys)
+    keys = keys[order]
+    tie = np.flatnonzero(keys[1:] == keys[:-1])
+    if tie.size:
+        run = np.union1d(tie, tie + 1)
+        tied = order[run]
+        order[run] = tied[np.lexsort((tied, *rows[tied].T, keys[run]))]
+    window = ((math.ldexp(DUPLICATE_TOL, -shift) + dim * math.sqrt(dim) * 2.0 ** -50)
+              * (1 + 2.0 ** -20) + dim * 2.0 ** -1070)
+    return order, keys, window
+
+
+def _near_pairs(pts: np.ndarray) -> list[tuple[int, int]]:
+    """The index pairs (i < j), in order, of rows with
+    ``row_norms(pts[j] - pts[i]) <= DUPLICATE_TOL``; a gap too large for a
+    double overflows to inf, which is no duplicate, and a row with a
+    non-finite coordinate is near no other.
+
+    Sort and sweep (Preparata & Shamos, *Computational Geometry*, 1985): the
+    finite rows are sorted by ``_sweep_order``, and pass k tests each sorted
+    position t against t + k, for the positions whose keys were within the
+    window at pass k - 1.  Each pass holds O(nv), and on a sample without
+    near pairs the first pass finds no candidate.
+    """
+    rows, index = pts, np.arange(len(pts))
+    if not np.isfinite(pts).all():
+        index = np.flatnonzero(np.isfinite(pts).all(axis=1))
+        rows = pts[index]
+    n = len(index)
+    if n < 2:
+        return []
+    order, keys, window = _sweep_order(rows)
+    live, found, step = np.arange(n - 1), [], 1
+    while live.size:
+        live = live[live < n - step]
+        live = live[keys[live + step] - keys[live] <= window]
+        a, b = index[order[live]], index[order[live + step]]
+        lo, hi = np.minimum(a, b), np.maximum(a, b)
+        with np.errstate(over="ignore"):
+            near = row_norms(pts[hi] - pts[lo]) <= DUPLICATE_TOL
+        found.append((lo[near], hi[near]))
+        step += 1
+    lo, hi = map(np.concatenate, zip(*found))
+    by_pair = np.lexsort((hi, lo))
+    return list(zip(lo[by_pair].tolist(), hi[by_pair].tolist()))
 
 
 # ---------------------------------------------------------------------------
@@ -466,7 +527,7 @@ def build_polyline(
         raise BuildError("points have mixed dimensions")
     if 0 in dims:
         raise BuildError("points need at least one coordinate")
-    pairs = _duplicate_pairs(np.array(pts))
+    pairs = _near_pairs(np.array(pts))
     consecutive = [i for i, j in pairs if j == i + 1]
     if consecutive:
         raise BuildError(f"duplicate consecutive points at index {consecutive[0]}")
@@ -726,20 +787,6 @@ def _bad_edge_lengths(points: np.ndarray, ends: np.ndarray, lengths: np.ndarray,
     return np.flatnonzero(bad), dist
 
 
-def _first_coincident_pair(pts: np.ndarray) -> tuple[int, int] | None:
-    """Smallest index pair (i < j) of exactly equal rows, or None.
-
-    One lexicographic sort puts equal rows next to each other (stable, so in
-    index order), so the scan is O(nv log nv).  Rows are compared with
-    ``==``, under which -0.0 and 0.0 coincide.
-    """
-    order = np.lexsort(pts.T)
-    same = np.all(pts[order[1:]] == pts[order[:-1]], axis=1)
-    if not same.any():
-        return None
-    return min(zip(order[:-1][same].tolist(), order[1:][same].tolist()))
-
-
 def sample_from_dict(doc: dict, source: str = "<dict>") -> SetSample:
     """The sample a JSON document describes; a bad document raises a FormatError
     naming the field and, for points and edges, the first failing entry."""
@@ -753,9 +800,14 @@ def sample_from_dict(doc: dict, source: str = "<dict>") -> SetSample:
     pts = doc.get("points")
     _expect(isinstance(pts, list) and pts, source, "points", "must be a nonempty list")
     points = _number_rows(pts, n, source, "points", "point")
-    dup = _first_coincident_pair(points)
-    if dup is not None:
-        raise FormatError(source, "points", f"points {dup[0]} and {dup[1]} coincide")
+    # equal points (-0.0 equals 0.0) are neighbours with equal keys in the sweep
+    # order, in index order; points that differ in any coordinate load
+    order, keys, _ = _sweep_order(points)
+    tie = np.flatnonzero(keys[1:] == keys[:-1])
+    same = tie[np.all(points[order[tie]] == points[order[tie + 1]], axis=1)]
+    if same.size:
+        i, j = min(zip(order[same].tolist(), order[same + 1].tolist()))
+        raise FormatError(source, "points", f"points {i} and {j} coincide")
     edges = doc.get("edges")
     _expect(isinstance(edges, list), source, "edges", "must be a list")
     _check_edges(edges, len(pts), source)

@@ -18,9 +18,11 @@ from .calculus import pair_modulus_profile
 from .errors import UndersampledError, UnderdeterminedNeighborhoodError
 from .fields import CovectorField, ScalarField, require_same_sample
 from .geometry import SetSample, report_dict, row_norms
+from .metric import _check_vertex
 
 
 def _ball_indices(sample: SetSample, x: int, radius: float) -> np.ndarray:
+    _check_vertex(sample, x)
     if radius <= 0:
         raise UnderdeterminedNeighborhoodError("radius must be positive")
     pts = sample.points_array

@@ -336,6 +336,16 @@ def test_whitney_remainder_rejects_out_of_range_vertex(gasket2, x, y):
 # verify_remainder_bound
 
 
+@pytest.mark.parametrize("k", [math.nan, math.inf, -math.inf, 0.0, -1.0])
+@pytest.mark.parametrize("check", [verify_remainder_bound, fit_holder_modulus])
+def test_k_must_be_finite_and_positive(gasket3, check, k):
+    f = ScalarField.from_function(gasket3, lambda p: p[0] ** 2)
+    A = CovectorField.from_function(gasket3, lambda p: (2 * p[0], 0.0))
+    with pytest.raises(BuildError, match=f"k must be finite and positive, got {k!r}$"):
+        check(f, A, gasket3, k=k)
+
+
+
 def test_remainder_bound_trivial_affine(gasket2):
     f = ScalarField.from_function(gasket2, lambda p: 1 + p[0])
     A = CovectorField.constant(gasket2, (1.0, 0.0))

@@ -343,6 +343,45 @@ def test_unknown_tolerance_rejected(workspace, capsys):
     assert "bogus" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf", "-1e-9"])
+@pytest.mark.parametrize("name", ["remainder", "whitney"])
+def test_tolerance_must_be_finite_and_nonnegative(workspace, capsys, name, value):
+    # remainder=nan used to turn a failing check into a pass, with "tol": NaN
+    _, paths = workspace
+    argv = ([name + "-check", "--k", "0.6"] if name == "remainder" else [name])
+    argv += [paths["set"], paths["f"], paths["A"], "--tol", f"{name}={value}"]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (f"qcalc: --tol {name}: {value!r} is not a finite "
+                            "nonnegative number\n")
+
+
+def test_zero_tolerance_is_accepted(workspace):
+    _, paths = workspace
+    code, doc = run(["remainder-check", paths["set"], paths["f"], paths["A"], "--k", "1.0",
+                     "--tol", "remainder=0"], paths["out"])
+    assert code == 0 and doc["tol"] == 0.0
+
+
+@pytest.mark.parametrize("argv,message", [
+    (["remainder-check", "--k", "nan"], "k must be finite and positive, got nan"),
+    (["holder-fit", "--k", "-1"], "k must be finite and positive, got -1.0"),
+    (["holder-fit", "--k", "0"], "k must be finite and positive, got 0.0"),
+    (["holder-fit", "--k", "nan"], "k must be finite and positive, got nan"),
+    (["flatness", "--index", "-1", "--radius", "0.3"], "vertex -1 out of range"),
+    (["flatness", "--index", "100000", "--radius", "0.3"], "vertex 100000 out of range"),
+], ids=["remainder-k-nan", "holder-k-negative", "holder-k-zero", "holder-k-nan",
+        "flatness-index-negative", "flatness-index-huge"])
+def test_bad_k_and_vertex_index_exit_two(workspace, capsys, argv, message):
+    _, paths = workspace
+    files = [paths["set"]] if argv[0] == "flatness" else [paths["set"], paths["f"], paths["A"]]
+    assert main(argv[:1] + files + argv[1:]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"qcalc: {message}\n"
+
+
 def test_missing_file_exits_two(capsys):
     assert main(["k-estimate", "no-such-file.json"]) == 2
 

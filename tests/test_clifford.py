@@ -22,7 +22,7 @@ from qcalc.clifford import (
     multivector_from_dict,
     tangential_derivative_on_graph,
 )
-from qcalc.errors import AlgebraError, BuildError
+from qcalc.errors import AlgebraError, BuildError, FormatError
 from qcalc.fields import ScalarField
 from qcalc.geometry import build_lipschitz_graph
 
@@ -96,6 +96,28 @@ def test_multivector_serialization_round_trip():
     mv = random_multivector(3, rng)
     again = multivector_from_dict(mv.as_dict())
     assert np.array_equal(mv.coeffs, again.coeffs)
+
+
+@pytest.mark.parametrize("doc, field", [
+    ([1, 2], "<root>"),
+    ({"coeffs": [1.0, 0.0]}, "dim"),
+    ({"dim": True, "coeffs": [1.0, 0.0]}, "dim"),
+    ({"dim": 2.7, "coeffs": [1.0, 0.0, 0.0, 0.0]}, "dim"),
+    ({"dim": 7, "coeffs": [0.0] * 128}, "dim"),
+    ({"dim": 1}, "coeffs"),
+    ({"dim": 1, "coeffs": [float("nan"), 0.0]}, "coeffs"),
+    ({"dim": 1, "coeffs": [1.0, True]}, "coeffs"),
+    ({"dim": 1, "coeffs": [1.0, "0"]}, "coeffs"),
+    ({"dim": 2, "coeffs": [1.0, 0.0]}, "coeffs"),
+    ({"dim": 1, "coeffs": [[1.0], [0.0]]}, "coeffs"),
+], ids=["list", "no-dim", "bool-dim", "float-dim", "huge-dim", "no-coeffs", "nan-coeff",
+        "bool-coeff", "string-coeff", "short-coeffs", "nested-coeffs"])
+def test_multivector_reader_rejects_bad_documents(doc, field):
+    # dim true used to read as 1 and dim 2.7 as 2; NaN and true coefficients loaded
+    with pytest.raises(FormatError) as err:
+        multivector_from_dict(doc, source="mv.json")
+    assert err.value.field == field
+    assert str(err.value).startswith("mv.json: invalid field")
 
 
 # ---------------------------------------------------------------------------

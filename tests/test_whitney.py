@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from qcalc.calculus import whitney_remainder
-from qcalc.errors import UndersampledError, UnderdeterminedNeighborhoodError
+from qcalc.errors import BuildError, UndersampledError, UnderdeterminedNeighborhoodError
 from qcalc.fields import CovectorField, ScalarField
 from qcalc.geometry import SetSample, build_lipschitz_graph, build_polyline
 from qcalc.whitney import (
@@ -68,6 +68,23 @@ def test_flatness_line_graph_is_a_hyperplane():
 def test_flatness_underdetermined_ball(gasket3):
     with pytest.raises(UnderdeterminedNeighborhoodError):
         local_flatness(gasket3, 0, 1e-6)
+
+
+BALL_CALLS = {
+    "local_flatness": lambda s, x: local_flatness(s, x, 0.3),
+    "determined_subspace": lambda s, x: determined_subspace(
+        s, ScalarField.from_function(s, lambda p: p[0]), x, 0.3),
+    "differential_stability": lambda s, x: differential_stability(
+        s, ScalarField.from_function(s, lambda p: p[0]), x, 0.3),
+}
+
+
+@pytest.mark.parametrize("x", [-1, 42, 100000])
+@pytest.mark.parametrize("call", sorted(BALL_CALLS))
+def test_ball_center_must_be_a_vertex(gasket3, call, x):
+    # -1 used to centre the ball on the last vertex and report "center": -1
+    with pytest.raises(BuildError, match=f"vertex {x} out of range$"):
+        BALL_CALLS[call](gasket3, x)
 
 
 # ---------------------------------------------------------------------------
