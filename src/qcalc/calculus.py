@@ -123,6 +123,8 @@ def reconstruct(
     ``defect_tol``, the returned field carries a non-integrability warning.
     """
     require_same_sample(sample, A)
+    if not np.isfinite(base_value):
+        raise BuildError(f"base_value must be finite, got {base_value!r}")
     dist, pred = predecessor_array(sample, basepoint)
     if not np.all(np.isfinite(dist)):
         raise PathError("sample must be connected for reconstruction")

@@ -10,7 +10,6 @@ import argparse
 import json
 import math
 import sys
-from dataclasses import dataclass, field
 from typing import TextIO
 
 import numpy as np
@@ -31,39 +30,30 @@ TOLERANCE_DEFAULTS = {
 }
 
 
-@dataclass
-class RunConfig:
-    command: str
-    options: dict
-    seed: int = 0
-    tolerances: dict = field(default_factory=dict)
-    out: str | None = None
-    csv: str | None = None
-
-    def tol(self, name: str) -> float:
-        return self.tolerances.get(name, TOLERANCE_DEFAULTS[name])
-
-
 class UsageError(QcalcError):
     pass
 
 
-def _parse_tolerances(entries: list[str] | None) -> dict:
-    out = {}
-    for entry in entries or []:
-        name, sep, value = entry.partition("=")
-        if not sep:
-            raise UsageError(f"--tol expects NAME=VALUE, got {entry!r}")
-        if name not in TOLERANCE_DEFAULTS:
-            known = ", ".join(sorted(TOLERANCE_DEFAULTS))
-            raise UsageError(f"unknown tolerance {name!r} (known: {known})")
-        try:
-            out[name] = float(value)
-        except ValueError as exc:
-            raise UsageError(f"--tol {name}: {value!r} is not a number") from exc
-        if not (math.isfinite(out[name]) and out[name] >= 0):
-            raise UsageError(f"--tol {name}: {value!r} is not a finite nonnegative number")
-    return out
+def _tolerance(opt: dict, name: str) -> float:
+    """The tolerance ``name``: the value of ``--tol name=VAL``, else its default.
+
+    A handler calls it before it reads any input file.
+    """
+    entry = opt["tol"]
+    if entry is None:
+        return TOLERANCE_DEFAULTS[name]
+    given, sep, value = entry.partition("=")
+    if not sep:
+        raise UsageError(f"--tol expects NAME=VALUE, got {entry!r}")
+    if given != name:
+        raise UsageError(f"unknown tolerance {given!r} (known: {name})")
+    try:
+        tol = float(value)
+    except ValueError as exc:
+        raise UsageError(f"--tol {name}: {value!r} is not a number") from exc
+    if not (math.isfinite(tol) and tol >= 0):
+        raise UsageError(f"--tol {name}: {value!r} is not a finite nonnegative number")
+    return tol
 
 
 def _field(path: str, sample, kind=ScalarField):
@@ -98,17 +88,21 @@ def _coords(text: str) -> list:
 # subcommand loads just what it uses and a rejected document none of it.
 
 
-def _k_estimate(config: RunConfig, opt: dict):
+def _k_estimate(opt: dict):
+    if opt["exhaustive"] and opt["sample"] is not None:
+        raise UsageError("--exhaustive and --sample N exclude each other")
+    if opt["seed"] < 0:
+        raise UsageError(f"--seed must be nonnegative, got {opt['seed']}")
     sample = load_sample(opt["set"])
     from . import metric
     if opt["sample"] is None:
         return metric.estimate_chord_arc(sample, "exhaustive").as_dict()
     return metric.estimate_chord_arc(
-        sample, "sampled", seed=config.seed, pair_budget=opt["sample"]
+        sample, "sampled", seed=opt["seed"], pair_budget=opt["sample"]
     ).as_dict()
 
 
-def _geodesic(config: RunConfig, opt: dict):
+def _geodesic(opt: dict):
     sample = load_sample(opt["set"])
     from . import metric
     path = metric.shortest_path(sample, opt["i"], opt["j"])
@@ -120,7 +114,8 @@ def _geodesic(config: RunConfig, opt: dict):
     return doc
 
 
-def _ftc(config: RunConfig, opt: dict):
+def _ftc(opt: dict):
+    tol = _tolerance(opt, "ftc")
     sample, f, A = _set_f_A(opt)
     from . import calculus, metric
     if opt.get("vertices"):
@@ -130,63 +125,65 @@ def _ftc(config: RunConfig, opt: dict):
     else:
         raise UsageError("ftc needs either --vertices or both --from and --to")
     residual = calculus.verify_ftc(f, A, path)
-    tol = config.tol("ftc")
     return document(path_vertices=path.vertices, residual=residual, tol=tol,
                     passed=residual <= tol)
 
 
-def _reconstruct(config: RunConfig, opt: dict):
+def _reconstruct(opt: dict):
+    defect_tol = _tolerance(opt, "loop")
     sample = load_sample(opt["set"])
     A = _field(opt["A"], sample, CovectorField)
     from . import calculus
-    rec = calculus.reconstruct(sample, A, opt["base"], opt["value"], defect_tol=config.tol("loop"))
+    rec = calculus.reconstruct(sample, A, opt["base"], opt["value"], defect_tol=defect_tol)
     return document(basepoint=opt["base"], base_value=opt["value"], field=rec.as_dict(),
                     warning=rec.warning)
 
 
-def _remainder_check(config: RunConfig, opt: dict):
+def _remainder_check(opt: dict):
+    tol = _tolerance(opt, "remainder")
     sample, f, A = _set_f_A(opt)
     from . import calculus
     report = calculus.verify_remainder_bound(
-        f, A, sample, k=opt["k"], tol=config.tol("remainder"), pairs=bool(config.csv)
+        f, A, sample, k=opt["k"], tol=tol, pairs=bool(opt["csv"])
     )
-    if config.csv:
-        with open(config.csv, "w") as fh:
+    if opt["csv"]:
+        with open(opt["csv"], "w") as fh:
             emit_pairs_csv(report, fh)
     return report.as_dict()
 
 
-def _holder_fit(config: RunConfig, opt: dict):
+def _holder_fit(opt: dict):
     sample, f, A = _set_f_A(opt)
     from . import calculus
     return calculus.fit_holder_modulus(f, A, sample, k=opt["k"]).as_dict()
 
 
-def _whitney(config: RunConfig, opt: dict):
+def _whitney(opt: dict):
+    threshold = _tolerance(opt, "whitney")
     sample, f, A = _set_f_A(opt)
     from . import whitney
     return whitney.check_whitney_c1(
-        sample, f, A, scale_buckets=opt["buckets"], threshold=config.tol("whitney"),
+        sample, f, A, scale_buckets=opt["buckets"], threshold=threshold,
         decay_tol=opt["slack"],
     ).as_dict()
 
 
-def _flatness(config: RunConfig, opt: dict):
+def _flatness(opt: dict):
     sample = load_sample(opt["set"])
     from . import whitney
     return whitney.local_flatness(sample, opt["index"], opt["radius"]).as_dict()
 
 
-def _clifford_check(config: RunConfig, opt: dict):
+def _clifford_check(opt: dict):
+    tol = _tolerance(opt, "monogenic")
     doc = read_json(opt["columns"])
     from . import clifford
     L = clifford.map_from_dict(doc, source=opt["columns"])
-    tol = config.tol("monogenic")
     check = clifford.is_left_monogenic if opt["side"] == "left" else clifford.is_right_monogenic
     return check(L, tol).as_dict()
 
 
-def _clifford_complete(config: RunConfig, opt: dict):
+def _clifford_complete(opt: dict):
     doc = read_json(opt["partial"])
     from . import clifford
     dim, cols = clifford.columns_from_dict(doc, source=opt["partial"])
@@ -195,19 +192,20 @@ def _clifford_complete(config: RunConfig, opt: dict):
     return document(**clifford.complete_from_hyperplane(cols, side=opt["side"]).as_dict())
 
 
-def _clifford_dimension(config: RunConfig, opt: dict):
+def _clifford_dimension(opt: dict):
     from . import clifford
     n = opt["dim"]
     return document(n=n, side=opt["side"], closed_form=(n - 1) * 2 ** n,
                     dimension=clifford.monogenic_space_dimension(n, side=opt["side"]))
 
 
-def _graph_derivative(config: RunConfig, opt: dict):
+def _graph_derivative(opt: dict):
+    tol = _tolerance(opt, "graph")
     sample = load_sample(opt["set"])
     f, deriv = _field(opt["f"], sample), _field(opt["A"], sample)
     from . import clifford
     return clifford.tangential_derivative_on_graph(
-        f, deriv, c_quad=opt["cquad"], tol=config.tol("graph")
+        f, deriv, c_quad=opt["cquad"], tol=tol
     ).as_dict()
 
 
@@ -224,12 +222,7 @@ def _comma_list(kind):
     return parse
 
 
-_COMMON = (
-    _arg("--seed", type=int, default=0),
-    _arg("--tol", action="append", metavar="NAME=VAL"),
-    _arg("--out", metavar="PATH"),
-    _arg("--csv", metavar="PATH"),
-)
+_TOL = _arg("--tol", metavar="NAME=VAL")
 _SET = _arg("set")
 _SET_F_A = (_SET, _arg("f"), _arg("A"))
 _LEVEL = _arg("--level", type=int, required=True)
@@ -244,56 +237,61 @@ _GROUPS = {
     "clifford": ("cliffcmd", "monogenic linear-map operations"),
 }
 
-#: "<command>" or "<group> <action>" -> (help, arguments, handler(config, options)).
+#: "<command>" or "<group> <action>" -> (help, arguments, handler(options)).
 #: ``build_parser`` adds the rows in this order, each with its arguments and then
-#: ``_COMMON``; a group's parser comes with its first row, and its actions have no help.
+#: ``--out``; a group's parser comes with its first row, and its actions have no help.
+#: A row lists ``--seed``, ``--csv`` or ``--tol`` only if its handler reads it.
 COMMANDS = {
-    "build gasket": (None, (_LEVEL,), lambda config, opt: sample_to_dict(
+    "build gasket": (None, (_LEVEL,), lambda opt: sample_to_dict(
         geometry.build_gasket(opt["level"]))),
-    "build carpet": (None, (_LEVEL,), lambda config, opt: sample_to_dict(
+    "build carpet": (None, (_LEVEL,), lambda opt: sample_to_dict(
         geometry.build_carpet(opt["level"]))),
     "build polyline": (None, (_arg("--coords", required=True, help="JSON list of points"),
                               _arg("--closed", action="store_true")),
-                       lambda config, opt: sample_to_dict(geometry.build_polyline(
+                       lambda opt: sample_to_dict(geometry.build_polyline(
                            _coords(opt["coords"]), closed=opt["closed"]))),
     "build graph": (None, (_arg("--slopes", type=_comma_list(float), required=True,
                                 help="comma separated slopes"),
                            _STEP, _arg("--span", type=float, nargs=2, required=True)),
-                    lambda config, opt: sample_to_dict(geometry.build_lipschitz_graph(
+                    lambda opt: sample_to_dict(geometry.build_lipschitz_graph(
                         opt["slopes"], opt["step"], opt["span"]))),
     "build dumbbell": (None, (_arg("--radius", type=float, required=True),
                               _arg("--neck", type=float, required=True), _STEP),
-                       lambda config, opt: sample_to_dict(geometry.build_dumbbell(
+                       lambda opt: sample_to_dict(geometry.build_dumbbell(
                            opt["radius"], opt["neck"], opt["step"]))),
     "k-estimate": ("estimate the chord-arc constant",
                    (_SET, _arg("--exhaustive", action="store_true"),
-                    _arg("--sample", type=int, metavar="N")), _k_estimate),
+                    _arg("--sample", type=int, metavar="N"), _arg("--seed", type=int, default=0)),
+                   _k_estimate),
     "geodesic": ("shortest intrinsic path",
                  (_SET, _arg("i", type=int), _arg("j", type=int),
                   _arg("--path", metavar="PATH", help="write the path JSON here")), _geodesic),
     "ftc": ("path-integral identity residual",
             (*_SET_F_A, _arg("--from", dest="src", type=int), _arg("--to", dest="dst", type=int),
-             _arg("--vertices", type=_comma_list(int), help="comma separated vertex chain")),
+             _arg("--vertices", type=_comma_list(int), help="comma separated vertex chain"), _TOL),
             _ftc),
     "reconstruct": ("integrate a covector field from a basepoint",
                     (_SET, _arg("A"), _arg("--base", type=int, required=True),
-                     _arg("--value", type=float, default=0.0)), _reconstruct),
+                     _arg("--value", type=float, default=0.0), _TOL), _reconstruct),
     "remainder-check": ("first-order remainder bound over all pairs",
-                        (*_SET_F_A, _arg("--k", type=float, required=True)), _remainder_check),
+                        (*_SET_F_A, _arg("--k", type=float, required=True),
+                         _arg("--csv", metavar="PATH"), _TOL), _remainder_check),
     "holder-fit": ("Holder modulus fits",
                    (*_SET_F_A, _arg("--k", type=float, default=1.0)), _holder_fit),
     "whitney": ("Whitney C1 scale-decay check",
                 (*_SET_F_A, _arg("--buckets", type=int, default=6),
-                 _arg("--slack", type=float, default=0.1, help="relative decay slack")), _whitney),
+                 _arg("--slack", type=float, default=0.1, help="relative decay slack"), _TOL),
+                _whitney),
     "flatness": ("local flatness spectrum",
                  (_SET, _arg("--index", type=int, required=True),
                   _arg("--radius", type=float, required=True)), _flatness),
-    "clifford check": (None, (_arg("columns", help=_COLUMNS_HELP), _SIDE), _clifford_check),
+    "clifford check": (None, (_arg("columns", help=_COLUMNS_HELP), _SIDE, _TOL), _clifford_check),
     "clifford complete": (None, (_DIM, _SIDE, _arg("--partial", required=True, help=_COLUMNS_HELP)),
                           _clifford_complete),
     "clifford dimension": (None, (_DIM, _SIDE), _clifford_dimension),
     "graph-derivative": ("tangential derivative check on a graph",
-                         (*_SET_F_A, _arg("--cquad", type=float, default=1.0)), _graph_derivative),
+                         (*_SET_F_A, _arg("--cquad", type=float, default=1.0), _TOL),
+                         _graph_derivative),
 }
 
 
@@ -308,22 +306,20 @@ def build_parser() -> argparse.ArgumentParser:
                 dest=dest, required=True)
         # a help=None keyword would still list the action under its parent
         parser = parents[group].add_parser(action, **({"help": help_text} if help_text else {}))
-        for flags, kwargs in (*arguments, *_COMMON):
+        for flags, kwargs in arguments:
             parser.add_argument(*flags, **kwargs)
+        parser.add_argument("--out", metavar="PATH")
     return top
 
 
-def dispatch(config: RunConfig) -> tuple[int, dict]:
-    """Run one subcommand; returns (exit status, report document)."""
-    name = config.command
+def dispatch(opt: dict) -> tuple[int, dict]:
+    """Run the subcommand of the parsed options ``opt``; returns (exit status, report document)."""
+    name = opt["command"]
     if name in _GROUPS:
-        name = f"{name} {config.options.get(_GROUPS[name][0])}"
+        name = f"{name} {opt.get(_GROUPS[name][0])}"
     if name not in COMMANDS:
-        raise UsageError(f"unknown command {config.command!r}")
-    handler = COMMANDS[name][2]
-    if config.csv and handler is not _remainder_check:
-        raise UsageError("--csv is only supported for remainder-check")
-    doc = handler(config, config.options)
+        raise UsageError(f"unknown command {opt['command']!r}")
+    doc = COMMANDS[name][2](opt)
     return (0 if doc.get("passed", True) else 1), doc
 
 
@@ -357,31 +353,19 @@ def emit_pairs_csv(report, out: TextIO) -> None:
         out.write("\n")
 
 
-def _config_from_args(args: argparse.Namespace) -> RunConfig:
-    opt = vars(args).copy()
-    return RunConfig(
-        command=opt.pop("command"),
-        seed=opt.pop("seed", 0),
-        tolerances=_parse_tolerances(opt.pop("tol", None)),
-        out=opt.pop("out", None),
-        csv=opt.pop("csv", None),
-        options=opt,
-    )
-
-
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
+    opt = vars(args)
     try:
-        config = _config_from_args(args)
-        status, doc = dispatch(config)
+        status, doc = dispatch(opt)
     except QcalcError as exc:  # usage and input errors alike
         print(f"qcalc: {exc}", file=sys.stderr)
         return 2
-    geometry.write_json(doc, config.out)
+    geometry.write_json(doc, opt["out"])
     return status
 
 

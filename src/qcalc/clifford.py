@@ -457,6 +457,8 @@ def tangential_derivative_on_graph(
     Passes when the worst residual is at most c_quad * h^2 + tol for the
     grid step h.
     """
+    if not (np.isfinite(c_quad) and c_quad >= 0):
+        raise BuildError(f"c_quad must be finite and nonnegative, got {c_quad!r}")
     sample = require_same_sample(f, deriv)
     _require_graph_chain(sample)
     pts = sample.points_array

@@ -11,7 +11,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .errors import FieldMismatchError, FormatError
+from .errors import BuildError, FieldMismatchError, FormatError
 from .geometry import (SCHEMA_VERSION, SetSample, _expect, _is_finite_number, _is_index, read_json,
                        write_json)
 
@@ -23,9 +23,9 @@ def _coerce(values, shape, what: str) -> np.ndarray:
     else:
         arr = arr.astype(np.float64)
     if arr.shape != shape:
-        raise ValueError(f"{what} has shape {arr.shape}, expected {shape}")
+        raise BuildError(f"{what} has shape {arr.shape}, expected {shape}")
     if not np.all(np.isfinite(arr)):
-        raise ValueError(f"{what} contains non-finite entries")
+        raise BuildError(f"{what} contains non-finite entries")
     arr.setflags(write=False)
     return arr
 

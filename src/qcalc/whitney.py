@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .calculus import pair_modulus_profile
-from .errors import UndersampledError, UnderdeterminedNeighborhoodError
+from .errors import BuildError, UndersampledError, UnderdeterminedNeighborhoodError
 from .fields import CovectorField, ScalarField, require_same_sample
 from .geometry import SetSample, report_dict, row_norms
 from .metric import _check_vertex
@@ -23,8 +23,9 @@ from .metric import _check_vertex
 
 def _ball_indices(sample: SetSample, x: int, radius: float) -> np.ndarray:
     _check_vertex(sample, x)
-    if radius <= 0:
-        raise UnderdeterminedNeighborhoodError("radius must be positive")
+    if not (np.isfinite(radius) and radius > 0):
+        raise UnderdeterminedNeighborhoodError(
+            f"radius must be finite and positive, got {radius!r}")
     pts = sample.points_array
     d = row_norms(pts - pts[x])
     idx = np.nonzero(d <= radius)[0]
@@ -184,6 +185,8 @@ def check_whitney_c1(
     processes on large samples (see ``calculus.pair_modulus_profile``).
     """
     require_same_sample(sample, f, A)
+    if scale_buckets < 1:
+        raise BuildError(f"scale_buckets must be at least 1, got {scale_buckets}")
     profile = pair_modulus_profile(f, A, min_pairs=min_pairs, covectors=False)
     if len(profile) < 3:
         raise UndersampledError(

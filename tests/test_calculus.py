@@ -332,6 +332,17 @@ def test_whitney_remainder_rejects_out_of_range_vertex(gasket2, x, y):
         whitney_remainder(f, A, x, y)
 
 
+@pytest.mark.parametrize("value", [math.nan, math.inf])
+def test_field_values_must_be_finite(gasket2, value):
+    # a plain ValueError used to escape the CLI as a traceback
+    values = np.zeros(gasket2.vertex_count)
+    values[3] = value
+    with pytest.raises(BuildError, match="values contains non-finite entries"):
+        ScalarField(gasket2, values)
+    with pytest.raises(BuildError, match="covectors contains non-finite entries"):
+        CovectorField(gasket2, np.column_stack((values, values)))
+
+
 # ---------------------------------------------------------------------------
 # verify_remainder_bound
 

@@ -301,6 +301,22 @@ def test_graph_derivative_cli(tmp_path):
     assert main(["graph-derivative", set_path, fp, ap, "--out", out]) == 1
 
 
+@pytest.mark.parametrize("cquad", ["inf", "nan", "-1"])
+def test_graph_derivative_cquad_must_be_finite_and_nonnegative(tmp_path, capsys, cquad):
+    # --cquad inf used to pass a failing check, with "threshold": Infinity
+    sample = cli.geometry.build_lipschitz_graph([0.5], 0.0625, (0.0, 1.0))
+    set_path, fp, ap = (str(tmp_path / name) for name in ("graph.json", "f.json", "a.json"))
+    dump_sample(sample, set_path)
+    zs = sample.points_array @ np.array([1, 1j])
+    dump_field(ScalarField(sample, zs * zs), fp)
+    dump_field(ScalarField(sample, 2 * zs + 0.5), ap)
+    assert main(["graph-derivative", set_path, fp, ap, "--cquad", cquad]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (f"qcalc: c_quad must be finite and nonnegative, "
+                            f"got {float(cquad)!r}\n")
+
+
 # ---------------------------------------------------------------------------
 # error contract
 
@@ -339,8 +355,62 @@ def test_unparseable_json_exits_two(tmp_path, capsys):
 
 def test_unknown_tolerance_rejected(workspace, capsys):
     _, paths = workspace
-    assert main(["k-estimate", paths["set"], "--tol", "bogus=1"]) == 2
-    assert "bogus" in capsys.readouterr().err
+    assert main(["remainder-check", paths["set"], paths["f"], paths["A"], "--k", "2",
+                 "--tol", "bogus=1"]) == 2
+    assert capsys.readouterr().err == "qcalc: unknown tolerance 'bogus' (known: remainder)\n"
+
+
+#: the tolerance name each command reads through ``--tol``
+TOLERANCE_OF = {"ftc": "ftc", "reconstruct": "loop", "remainder-check": "remainder",
+                "whitney": "whitney", "clifford check": "monogenic", "graph-derivative": "graph"}
+#: a complete command line for each ``cli.COMMANDS`` row; its files need not exist
+VALID_ARGV = {
+    "build gasket": "build gasket --level 2",
+    "build carpet": "build carpet --level 1",
+    "build polyline": "build polyline --coords [[0,0],[1,0]]",
+    "build graph": "build graph --slopes 1 --step 0.5 --span 0 1",
+    "build dumbbell": "build dumbbell --radius 1 --neck 0.1 --step 0.5",
+    "k-estimate": "k-estimate set.json",
+    "geodesic": "geodesic set.json 0 1",
+    "ftc": "ftc set.json f.json A.json --from 0 --to 1",
+    "reconstruct": "reconstruct set.json A.json --base 0",
+    "remainder-check": "remainder-check set.json f.json A.json --k 2",
+    "holder-fit": "holder-fit set.json f.json A.json",
+    "whitney": "whitney set.json f.json A.json",
+    "flatness": "flatness set.json --index 0 --radius 0.5",
+    "clifford check": "clifford check cols.json",
+    "clifford complete": "clifford complete --dim 2 --partial cols.json",
+    "clifford dimension": "clifford dimension --dim 2",
+    "graph-derivative": "graph-derivative set.json f.json a.json",
+}
+
+
+@pytest.mark.parametrize("command", sorted(cli.COMMANDS))
+def test_each_command_takes_only_the_options_it_reads(tmp_path, monkeypatch, capsys, command):
+    # every command used to accept --seed, --csv and any --tol name, and to ignore them
+    monkeypatch.chdir(tmp_path)
+    argv = VALID_ARGV[command].split()
+    cli.build_parser().parse_args(argv)
+    assert main([*command.split(), "--help"]) == 0
+    help_text = capsys.readouterr().out
+    reads = {"--seed": command == "k-estimate", "--csv": command == "remainder-check",
+             "--tol": command in TOLERANCE_OF}
+    for flag, value in (("--seed", "1"), ("--csv", "x.csv"), ("--tol", "ftc=1")):
+        assert (flag in help_text) == reads[flag], flag
+        if not reads[flag]:
+            assert main([*argv, flag, value]) == 2
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err.endswith(f"unrecognized arguments: {flag} {value}\n")
+    if reads["--tol"]:
+        name = TOLERANCE_OF[command]
+        other = "loop" if name == "ftc" else "ftc"
+        # no input file exists: the tolerance is checked before any is read
+        assert main([*argv, "--tol", f"{other}=1"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"qcalc: unknown tolerance '{other}' (known: {name})\n"
+    assert os.listdir(tmp_path) == []
 
 
 @pytest.mark.parametrize("value", ["nan", "inf", "-inf", "-1e-9"])
@@ -377,6 +447,28 @@ def test_bad_k_and_vertex_index_exit_two(workspace, capsys, argv, message):
     _, paths = workspace
     files = [paths["set"]] if argv[0] == "flatness" else [paths["set"], paths["f"], paths["A"]]
     assert main(argv[:1] + files + argv[1:]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"qcalc: {message}\n"
+
+
+@pytest.mark.parametrize("argv,message", [
+    (["k-estimate", "SET", "--sample", "5", "--seed", "-1"], "--seed must be nonnegative, got -1"),
+    (["k-estimate", "SET", "--exhaustive", "--sample", "5"],
+     "--exhaustive and --sample N exclude each other"),
+    (["reconstruct", "SET", "A", "--base", "0", "--value", "nan"],
+     "base_value must be finite, got nan"),
+    (["flatness", "SET", "--index", "0", "--radius", "inf"],
+     "radius must be finite and positive, got inf"),
+    (["whitney", "SET", "F", "A", "--buckets", "0"], "scale_buckets must be at least 1, got 0"),
+    (["whitney", "SET", "F", "A", "--buckets", "-5"], "scale_buckets must be at least 1, got -5"),
+], ids=["seed-negative", "exhaustive-and-sample", "value-nan", "radius-inf", "buckets-zero",
+        "buckets-negative"])
+def test_out_of_range_option_exits_two(workspace, capsys, argv, message):
+    # each used to end in a traceback, or to exit 0 with a report that ignored the option
+    _, paths = workspace
+    files = {"SET": paths["set"], "F": paths["f"], "A": paths["A"]}
+    assert main([files.get(a, a) for a in argv]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == f"qcalc: {message}\n"
@@ -843,36 +935,38 @@ def test_reconstruct_bytes_are_pinned(tmp_path, capsys, name):
 
 
 # sha256 of ``--help`` for the top level and every subcommand, and of the
-# stderr of usage errors, captured before the dispatch table replaced the
-# if-chain; argparse lays help out by the terminal width and differently
-# across Python versions, so the width is fixed and the pins are for 3.11
+# stderr of usage errors; the top-level, group and unknown-command pins date
+# from before the dispatch table replaced the if-chain, the others from when
+# each command came to list only the options it reads.  argparse lays help
+# out by the terminal width and differently across Python versions, so the
+# width is fixed and the pins are for 3.11
 HELP_DIGESTS = {
     "": "38e2fbd8a299b2ee79e80f06f17e611cac4acc4fb3c30663ed94928135ce716b",
     "build": "0a9c6aad7bae55d2236cadcafb521ee3a909d5f9c4599564418a477fa3f85776",
-    "build gasket": "b7e9921e587973b6d3938264a432adbf33918d3fbe61612823b48a571ea718bb",
-    "build carpet": "16f85d0fce1b469f111b5c2499760293bd1965c808cdfb0de059cb31641f91e6",
-    "build polyline": "5e0ba4cf54bf374b0bd21f06ead70edbe30cfe386bd8bfc92d0751514766ac72",
-    "build graph": "17e30cfdd71c85f3175ff4dc41c56fe3a889b7fb70818b62930022ebd899ab00",
-    "build dumbbell": "3137987ebdabede5abce93b935c3874533946847607197964e4051806a2e0f2a",
-    "k-estimate": "886db0d3a5697dec0780e2e3a4ca89a6678279f64133024fda0f95d557f4f636",
-    "geodesic": "12b442f179b5e1301fc82353c604f622b6e9e4f97fea1c5a82076654ee9f66f3",
-    "ftc": "2aa276d4743fe3aee86874307426f9296e7b11f38102b0fa857348f04f8dfb0d",
-    "reconstruct": "632685b4bd0ff5f54c3f46273123f459a2e3b18f6279119e3b71ea52c81adaf8",
-    "remainder-check": "2e6e7f501c6adf459626bcd888febd0737f9dff885c86dfe5ec675dda0caa8e8",
-    "holder-fit": "02ef07b1294660d525b5a6be96140ae20567838a84d98cd7e93cfe58a4d650c9",
-    "whitney": "d5442ee719da6b0ea6b18ba0caa27af4a00d8478c508f8178b75703151a066f7",
-    "flatness": "27ea85e5ddcfb58908cee557f06a51d0d0aea657ee845454de61b2a793c23bcc",
+    "build gasket": "90903f23a4488c0b127a0df815f49a3d47428343ecdf152e795458c13fc92ae6",
+    "build carpet": "b617107f73e1a1901279c247901c01ca594f4544611f509632570e11780a653a",
+    "build polyline": "5143991e5ada4ed0eecfd75fbf7f7809179c4427f447d305272508cc9ae4c2c4",
+    "build graph": "1b16874e533bc61a775b56f5851c3bd50880d75da32213dd83bfd2fec235c44f",
+    "build dumbbell": "fafbd9bc91df8db970e465bb7200b589d5b06a0cb73a7259ef1718e429d93f2c",
+    "k-estimate": "41fe949ed146299b1f99cc6bf3ccdecd444a7b715f57015ade6da777f675ab29",
+    "geodesic": "182bc8c3149e8151cca312cfa70236d589f6e3aa1720c4da4d8d76fbd0c08de5",
+    "ftc": "4c2f543e4ffc02ad321c49efcd1914487a46572c213849349c79db6db52cb090",
+    "reconstruct": "3a76d93f7b386ceb1ad273cf64a4019613e55f1f6b02f47fd5b0b5499a566e0e",
+    "remainder-check": "00509bf45a1bb254623d68bbf30b2ab203ef20f413898ddd546bedce07076c78",
+    "holder-fit": "905d21d60bdfab173d6d963a8cd2440e3fe27b4ae2283b356f64f12a8677847f",
+    "whitney": "7eb85cd74632ccd0c6af7738c95287b4cf15896a594bc640d9aa350830ac5be8",
+    "flatness": "6acde921202b468cd06767c54dc063d85b3030c7d3ead36d3396943e5c1cb651",
     "clifford": "76f93844ffcf5a401d86896f9015f294d553055bc0b4b6d699dcdff25780fe6e",
-    "clifford check": "c09666d8d439a47682d9823adcc33eed37fd6c4ea50eee8a02e6d31ebba39de4",
-    "clifford complete": "49fc7ad45366ad2d5a58a4aa2010cb5457ba8fe4c3f6e70087102e790a261422",
-    "clifford dimension": "6a46241ce1122708fd284552f91703008e9796cf7db87c9c51a11778a7678d79",
-    "graph-derivative": "3d90b458eec9db359abac1b0bf2646e1da484106fd588f4c0feb9fa2d152c63d",
+    "clifford check": "56176c812087fc68706ae4ad45932e6d1005a77c7aa94b8f15667a8a6bac8ec7",
+    "clifford complete": "aaca6d4bb26be7f84667b7cd01f779887a1a30ebd9a047dbc045beb62ee53ab4",
+    "clifford dimension": "a37d8453f6945b4b0e4445bd91baf07588b1564d895686d4288796dd86dadb62",
+    "graph-derivative": "55477cf69c908b9e8b9634a0d6a95f6b8667afc45a3bac0c2759ef1a0a8afd94",
 }
 USAGE_ERROR_DIGESTS = {
     "definitely-not-a-command":
         "111ca605b7575bbc0fc09bc7da6e6123fa97333cb6258a2c9dc818c8794b5f25",
-    "k-estimate": "b80d308f5498552c65e8f6d321a73bf47c7226d73cd0f89befd687fca7ca4ec2",
-    "build gasket": "cc4647de821660703033b28a781b232eb9312200eaab309befb915b09d64d401",
+    "k-estimate": "15475782ccce4a88381d7654a87176e2042e25e5660aaad31267d8b8b63c6427",
+    "build gasket": "a508fa44745295f3a70f52a0becbbaaa35adc58d3980cc378af82b37b91ecfe1",
 }
 py311_only = pytest.mark.skipif(sys.version_info[:2] != (3, 11),
                                 reason="argparse layout pinned with Python 3.11")
