@@ -91,14 +91,16 @@ def _coords(text: str) -> list:
 def _k_estimate(opt: dict):
     if opt["exhaustive"] and opt["sample"] is not None:
         raise UsageError("--exhaustive and --sample N exclude each other")
-    if opt["seed"] < 0:
+    if opt["seed"] is not None and opt["sample"] is None:
+        raise UsageError("--seed applies only to --sample N")
+    if opt["seed"] is not None and opt["seed"] < 0:
         raise UsageError(f"--seed must be nonnegative, got {opt['seed']}")
     sample = load_sample(opt["set"])
     from . import metric
     if opt["sample"] is None:
         return metric.estimate_chord_arc(sample, "exhaustive").as_dict()
     return metric.estimate_chord_arc(
-        sample, "sampled", seed=opt["seed"], pair_budget=opt["sample"]
+        sample, "sampled", seed=opt["seed"] or 0, pair_budget=opt["sample"]
     ).as_dict()
 
 
@@ -261,7 +263,7 @@ COMMANDS = {
                            opt["radius"], opt["neck"], opt["step"]))),
     "k-estimate": ("estimate the chord-arc constant",
                    (_SET, _arg("--exhaustive", action="store_true"),
-                    _arg("--sample", type=int, metavar="N"), _arg("--seed", type=int, default=0)),
+                    _arg("--sample", type=int, metavar="N"), _arg("--seed", type=int)),
                    _k_estimate),
     "geodesic": ("shortest intrinsic path",
                  (_SET, _arg("i", type=int), _arg("j", type=int),

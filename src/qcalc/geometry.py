@@ -544,11 +544,25 @@ def build_polyline(
     )
 
 
+def _planar_sample(points: np.ndarray, lo: np.ndarray, hi: np.ndarray, label: str) -> SetSample:
+    """The sample of C-ordered (nv, 2) ``points`` and edges (lo, hi), each edge's
+    length the ``math.dist`` of its endpoints."""
+    rows = points.tolist()
+    lengths = list(map(math.dist, map(rows.__getitem__, lo.tolist()),
+                       map(rows.__getitem__, hi.tolist())))
+    return SetSample.__new__(SetSample)._own(2, points, np.array((lo, hi), dtype=np.intp),
+                                             np.array(lengths, dtype=float), label)
+
+
 def build_gasket(level: int, level_cap: int = GASKET_LEVEL_CAP) -> SetSample:
     """Edge network of all level-``level`` triangles of the unit gasket.
 
     Vertex count is 3(3^m+1)/2 and edge count 3^(m+1).  Construction runs on
-    an integer triangular lattice, so shared corners dedupe exactly.
+    an integer triangular lattice, so shared corners dedupe exactly.  Each
+    level splits every triangle, in order, into the ones at its corner a and
+    at the midpoints of ab and ac; vertices are numbered in order of first
+    appearance among the corners a, b, c of the final triangles, and each
+    triangle adds the edges ab, bc and ac.
     """
     level = int(level)
     if level < 0:
@@ -556,40 +570,30 @@ def build_gasket(level: int, level_cap: int = GASKET_LEVEL_CAP) -> SetSample:
     if level > level_cap:
         raise ResourceLimitError(f"gasket level {level} exceeds cap {level_cap}")
     side = 2 ** level
-    tris = [((0, 0), (side, 0), (0, side))]
-    for _ in range(level):
-        nxt = []
-        for a, b, c in tris:
-            mab = ((a[0] + b[0]) // 2, (a[1] + b[1]) // 2)
-            mac = ((a[0] + c[0]) // 2, (a[1] + c[1]) // 2)
-            mbc = ((b[0] + c[0]) // 2, (b[1] + c[1]) // 2)
-            nxt.extend([(a, mab, mac), (mab, b, mbc), (mac, mbc, c)])
-        tris = nxt
+    corners = np.zeros((1, 2), dtype=np.int64)  # lattice corner a of each triangle
+    for k in range(level - 1, -1, -1):
+        corners = (corners[:, None] + np.array([(0, 0), (2 ** k, 0), (0, 2 ** k)])).reshape(-1, 2)
+    latt = (corners[:, None] + np.array([(0, 0), (1, 0), (0, 1)])).reshape(-1, 2)
+    # one integer key per lattice point; ``first`` is where each key first appears
+    _, first, inverse = np.unique(latt @ np.array([side + 1, 1]), return_index=True,
+                                  return_inverse=True)
+    order = np.argsort(first)
+    vertex = np.empty_like(order)
+    vertex[order] = np.arange(len(order))
+    abc = vertex[inverse].reshape(-1, 3)
+    p, q = latt[first[order]].T
     scale = 0.5 ** level
-    index: dict[tuple[int, int], int] = {}
-    points: list[tuple[float, float]] = []
-
-    def vertex(latt: tuple[int, int]) -> int:
-        if latt not in index:
-            index[latt] = len(points)
-            p, q = latt
-            points.append(((p + 0.5 * q) * scale, q * (_SQRT3 / 2.0) * scale))
-        return index[latt]
-
-    edges: list[tuple[int, int, float]] = []
-    for a, b, c in tris:
-        ia, ib, ic = vertex(a), vertex(b), vertex(c)
-        for u, v in ((ia, ib), (ib, ic), (ia, ic)):
-            lo, hi = min(u, v), max(u, v)
-            edges.append((lo, hi, math.dist(points[lo], points[hi])))
-    return SetSample(2, tuple(points), tuple(edges), label=f"gasket m={level}")
+    points = np.column_stack(((p + 0.5 * q) * scale, q * (_SQRT3 / 2.0) * scale))
+    u, v = abc[:, [0, 1, 0]].ravel(), abc[:, [1, 2, 2]].ravel()
+    return _planar_sample(points, np.minimum(u, v), np.maximum(u, v), f"gasket m={level}")
 
 
 def build_carpet(level: int, level_cap: int = CARPET_LEVEL_CAP) -> SetSample:
     """Cell-center adjacency sample of the unit Sierpinski carpet.
 
-    One point per retained cell (8^m cells at level m); edges join
-    edge-touching cells, so every edge has length equal to the cell pitch.
+    One point per retained cell (8^m cells at level m), in order of x and
+    then y; edges join edge-touching cells, each cell's right neighbour
+    before its upper one, so every edge has length equal to the cell pitch.
     """
     level = int(level)
     if level < 0:
@@ -597,25 +601,19 @@ def build_carpet(level: int, level_cap: int = CARPET_LEVEL_CAP) -> SetSample:
     if level > level_cap:
         raise ResourceLimitError(f"carpet level {level} exceeds cap {level_cap}")
     size = 3 ** level
-
-    def retained(x: int, y: int) -> bool:
-        while x or y:
-            if x % 3 == 1 and y % 3 == 1:
-                return False
-            x //= 3
-            y //= 3
-        return True
-
-    cells = [(x, y) for x in range(size) for y in range(size) if retained(x, y)]
-    points = [((x + 0.5) / size, (y + 0.5) / size) for x, y in cells]
-    index = {cell: i for i, cell in enumerate(cells)}
-    edges: list[tuple[int, int, float]] = []
-    for (x, y), i in index.items():
-        for nb in ((x + 1, y), (x, y + 1)):
-            j = index.get(nb)
-            if j is not None:
-                edges.append((i, j, math.dist(points[i], points[j])))
-    return SetSample(2, tuple(points), tuple(edges), label=f"carpet m={level}")
+    digits, retained = np.arange(size), np.ones((size, size), dtype=bool)
+    for _ in range(level):  # a cell is removed if x and y have a 1 at one base-3 place
+        middle = digits % 3 == 1
+        retained &= ~(middle[:, None] & middle[None, :])
+        digits //= 3
+    xs, ys = np.nonzero(retained)
+    index = np.full((size + 1, size + 1), -1)  # -1: no cell, also past the far edges
+    index[xs, ys] = np.arange(len(xs))
+    nbrs = np.column_stack((index[xs + 1, ys], index[xs, ys + 1])).ravel()
+    kept = nbrs >= 0
+    points = np.column_stack(((xs + 0.5) / size, (ys + 0.5) / size))
+    return _planar_sample(points, np.arange(len(xs)).repeat(2)[kept], nbrs[kept],
+                          f"carpet m={level}")
 
 
 def build_lipschitz_graph(

@@ -181,18 +181,20 @@ def check_whitney_c1(
     Passes when the smallest-scale bucket ratio is at most ``threshold`` and
     the ratios are nonincreasing (within ``decay_tol`` relative slack)
     across the three smallest buckets.  A genuine differential decays to 0;
-    a systematically perturbed one plateaus.  The profile forks worker
-    processes on large samples (see ``calculus.pair_modulus_profile``).
+    a systematically perturbed one plateaus.  The report lists the
+    ``scale_buckets`` (at least 3) smallest populated buckets.  The profile
+    forks worker processes on large samples (see
+    ``calculus.pair_modulus_profile``).
     """
     require_same_sample(sample, f, A)
-    if scale_buckets < 1:
-        raise BuildError(f"scale_buckets must be at least 1, got {scale_buckets}")
+    if scale_buckets < 3:  # the decay test reads the three smallest buckets
+        raise BuildError(f"scale_buckets must be at least 3, got {scale_buckets}")
     profile = pair_modulus_profile(f, A, min_pairs=min_pairs, covectors=False)
     if len(profile) < 3:
         raise UndersampledError(
             f"only {len(profile)} populated scale buckets, need at least 3"
         )
-    chosen = profile[: max(3, min(scale_buckets, len(profile)))]
+    chosen = profile[:scale_buckets]
     buckets = tuple(
         (b.scale, b.remainder_ratio_sup, b.count) for b in chosen
     )

@@ -83,6 +83,13 @@ def test_k_estimate_sampled_records_seed(workspace):
     assert doc["method"] == "sampled" and doc["seed"] == 7
 
 
+def test_k_estimate_sampled_seed_defaults_to_zero(workspace):
+    sample, paths = workspace
+    docs = [run(["k-estimate", paths["set"], "--sample", "10", *seed], paths["out"])
+            for seed in ([], ["--seed", "0"])]
+    assert docs[0] == docs[1] and docs[0][1]["seed"] == 0
+
+
 @pytest.mark.parametrize("budget", ["0", "-3"])
 def test_k_estimate_rejects_nonpositive_sample(workspace, budget, capsys):
     sample, paths = workspace
@@ -460,10 +467,14 @@ def test_bad_k_and_vertex_index_exit_two(workspace, capsys, argv, message):
      "base_value must be finite, got nan"),
     (["flatness", "SET", "--index", "0", "--radius", "inf"],
      "radius must be finite and positive, got inf"),
-    (["whitney", "SET", "F", "A", "--buckets", "0"], "scale_buckets must be at least 1, got 0"),
-    (["whitney", "SET", "F", "A", "--buckets", "-5"], "scale_buckets must be at least 1, got -5"),
+    (["whitney", "SET", "F", "A", "--buckets", "0"], "scale_buckets must be at least 3, got 0"),
+    (["whitney", "SET", "F", "A", "--buckets", "-5"], "scale_buckets must be at least 3, got -5"),
+    (["whitney", "SET", "F", "A", "--buckets", "1"], "scale_buckets must be at least 3, got 1"),
+    (["whitney", "SET", "F", "A", "--buckets", "2"], "scale_buckets must be at least 3, got 2"),
+    (["k-estimate", "SET", "--exhaustive", "--seed", "5"], "--seed applies only to --sample N"),
+    (["k-estimate", "SET", "--seed", "0"], "--seed applies only to --sample N"),
 ], ids=["seed-negative", "exhaustive-and-sample", "value-nan", "radius-inf", "buckets-zero",
-        "buckets-negative"])
+        "buckets-negative", "buckets-one", "buckets-two", "seed-exhaustive", "seed-no-sample"])
 def test_out_of_range_option_exits_two(workspace, capsys, argv, message):
     # each used to end in a traceback, or to exit 0 with a report that ignored the option
     _, paths = workspace

@@ -23,8 +23,9 @@ from qcalc.calculus import affine_rigidity_test, verify_remainder_bound
 from qcalc.cli import main
 from qcalc.clifford import LinearCliffordMap, Multivector, complete_from_hyperplane
 from qcalc.fields import CovectorField, ScalarField, dump_field
-from qcalc.geometry import (SetSample, build_gasket, build_lipschitz_graph, build_polyline,
-                            dump_sample, validate)
+from qcalc.geometry import (SetSample, build_carpet, build_gasket, build_lipschitz_graph,
+                            build_polyline, dump_sample, sample_from_dict, sample_to_dict,
+                            validate)
 from qcalc.metric import verify_local_to_global
 from qcalc.whitney import determined_subspace, differential_stability
 
@@ -238,11 +239,50 @@ def test_build_files_are_pinned(tmp_path, name):
     assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
 
 
-def test_dump_sample_of_gasket_7_is_pinned(tmp_path):
-    out = tmp_path / "g7.json"
-    dump_sample(build_gasket(7), str(out))
-    assert (hashlib.sha256(out.read_bytes()).hexdigest()
-            == "3700dad5c9442d44464e2a2ecd076efc8ee70344257b99aef5959bc1a6e1a974")
+# "<builder> <level>" -> sha256 of the ``dump_sample`` file, for every level up
+# to the caps; captured while the builders still subdivided triangles and
+# tested cells one at a time in Python
+DUMP_DIGESTS = {
+    "gasket 0": "6dbe9106ddbd177b005628478cd1b85fc14a0dfe452c32eb47879997248e5b32",
+    "gasket 1": "d57f1e3421957d2c03f40dbc3da0a8139a9958f065142ea2a05920e287199c86",
+    "gasket 2": "6cece8a98f991f764a540ec9ab832661ec8e47bf5f22f6f797912397bdce0ee6",
+    "gasket 3": "4031c2787e4ec2618e8858c854d833649dcf6afa773ba64f48bee3074ae0fce1",
+    "gasket 4": "6f8e5d3a9b9217d8cbce079bb19952ac392f8f382700fd5cffc4902ffcdd207a",
+    "gasket 5": "4775864cbb8241d1ab6ce54c5fe680cbb9dde7882afd13cb394d4ba2fcfe60dd",
+    "gasket 6": "11202ed263741bd7a8ee8ff9a2e07410951843cee42a38f8471b7ef4027799fb",
+    "gasket 7": "3700dad5c9442d44464e2a2ecd076efc8ee70344257b99aef5959bc1a6e1a974",
+    "gasket 8": "1b43613a21a857f041807d0f766304d9ad889f57f1aaedb04ac13917f273d9b6",
+    "carpet 0": "2236c65bc7e0f6b2445aabfef2d5e7fb5de392be5c9a0ca18b722f4bc7b5a24a",
+    "carpet 1": "3f7c5c48320b47a76d72d866b9e38d926f16af7f8051d26a6df0f8b39b8b5738",
+    "carpet 2": "df3c14e11de9cb03c0c09050bc4ca59d05ae1ba4ec4bbfc780877f3a238ee5af",
+    "carpet 3": "62ff256537f63e73b9a26e92c72fc5286368e65777618f29fd62a70ab5f86f44",
+    "carpet 4": "7a44bd6b89c866c3c5beeeb5393ead4b6867b95c736dc2142d6858e1d9b69ff8",
+    "carpet 5": "2d0d2b172e1a5cb2f80d022d0633ba218e410f7bf7af52042416ff0f78098f37",
+}
+
+
+def _built(name):
+    shape, level = name.split()
+    return (build_gasket if shape == "gasket" else build_carpet)(int(level))
+
+
+@pytest.mark.parametrize("name", DUMP_DIGESTS)
+def test_dump_sample_is_pinned(tmp_path, name):
+    out = tmp_path / "sample.json"
+    dump_sample(_built(name), str(out))
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == DUMP_DIGESTS[name]
+
+
+@pytest.mark.parametrize("name", ["gasket 0", "gasket 5", "carpet 0", "carpet 3"])
+def test_built_arrays_are_laid_out_as_loaded_ones(name):
+    sample = _built(name)
+    loaded = sample_from_dict(sample_to_dict(sample))
+    for built, read in ((sample.points_array, loaded.points_array),
+                        (sample.edge_ends, loaded.edge_ends),
+                        (sample.edge_lengths, loaded.edge_lengths)):
+        assert (built.dtype, built.shape) == (read.dtype, read.shape)
+        assert built.flags.c_contiguous and read.flags.c_contiguous
+        assert not built.flags.writeable and not read.flags.writeable
 
 
 def _completion_frame(dim):

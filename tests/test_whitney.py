@@ -187,6 +187,23 @@ def test_c1_perturbed_differential_plateaus(gasket4):
     assert 0.08 <= rep.smallest_scale_ratio <= 0.2
 
 
+@pytest.mark.parametrize("buckets", [1, 2])
+def test_c1_needs_three_buckets(gasket4, buckets):
+    # the decay test reads three buckets: 1 and 2 used to report three anyway
+    f = ScalarField.from_function(gasket4, lambda p: p[0])
+    A = CovectorField.constant(gasket4, (1.0, 0.0))
+    with pytest.raises(BuildError, match=f"scale_buckets must be at least 3, got {buckets}"):
+        check_whitney_c1(gasket4, f, A, scale_buckets=buckets)
+
+
+def test_c1_reports_the_buckets_asked_for(gasket4):
+    f = ScalarField.from_function(gasket4, lambda p: p[0] ** 2)
+    A = CovectorField.from_function(gasket4, lambda p: (2 * p[0], 0.0))
+    # gasket 4 populates five buckets
+    assert [len(check_whitney_c1(gasket4, f, A, scale_buckets=n).buckets)
+            for n in (3, 4, 10)] == [3, 4, 5]
+
+
 def test_c1_undersampled(gasket2):
     f = ScalarField.from_function(gasket2, lambda p: p[0])
     A = CovectorField.constant(gasket2, (1.0, 0.0))
