@@ -328,25 +328,17 @@ def dirac_constraint_matrix(dim: int, side: str = "left") -> np.ndarray:
     """Matrix of (c_1..c_n) -> sum_i e_i c_i (or c_i e_i), in glex coordinates.
 
     Shape (2^n, n 2^n); the kernel is the space of monogenic linear maps.
+    Column (i, g) holds the coefficients of the geometric product e_i * blade g
+    (left) or blade g * e_i (right).
     """
     dim = _check_dim(dim)
     if dim < 2:
         raise AlgebraError("constraint matrix needs dimension at least 2")
     if side not in ("left", "right"):
         raise AlgebraError(f"side must be 'left' or 'right', got {side!r}")
-    order, inv, sign = _tables(dim)
-    size = 1 << dim
-    blocks = []
-    for i in range(dim):
-        ei = 1 << i
-        block = np.zeros((size, size))
-        for g in range(size):
-            mask = order[g]
-            target = ei ^ mask
-            s = sign[ei, mask] if side == "left" else sign[mask, ei]
-            block[inv[target], g] = s
-        blocks.append(block)
-    return np.hstack(blocks)
+    blades = [Multivector(dim, unit) for unit in np.eye(1 << dim)]
+    return np.column_stack([(e_i * blade if side == "left" else blade * e_i).coeffs
+                            for e_i in _basis(dim) for blade in blades])
 
 
 def monogenic_space_dimension(n: int, side: str = "left") -> int:

@@ -253,14 +253,14 @@ class SetSample:
     def __init__(self, ambient_dim: int, points: Sequence[Sequence[float]],
                  edges: Sequence[tuple[int, int, float]], label: str = ""):
         n = int(ambient_dim)
-        pts = np.array(points, dtype=float).reshape(len(points), n)
-        ends, lengths = _edge_table(edges)
-        if not (np.isfinite(pts).all() and np.isfinite(lengths).all()):
-            raise BuildError("points and edge lengths must be finite")
-        self._own(n, pts, ends, lengths, label)
+        self._own(n, np.array(points, dtype=float).reshape(len(points), n), *_edge_table(edges),
+                  label)
 
     def _own(self, ambient_dim, points, ends, lengths, label) -> "SetSample":
-        """Take already converted arrays as this (frozen) sample's storage."""
+        """Take already converted arrays as this (frozen) sample's storage; a
+        point or edge length that is not finite raises a BuildError."""
+        if not (np.isfinite(points).all() and np.isfinite(lengths).all()):
+            raise BuildError("points and edge lengths must be finite")
         for arr in (points, ends, lengths):
             arr.setflags(write=False)
         vars(self).update(ambient_dim=ambient_dim, points_array=points, edge_ends=ends,
@@ -383,20 +383,20 @@ class ValidationReport:
         return report_dict(self, ok=self.ok)
 
 
-def validate(sample: SetSample, rel_tol: float = REL_TOL) -> ValidationReport:
+def validate(sample: SetSample) -> ValidationReport:
     """Check every sample invariant; an empty report means the sample is valid.
 
     Checks, in order: edge indices in range and not self-loops, and stored
-    edge lengths against Euclidean distances (relative tolerance), listed
-    together in edge order; then duplicate points and connectivity of the
-    edge graph.
+    edge lengths against Euclidean distances (relative tolerance ``REL_TOL``,
+    as the loader checks them), listed together in edge order; then
+    duplicate points and connectivity of the edge graph.
     """
     nv, ends, lengths = sample.vertex_count, sample.edge_ends, sample.edge_lengths
     broken = ((ends < 0) | (ends >= nv)).any(axis=0) | (ends[0] == ends[1])
     usable = np.flatnonzero(~broken)
     per_edge = {idx: Violation("index", (idx,), f"edge {idx} has bad endpoints ({i},{j})")
                 for idx, i, j in zip(np.flatnonzero(broken).tolist(), *ends[:, broken].tolist())}
-    bad, dist = _bad_edge_lengths(sample.points_array, ends[:, usable], lengths[usable], rel_tol)
+    bad, dist = _bad_edge_lengths(sample.points_array, ends[:, usable], lengths[usable])
     for idx, d in zip(usable[bad].tolist(), dist[bad].tolist()):
         per_edge[idx] = Violation("edge_length", (idx,), f"edge {idx} stores "
                                   f"{float(lengths[idx])!r} but endpoints are {d!r} apart")
@@ -505,10 +505,15 @@ def _near_pairs(pts: np.ndarray) -> list[tuple[int, int]]:
 # builders
 
 
-def _chain_edges(points: Sequence[tuple[float, ...]]) -> list[tuple[int, int, float]]:
-    return [
-        (i, i + 1, math.dist(points[i], points[i + 1])) for i in range(len(points) - 1)
-    ]
+def _built_sample(points: np.ndarray, lo: np.ndarray, hi: np.ndarray, label: str) -> SetSample:
+    """The sample of C-ordered (nv, n) float ``points`` and index arrays of edges
+    (lo, hi), each edge's length the ``math.dist`` of its endpoints; a point or
+    length that is not finite raises a BuildError.  Every builder ends here."""
+    rows = points.tolist()
+    lengths = np.fromiter(map(math.dist, map(rows.__getitem__, lo.tolist()),
+                              map(rows.__getitem__, hi.tolist())), float, len(lo))
+    return SetSample.__new__(SetSample)._own(points.shape[1], points,
+                                             np.array((lo, hi), dtype=np.intp), lengths, label)
 
 
 def build_polyline(
@@ -527,34 +532,19 @@ def build_polyline(
         raise BuildError("points have mixed dimensions")
     if 0 in dims:
         raise BuildError("points need at least one coordinate")
-    pairs = _near_pairs(np.array(pts))
+    arr = np.array(pts)
+    pairs = _near_pairs(arr)
     consecutive = [i for i, j in pairs if j == i + 1]
     if consecutive:
         raise BuildError(f"duplicate consecutive points at index {consecutive[0]}")
     if pairs:
         raise BuildError("duplicate points at indices {} and {}".format(*pairs[0]))
-    edges = _chain_edges(pts)
-    if closed:
-        edges.append((len(pts) - 1, 0, math.dist(pts[-1], pts[0])))
-    return SetSample(
-        ambient_dim=dims.pop(),
-        points=tuple(pts),
-        edges=tuple(edges),
-        label=label or f"polyline n={len(pts)}{' closed' if closed else ''}",
-    )
+    lo = np.arange(len(pts) if closed else len(pts) - 1)
+    hi = (lo + 1) % len(pts)  # the closing edge runs from the last point back to point 0
+    return _built_sample(arr, lo, hi, label or f"polyline n={len(pts)}{' closed' if closed else ''}")
 
 
-def _planar_sample(points: np.ndarray, lo: np.ndarray, hi: np.ndarray, label: str) -> SetSample:
-    """The sample of C-ordered (nv, 2) ``points`` and edges (lo, hi), each edge's
-    length the ``math.dist`` of its endpoints."""
-    rows = points.tolist()
-    lengths = list(map(math.dist, map(rows.__getitem__, lo.tolist()),
-                       map(rows.__getitem__, hi.tolist())))
-    return SetSample.__new__(SetSample)._own(2, points, np.array((lo, hi), dtype=np.intp),
-                                             np.array(lengths, dtype=float), label)
-
-
-def build_gasket(level: int, level_cap: int = GASKET_LEVEL_CAP) -> SetSample:
+def build_gasket(level: int) -> SetSample:
     """Edge network of all level-``level`` triangles of the unit gasket.
 
     Vertex count is 3(3^m+1)/2 and edge count 3^(m+1).  Construction runs on
@@ -567,8 +557,8 @@ def build_gasket(level: int, level_cap: int = GASKET_LEVEL_CAP) -> SetSample:
     level = int(level)
     if level < 0:
         raise BuildError("level must be nonnegative")
-    if level > level_cap:
-        raise ResourceLimitError(f"gasket level {level} exceeds cap {level_cap}")
+    if level > GASKET_LEVEL_CAP:
+        raise ResourceLimitError(f"gasket level {level} exceeds cap {GASKET_LEVEL_CAP}")
     side = 2 ** level
     corners = np.zeros((1, 2), dtype=np.int64)  # lattice corner a of each triangle
     for k in range(level - 1, -1, -1):
@@ -585,10 +575,10 @@ def build_gasket(level: int, level_cap: int = GASKET_LEVEL_CAP) -> SetSample:
     scale = 0.5 ** level
     points = np.column_stack(((p + 0.5 * q) * scale, q * (_SQRT3 / 2.0) * scale))
     u, v = abc[:, [0, 1, 0]].ravel(), abc[:, [1, 2, 2]].ravel()
-    return _planar_sample(points, np.minimum(u, v), np.maximum(u, v), f"gasket m={level}")
+    return _built_sample(points, np.minimum(u, v), np.maximum(u, v), f"gasket m={level}")
 
 
-def build_carpet(level: int, level_cap: int = CARPET_LEVEL_CAP) -> SetSample:
+def build_carpet(level: int) -> SetSample:
     """Cell-center adjacency sample of the unit Sierpinski carpet.
 
     One point per retained cell (8^m cells at level m), in order of x and
@@ -598,8 +588,8 @@ def build_carpet(level: int, level_cap: int = CARPET_LEVEL_CAP) -> SetSample:
     level = int(level)
     if level < 0:
         raise BuildError("level must be nonnegative")
-    if level > level_cap:
-        raise ResourceLimitError(f"carpet level {level} exceeds cap {level_cap}")
+    if level > CARPET_LEVEL_CAP:
+        raise ResourceLimitError(f"carpet level {level} exceeds cap {CARPET_LEVEL_CAP}")
     size = 3 ** level
     digits, retained = np.arange(size), np.ones((size, size), dtype=bool)
     for _ in range(level):  # a cell is removed if x and y have a 1 at one base-3 place
@@ -612,8 +602,8 @@ def build_carpet(level: int, level_cap: int = CARPET_LEVEL_CAP) -> SetSample:
     nbrs = np.column_stack((index[xs + 1, ys], index[xs, ys + 1])).ravel()
     kept = nbrs >= 0
     points = np.column_stack(((xs + 0.5) / size, (ys + 0.5) / size))
-    return _planar_sample(points, np.arange(len(xs)).repeat(2)[kept], nbrs[kept],
-                          f"carpet m={level}")
+    return _built_sample(points, np.arange(len(xs)).repeat(2)[kept], nbrs[kept],
+                         f"carpet m={level}")
 
 
 def build_lipschitz_graph(
@@ -657,14 +647,10 @@ def build_lipschitz_graph(
     xs = [a + i * grid_step for i in range(count + 1)]
     if b - xs[-1] > 1e-12 * max(1.0, abs(b)):
         xs.append(b)
-    points = [(x, phi(x)) for x in xs]
+    lo = np.arange(len(xs) - 1)
     lip = max(abs(s) for s in slope_list)
-    return SetSample(
-        2,
-        tuple(points),
-        tuple(_chain_edges(points)),
-        label=f"lipschitz_graph L={lip:g} step={grid_step:g}",
-    )
+    return _built_sample(np.array([(x, phi(x)) for x in xs]), lo, lo + 1,
+                         f"lipschitz_graph L={lip:g} step={grid_step:g}")
 
 
 def build_dumbbell(bubble_radius: float, neck_width: float, step: float) -> SetSample:
@@ -685,27 +671,17 @@ def build_dumbbell(bubble_radius: float, neck_width: float, step: float) -> SetS
     n = int(round(2 * math.pi / step))
     if n < 3:
         raise BuildError("step too coarse for a polygonal circle")
-    cxa = -(r + w / 2.0)
-    cxb = r + w / 2.0
-    points: list[tuple[float, float]] = []
-    for j in range(n):
-        t = 2 * math.pi * j / n
-        points.append((cxa + r * math.cos(t), r * math.sin(t)))
-    for j in range(n):
-        t = math.pi + 2 * math.pi * j / n
-        points.append((cxb + r * math.cos(t), r * math.sin(t)))
+    # circle a around (-(r + w/2), 0) from angle 0, circle b around (r + w/2, 0)
+    # from angle pi, then the neck's midpoint at the origin
+    points = [(cx + r * math.cos(t), r * math.sin(t))
+              for cx, t0 in ((-(r + w / 2.0), 0.0), (r + w / 2.0, math.pi))
+              for t in (t0 + 2 * math.pi * j / n for j in range(n))]
     points.append((0.0, 0.0))
-    mid = 2 * n
-    edges: list[tuple[int, int, float]] = []
-    for base in (0, n):
-        for j in range(n):
-            u = base + j
-            v = base + (j + 1) % n
-            lo, hi = min(u, v), max(u, v)
-            edges.append((lo, hi, math.dist(points[lo], points[hi])))
-    edges.append((0, mid, math.dist(points[0], points[mid])))
-    edges.append((n, mid, math.dist(points[n], points[mid])))
-    return SetSample(2, tuple(points), tuple(edges), label=f"dumbbell r={r:g} w={w:g} n={n}")
+    # each circle's ring, its closing edge as (first, last), then the neck
+    u = np.arange(2 * n)
+    v = np.where(u % n == n - 1, u - (n - 1), u + 1)
+    lo, hi = np.r_[np.minimum(u, v), 0, n], np.r_[np.maximum(u, v), 2 * n, 2 * n]
+    return _built_sample(np.array(points), lo, hi, f"dumbbell r={r:g} w={w:g} n={n}")
 
 
 # ---------------------------------------------------------------------------
@@ -774,14 +750,14 @@ def _check_edges(edges: list, nv: int, source: str) -> None:
         raise FormatError(source, "edges", f"edge {idx} {fault}")
 
 
-def _bad_edge_lengths(points: np.ndarray, ends: np.ndarray, lengths: np.ndarray,
-                      rel_tol: float = REL_TOL) -> tuple[np.ndarray, np.ndarray]:
-    """Indices (in edge order) of stored lengths more than ``rel_tol`` relative
+def _bad_edge_lengths(points: np.ndarray, ends: np.ndarray,
+                      lengths: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Indices (in edge order) of stored lengths more than ``REL_TOL`` relative
     from their endpoint distance, and the distances.  ``np.hypot`` scales as it
     goes, so subnormal and huge gaps, whose squares ``row_norms`` would flush
     to 0 or inf, are measured correctly."""
     dist = np.hypot.reduce(np.abs(points[ends[1]] - points[ends[0]]), axis=1)
-    bad = np.abs(lengths - dist) > rel_tol * np.maximum(dist, np.abs(lengths))
+    bad = np.abs(lengths - dist) > REL_TOL * np.maximum(dist, np.abs(lengths))
     return np.flatnonzero(bad), dist
 
 

@@ -14,9 +14,12 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import BuildError, DisconnectedSampleError
+from .errors import BuildError, DisconnectedSampleError, ResourceLimitError
 from .fields import ScalarField, require_same_sample
-from .geometry import PolylinePath, SetSample, pair_blocks, report_dict, row_norms
+from .geometry import POINT_CAP, PolylinePath, SetSample, pair_blocks, report_dict, row_norms
+
+#: most pairs sampled mode draws (2^24)
+_PAIR_BUDGET_CAP = POINT_CAP ** 2 // 64
 
 #: relative tolerance for recognizing "dist[u] + w == dist[v]" on float sums
 _TIE_TOL = 1e-12
@@ -165,7 +168,8 @@ def estimate_chord_arc(
 
     Exhaustive mode maximizes over all vertex pairs and is the optimal graph
     constant; sampled mode lower-bounds it on ``pair_budget`` seeded random
-    pairs.  Ties go to the lexicographically smallest witness pair.
+    pairs, at most 2^24, a larger budget being refused before any is drawn.
+    Ties go to the lexicographically smallest witness pair.
     """
     nv = sample.vertex_count
     if nv < 2:
@@ -177,6 +181,9 @@ def estimate_chord_arc(
     if mode == "sampled":
         if not pair_budget or pair_budget <= 0:
             raise BuildError("sampled mode needs a positive pair_budget")
+        if pair_budget > _PAIR_BUDGET_CAP:  # the draws take about 32 bytes per pair
+            raise ResourceLimitError(f"pair_budget {pair_budget} exceeds the cap of "
+                                     f"{_PAIR_BUDGET_CAP} pairs")
         rng = np.random.default_rng(seed)
         a = rng.integers(0, nv, size=pair_budget)
         b = (a + 1 + rng.integers(0, nv - 1, size=pair_budget)) % nv

@@ -179,16 +179,18 @@ def check_whitney_c1(
     """Test sup-remainder/|x-y| decay over the smallest dyadic scales.
 
     Passes when the smallest-scale bucket ratio is at most ``threshold`` and
-    the ratios are nonincreasing (within ``decay_tol`` relative slack)
-    across the three smallest buckets.  A genuine differential decays to 0;
-    a systematically perturbed one plateaus.  The report lists the
-    ``scale_buckets`` (at least 3) smallest populated buckets.  The profile
-    forks worker processes on large samples (see
+    the ratios are nonincreasing (within ``decay_tol`` relative slack, finite
+    and nonnegative) across the three smallest buckets.  A genuine
+    differential decays to 0; a systematically perturbed one plateaus.  The
+    report lists the ``scale_buckets`` (at least 3) smallest populated
+    buckets.  The profile forks worker processes on large samples (see
     ``calculus.pair_modulus_profile``).
     """
     require_same_sample(sample, f, A)
     if scale_buckets < 3:  # the decay test reads the three smallest buckets
         raise BuildError(f"scale_buckets must be at least 3, got {scale_buckets}")
+    if not (np.isfinite(decay_tol) and decay_tol >= 0):
+        raise BuildError(f"decay_tol must be finite and nonnegative, got {decay_tol!r}")
     profile = pair_modulus_profile(f, A, min_pairs=min_pairs, covectors=False)
     if len(profile) < 3:
         raise UndersampledError(

@@ -473,8 +473,19 @@ def test_bad_k_and_vertex_index_exit_two(workspace, capsys, argv, message):
     (["whitney", "SET", "F", "A", "--buckets", "2"], "scale_buckets must be at least 3, got 2"),
     (["k-estimate", "SET", "--exhaustive", "--seed", "5"], "--seed applies only to --sample N"),
     (["k-estimate", "SET", "--seed", "0"], "--seed applies only to --sample N"),
+    (["whitney", "SET", "F", "A", "--slack", "inf"],
+     "decay_tol must be finite and nonnegative, got inf"),
+    (["whitney", "SET", "F", "A", "--slack", "nan"],
+     "decay_tol must be finite and nonnegative, got nan"),
+    (["whitney", "SET", "F", "A", "--slack", "-1"],
+     "decay_tol must be finite and nonnegative, got -1.0"),
+    (["k-estimate", "SET", "--sample", "1000000000000"],
+     "pair_budget 1000000000000 exceeds the cap of 16777216 pairs"),
+    (["k-estimate", "SET", "--sample", "16777217"],
+     "pair_budget 16777217 exceeds the cap of 16777216 pairs"),
 ], ids=["seed-negative", "exhaustive-and-sample", "value-nan", "radius-inf", "buckets-zero",
-        "buckets-negative", "buckets-one", "buckets-two", "seed-exhaustive", "seed-no-sample"])
+        "buckets-negative", "buckets-one", "buckets-two", "seed-exhaustive", "seed-no-sample",
+        "slack-inf", "slack-nan", "slack-negative", "sample-huge", "sample-over-cap"])
 def test_out_of_range_option_exits_two(workspace, capsys, argv, message):
     # each used to end in a traceback, or to exit 0 with a report that ignored the option
     _, paths = workspace
@@ -753,6 +764,15 @@ def test_field_readers_share_header_errors(reader, header, message):
         reader(doc, sample, source="f.json")
     assert str(err.value) == f"f.json: invalid field {message}"
     reader({"version": 1, "set": "seg", **payload}, sample)  # named by label
+
+
+@pytest.mark.parametrize("reader", [scalar_field_from_dict, covector_field_from_dict])
+def test_field_named_by_label_does_not_hash_the_sample(reader):
+    # the header compared the fingerprint first, hashing the whole sample
+    sample = build_polyline([(0, 0), (1, 0), (2, 0)], label="seg")
+    reader({"version": 1, "set": "seg", "values": [0.0] * 3, "covectors": [[0.0, 0.0]] * 3},
+           sample)
+    assert "fingerprint" not in vars(sample)
 
 
 # ---------------------------------------------------------------------------

@@ -9,6 +9,7 @@ from qcalc.clifford import (
     ComplexLinearMap,
     LinearCliffordMap,
     Multivector,
+    _tables,
     blade_order,
     complete_from_hyperplane,
     complex_complete,
@@ -241,6 +242,32 @@ def test_monogenic_space_dimension_exact_rank_oracle():
         K = dirac_constraint_matrix(n, "left")
         exact_rank = sympy.Matrix(K.astype(int)).rank()
         assert monogenic_space_dimension(n) == n * 2 ** n - exact_rank
+
+
+def _sign_table_constraint_matrix(dim, side):
+    """The constraint matrix as built from the sign table before it was built
+    from ``geometric_product``: the oracle for that construction."""
+    order, inv, sign = _tables(dim)
+    size = 1 << dim
+    blocks = []
+    for i in range(dim):
+        ei = 1 << i
+        block = np.zeros((size, size))
+        for g in range(size):
+            mask = order[g]
+            target = ei ^ mask
+            s = sign[ei, mask] if side == "left" else sign[mask, ei]
+            block[inv[target], g] = s
+        blocks.append(block)
+    return np.hstack(blocks)
+
+
+@pytest.mark.parametrize("side", ["left", "right"])
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+def test_constraint_matrix_equals_the_sign_table_construction(n, side):
+    K, oracle = dirac_constraint_matrix(n, side), _sign_table_constraint_matrix(n, side)
+    assert (K.dtype, K.shape) == (oracle.dtype, oracle.shape)
+    assert K.tobytes() == oracle.tobytes()  # bit for bit, signed zeros included
 
 
 def test_monogenic_space_dimension_range():

@@ -282,6 +282,76 @@ def test_dumbbell_parameter_order():
 
 
 # ---------------------------------------------------------------------------
+# the builders' one tail: the arrays of the former tuple route, bit for bit
+
+
+def _tuple_route(dim, points, pairs, label):
+    """The sample as builders made it through ``SetSample.__init__``: point
+    tuples, and each edge (i, j) stored with ``math.dist`` of its endpoints."""
+    pts = tuple(tuple(float(c) for c in p) for p in points)
+    return SetSample(dim, pts, tuple((i, j, math.dist(pts[i], pts[j])) for i, j in pairs), label)
+
+
+def _assert_same_arrays(built, expected):
+    assert (built.ambient_dim, built.label) == (expected.ambient_dim, expected.label)
+    for name in ("points_array", "edge_ends", "edge_lengths"):
+        got, want = getattr(built, name), getattr(expected, name)
+        assert (got.dtype, got.shape, got.flags.c_contiguous) == (want.dtype, want.shape, True)
+        assert got.tobytes() == want.tobytes(), name
+
+
+def _dumbbell_tuple_route(r, w, step):
+    """``build_dumbbell``'s points and per-edge loop as they were before the tail."""
+    n = int(round(2 * math.pi / step))
+    cxa, cxb = -(r + w / 2.0), r + w / 2.0
+    points = [(cxa + r * math.cos(2 * math.pi * j / n), r * math.sin(2 * math.pi * j / n))
+              for j in range(n)]
+    points += [(cxb + r * math.cos(math.pi + 2 * math.pi * j / n),
+                r * math.sin(math.pi + 2 * math.pi * j / n)) for j in range(n)]
+    points.append((0.0, 0.0))
+    pairs = []
+    for base in (0, n):
+        for j in range(n):
+            u, v = base + j, base + (j + 1) % n
+            pairs.append((min(u, v), max(u, v)))
+    pairs += [(0, 2 * n), (n, 2 * n)]
+    return _tuple_route(2, points, pairs, f"dumbbell r={r:g} w={w:g} n={n}")
+
+
+COORD = st.floats(-1e6, 1e6, allow_nan=False, allow_infinity=False)
+
+
+@settings(deadline=None, max_examples=150)
+@given(st.integers(1, 4).flatmap(
+    lambda d: st.lists(st.tuples(*[COORD] * d), min_size=2, max_size=30)), st.booleans())
+def test_polyline_arrays_equal_the_tuple_route(points, closed):
+    try:
+        built = build_polyline(points, closed=closed)
+    except BuildError:  # near-duplicate points
+        assert geometry._near_pairs(np.array(points, dtype=float))
+        return
+    nv = len(points)
+    pairs = [(i, i + 1) for i in range(nv - 1)] + ([(nv - 1, 0)] if closed else [])
+    _assert_same_arrays(built, _tuple_route(len(points[0]), points, pairs, built.label))
+
+
+@settings(deadline=None, max_examples=150)
+@given(st.lists(st.floats(-50, 50), min_size=1, max_size=5), st.floats(1e-3, 1.0),
+       st.floats(-10, 10), st.floats(1e-2, 20))
+def test_graph_arrays_equal_the_tuple_route(slopes, step, a, width):
+    built = build_lipschitz_graph(slopes, step, (a, a + width))
+    nv = built.vertex_count
+    _assert_same_arrays(built, _tuple_route(2, built.points, [(i, i + 1) for i in range(nv - 1)],
+                                            built.label))
+
+
+@settings(deadline=None, max_examples=150)
+@given(st.floats(0.1, 10), st.floats(0.01, 0.99), st.floats(0.01, 2.0))
+def test_dumbbell_arrays_equal_the_tuple_route(r, neck, step):
+    _assert_same_arrays(build_dumbbell(r, neck * r, step), _dumbbell_tuple_route(r, neck * r, step))
+
+
+# ---------------------------------------------------------------------------
 # validation
 
 

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qcalc.errors import BuildError, DisconnectedSampleError
+from qcalc.errors import BuildError, DisconnectedSampleError, ResourceLimitError
 from qcalc.fields import ScalarField
 from qcalc.geometry import SetSample, build_gasket, build_polyline, sample_from_dict
 from qcalc.metric import (
@@ -316,6 +316,14 @@ def test_dumbbell_pole_geodesic_and_constant(dumbbell):
     assert 1.0 <= rep.k_hat < 4.0
     k_oracle, _ = brute_force_chord_arc(dumbbell)
     assert math.isclose(rep.k_hat, k_oracle, rel_tol=1e-12)
+
+
+@pytest.mark.parametrize("budget", [10 ** 12, 2 ** 24 + 1])
+def test_sampled_mode_refuses_a_budget_over_the_cap(gasket3, budget):
+    # 10^12 pairs used to end in numpy's MemoryError, and 10^7 took 343 MB
+    with pytest.raises(ResourceLimitError, match=f"pair_budget {budget} exceeds the cap of "
+                                                 f"{2 ** 24} pairs"):
+        estimate_chord_arc(gasket3, "sampled", seed=0, pair_budget=budget)
 
 
 def test_sampled_mode_rejects_zero_budget(gasket3):

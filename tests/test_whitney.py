@@ -196,6 +196,18 @@ def test_c1_needs_three_buckets(gasket4, buckets):
         check_whitney_c1(gasket4, f, A, scale_buckets=buckets)
 
 
+@pytest.mark.parametrize("slack", [math.inf, math.nan, -1.0, -1e-300])
+def test_c1_decay_slack_must_be_finite_and_nonnegative(gasket4, slack):
+    # an infinite slack used to pass any profile, a NaN one to fail every
+    # profile, and a negative one to make decay impossible
+    f = ScalarField.from_function(gasket4, lambda p: math.sin(40 * p[0]) / 40)
+    A = CovectorField.constant(gasket4, (0.0, 0.0))
+    with pytest.raises(BuildError, match=f"decay_tol must be finite and nonnegative, "
+                                         f"got {slack!r}"):
+        check_whitney_c1(gasket4, f, A, threshold=2.0, decay_tol=slack)
+    assert not check_whitney_c1(gasket4, f, A, threshold=2.0, decay_tol=0.1).passed
+
+
 def test_c1_reports_the_buckets_asked_for(gasket4):
     f = ScalarField.from_function(gasket4, lambda p: p[0] ** 2)
     A = CovectorField.from_function(gasket4, lambda p: (2 * p[0], 0.0))
