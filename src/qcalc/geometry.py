@@ -541,7 +541,8 @@ def build_polyline(
         raise BuildError("duplicate points at indices {} and {}".format(*pairs[0]))
     lo = np.arange(len(pts) if closed else len(pts) - 1)
     hi = (lo + 1) % len(pts)  # the closing edge runs from the last point back to point 0
-    return _built_sample(arr, lo, hi, label or f"polyline n={len(pts)}{' closed' if closed else ''}")
+    return _built_sample(arr, lo, hi,
+                         label or f"polyline n={len(pts)}{' closed' if closed else ''}")
 
 
 def build_gasket(level: int) -> SetSample:
