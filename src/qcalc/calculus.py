@@ -27,10 +27,12 @@ import numpy as np
 from .errors import BuildError, PathError, QcalcError, UndersampledError
 from .fields import CovectorField, ScalarField, require_same_sample
 from .geometry import PolylinePath, SetSample, pair_blocks, report_dict, row_map, row_norms
-from .metric import _check_vertex, predecessor_array
+from .metric import _check_k, _check_vertex, predecessor_array
 
 #: bucket sups below this are treated as exactly zero in modulus fits
 _EXACT_TOL = 1e-13
+#: ``affine_rigidity_test``'s bound on the covector spread and on the fit residual
+_AFFINE_TOL = 1e-9
 #: LSQR stopping tolerances of ``discrete_gradient`` (atol = btol)
 _LSQR_TOL = 1e-14
 #: LSQR iteration cap of ``discrete_gradient`` per vertex unknown
@@ -44,11 +46,21 @@ SPLIT_MIN_ROWS = 1000
 def _fsum(parts: Sequence) -> float | complex:
     """Correctly rounded sum; order independent, complex aware."""
     if any(isinstance(p, complex) for p in parts):
-        return complex(
-            math.fsum(p.real if isinstance(p, complex) else p for p in parts),
-            math.fsum(p.imag if isinstance(p, complex) else 0.0 for p in parts),
-        )
+        return complex(math.fsum(p.real for p in parts), math.fsum(p.imag for p in parts))
     return math.fsum(parts)
+
+
+def _dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Row-wise dot products, each bit for bit the 1-D ``a[e] @ b[e]``: a stacked
+    matmul of 1 x n by n x 1 rows calls the same BLAS dot, which ``einsum`` and
+    column sums do not (at n = 2 they differ in about a quarter of the rows)."""
+    return np.matmul(a[:, None, :], b[:, :, None])[:, 0, 0]
+
+
+def _edge_integrals(A: CovectorField, tails: np.ndarray, heads: np.ndarray) -> np.ndarray:
+    """Trapezoid rule 0.5 (A(u) + A(v)) . (v - u) over each edge u = tails[e], v = heads[e]."""
+    pts, cov = A.sample.points_array, A.covectors
+    return _dots(0.5 * (cov[tails] + cov[heads]), pts[heads] - pts[tails])
 
 
 def path_integral(
@@ -70,25 +82,17 @@ def path_integral(
         raise BuildError(f"unknown quadrature rule {rule!r}")
     if subdivisions < 1:
         raise BuildError("subdivisions must be at least 1")
-    pts = sample.points_array
-    cov = A.covectors
-    parts = []
-    for u, v in path.segments():
-        dp = pts[v] - pts[u]
-        if rule == "trapezoid":
-            mid = 0.5 * (cov[u] + cov[v])
-            parts.append(complex(mid @ dp) if A.is_complex else float(mid @ dp))
-        else:
-            acc = []
-            for q in range(subdivisions):
-                # piece subdivisions - 1 - q of the reversed segment gets these
-                # two weights swapped, as the same floats: its value is negated
-                a_mid = ((subdivisions - q - 0.5) / subdivisions * cov[u]
-                         + (q + 0.5) / subdivisions * cov[v])
-                val = a_mid @ (dp / subdivisions)
-                acc.append(complex(val) if A.is_complex else float(val))
-            parts.append(_fsum(acc))
-    return _fsum(parts)
+    verts = np.array(path.vertices)
+    tails, heads = verts[:-1], verts[1:]
+    if rule == "trapezoid":
+        return _fsum(_edge_integrals(A, tails, heads).tolist())
+    pts, cov, s = sample.points_array, A.covectors, subdivisions
+    dp = (pts[heads] - pts[tails]) / s
+    # piece s - 1 - q of the reversed segment gets these two weights swapped,
+    # as the same floats: its value is negated
+    pieces = [_dots((s - q - 0.5) / s * cov[tails] + (q + 0.5) / s * cov[heads], dp)
+              for q in range(s)]
+    return _fsum([_fsum(row) for row in np.stack(pieces, axis=1).tolist()])
 
 
 def verify_ftc(f: ScalarField, A: CovectorField, path: PolylinePath) -> float:
@@ -103,10 +107,6 @@ def loop_defect(A: CovectorField, cycle: PolylinePath) -> float | complex:
     if not cycle.is_closed:
         raise PathError("loop_defect needs a closed path (equal first and last vertex)")
     return path_integral(A, cycle)
-
-
-def _trapezoid_edge(pts: np.ndarray, cov: np.ndarray, u: int, v: int):
-    return 0.5 * (cov[u] + cov[v]) @ (pts[v] - pts[u])
 
 
 def reconstruct(
@@ -128,22 +128,26 @@ def reconstruct(
     dist, pred = predecessor_array(sample, basepoint)
     if not np.all(np.isfinite(dist)):
         raise PathError("sample must be connected for reconstruction")
-    pts = sample.points_array
-    cov = A.covectors
-    values = np.zeros(sample.vertex_count, dtype=cov.dtype)
-    values[basepoint] = base_value
-    order = np.lexsort((np.arange(sample.vertex_count), dist))
-    for v in order:
-        if v == basepoint:
-            continue
-        u = pred[v]
-        values[v] = values[u] + _trapezoid_edge(pts, cov, u, v)
-    ends_i, ends_j = sample.edge_ends
-    off_tree = (pred[ends_j] != ends_i) & (pred[ends_i] != ends_j)
-    worst = 0.0
-    for i, j in zip(ends_i[off_tree].tolist(), ends_j[off_tree].tolist()):
-        defect = abs(values[i] + _trapezoid_edge(pts, cov, i, j) - values[j])
-        worst = max(worst, float(defect))
+    nv = sample.vertex_count
+    # the step along tree edge pred[v] -> v; the basepoint's -1 gives an unused one
+    steps, parent = _edge_integrals(A, pred, np.arange(nv)).tolist(), pred.tolist()
+    vals = [None] * nv
+    vals[basepoint] = np.array(base_value, dtype=A.covectors.dtype).item()
+    # a vertex can tie its predecessor's float distance, so fill in chain order:
+    # walk up to a vertex that has a value, then fill the chain back down
+    for v in range(nv):
+        chain = []
+        while vals[v] is None:
+            chain.append(v)
+            v = parent[v]
+        for w in reversed(chain):
+            vals[w] = vals[parent[w]] + steps[w]
+    values = np.array(vals, dtype=A.covectors.dtype)
+    i, j = sample.edge_ends
+    off_tree = (pred[j] != i) & (pred[i] != j)
+    i, j = i[off_tree], j[off_tree]
+    defects = np.abs(values[i] + _edge_integrals(A, i, j) - values[j])
+    worst = float(np.fmax.reduce(defects, initial=0.0))  # a NaN defect is skipped
     warning = None
     if worst > defect_tol:
         warning = f"non-integrable: max loop defect {worst:.6e} exceeds {defect_tol:.1e}"
@@ -157,12 +161,6 @@ def whitney_remainder(f: ScalarField, A: CovectorField, x: int, y: int) -> float
         _check_vertex(sample, v)
     pts = sample.points_array
     return float(abs(f.values[y] - f.values[x] - A.covectors[x] @ (pts[y] - pts[x])))
-
-
-def _check_k(k: float) -> None:
-    """Reject a chord-arc constant k that is not finite and positive."""
-    if not (math.isfinite(k) and k > 0):
-        raise BuildError(f"k must be finite and positive, got {k!r}")
 
 
 def oscillation(A: CovectorField, x: int, radius: float) -> float:
@@ -339,19 +337,17 @@ def affine_rigidity_test(
     sample: SetSample,
     f: ScalarField,
     A: CovectorField,
-    tol: float = 1e-9,
-    tol_out: float = 1e-9,
 ) -> AffineRigidityReport:
     """Check that a constant covector field forces f to be affine.
 
-    The hypothesis (A constant over the sample to within ``tol``) is
-    measured as the largest deviation from the mean covector.  The field f
-    is then least-squares fitted by b + <c, x>; the test passes when the
-    hypothesis holds and the sup-norm fit residual is at most ``tol_out``.
+    The hypothesis (A constant over the sample to within ``_AFFINE_TOL``)
+    is measured as the largest deviation from the mean covector.  The field
+    f is then least-squares fitted by b + <c, x>; the test passes when the
+    hypothesis holds and the sup-norm fit residual is at most ``_AFFINE_TOL``.
     """
     require_same_sample(sample, f, A)
     spread = float(np.max(row_norms(A.covectors - A.covectors.mean(axis=0))))
-    hypothesis_ok = spread <= tol
+    hypothesis_ok = spread <= _AFFINE_TOL
     pts = sample.points_array
     design = np.hstack([np.ones((sample.vertex_count, 1)), pts])
     beta, *_ = np.linalg.lstsq(design, f.values, rcond=None)
@@ -362,7 +358,7 @@ def affine_rigidity_test(
         intercept=float(np.real(beta[0])),
         gradient=tuple(float(np.real(b)) for b in beta[1:]),
         max_residual=residual,
-        passed=hypothesis_ok and residual <= tol_out,
+        passed=hypothesis_ok and residual <= _AFFINE_TOL,
     )
 
 
@@ -532,13 +528,12 @@ def fit_holder_modulus(
     A: CovectorField,
     sample: SetSample | None = None,
     k: float = 1.0,
-    min_pairs: int = 8,
 ) -> HolderFit:
     """Fit Holder exponents of the remainder modulus and of A itself.
 
     Remainder data is sup over pairs at each dyadic scale of
     remainder/(k |x-y|); the covector data is sup |A(x)-A(y)|.  At least
-    three populated octaves are required, and k must be finite and
+    three octaves of 8 or more pairs are required, and k must be finite and
     positive.  The profile forks worker processes on large samples (see
     ``pair_modulus_profile``).
     """
@@ -546,7 +541,7 @@ def fit_holder_modulus(
     if sample is None:
         sample = f.sample
     require_same_sample(sample, f, A)
-    profile = pair_modulus_profile(f, A, min_pairs=min_pairs)
+    profile = pair_modulus_profile(f, A)
     if len(profile) < 3:
         raise UndersampledError(
             f"only {len(profile)} populated scale buckets, need at least 3"

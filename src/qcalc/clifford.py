@@ -34,34 +34,24 @@ def _mask_bits(mask: int) -> tuple[int, ...]:
     return tuple(i for i in range(mask.bit_length()) if mask >> i & 1)
 
 
-def _blade_sign(a: int, b: int) -> int:
-    """Sign of (blade a) * (blade b) under e_i^2 = -1, anticommuting."""
-    sign = 1
-    res = a
-    for j in _mask_bits(b):
-        if (res >> (j + 1)).bit_count() % 2:
-            sign = -sign
-        if res >> j & 1:
-            sign = -sign
-            res &= ~(1 << j)
-        else:
-            res |= 1 << j
-    return sign
-
-
 @lru_cache(maxsize=None)
 def _tables(dim: int):
-    """(glex mask order, mask -> glex index, sign table in mask space)."""
+    """(glex mask order, mask -> glex index, sign table in mask space).
+
+    (blade a) * (blade b) flips sign popcount(a & b) + sum over bits j of b of
+    popcount(a >> (j + 1)) times: each e_j of b passes the generators of a
+    above it and squares to -1 where a holds it.
+    """
     size = 1 << dim
     order = sorted(range(size), key=lambda m: (m.bit_count(), _mask_bits(m)))
     order_arr = np.array(order, dtype=int)
+    masks = np.arange(size)
     inv = np.empty(size, dtype=int)
-    inv[order_arr] = np.arange(size)
-    sign = np.empty((size, size), dtype=np.int8)
-    for a in range(size):
-        for b in range(size):
-            sign[a, b] = _blade_sign(a, b)
-    return order_arr, inv, sign
+    inv[order_arr] = masks
+    popcount = sum((masks >> j) & 1 for j in range(dim))  # np.bitwise_count needs numpy 2
+    a, b = masks[:, None], masks[None, :]
+    flips = popcount[a & b] + sum(((b >> j) & 1) * popcount[a >> (j + 1)] for j in range(dim))
+    return order_arr, inv, (1 - 2 * (flips & 1)).astype(np.int8)
 
 
 def _check_dim(dim: int) -> int:

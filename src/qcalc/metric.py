@@ -31,6 +31,12 @@ def _check_vertex(sample: SetSample, v: int) -> None:
         raise BuildError(f"vertex {v} out of range")
 
 
+def _check_k(k: float) -> None:
+    """Reject a chord-arc constant k that is not finite and positive."""
+    if not (math.isfinite(k) and k > 0):
+        raise BuildError(f"k must be finite and positive, got {k!r}")
+
+
 def _settle(sample: SetSample, source: int, targets: Sequence[int] = ()) -> tuple[list, list]:
     """Dijkstra from one vertex, settling each vertex once: distances, and the
     rank (1, 2, ...) in which each vertex was settled, 0 for never.
@@ -237,11 +243,18 @@ def verify_local_to_global(
     sorted by (i, j).  The witness is the first pair in row-major order with
     the largest ratio |f(x_j) - f(x_i)| / |x_j - x_i|, and (0, 0) when every
     ratio is 0; a row holding a 0/0 ratio (coincident points) offers no
-    witness.
+    witness.  A NaN or negative radius, a C or tol that is not finite and
+    nonnegative, or a k that is not finite and positive raises a ``BuildError``.
     """
     require_same_sample(sample, f)
     if radius is None:
         radius = 2.0 * sample.max_edge_length
+    if not radius >= 0:
+        raise BuildError(f"radius must be nonnegative, got {radius!r}")
+    for name, value in (("C", C), ("tol", tol)):
+        if not (math.isfinite(value) and value >= 0):
+            raise BuildError(f"{name} must be finite and nonnegative, got {value!r}")
+    _check_k(k)
     pts_t = np.ascontiguousarray(sample.points_array.T)
     vals = f.values
     cap, blocks = pair_blocks(sample.vertex_count)

@@ -174,7 +174,6 @@ def check_whitney_c1(
     scale_buckets: int = 6,
     threshold: float = 0.05,
     decay_tol: float = 0.1,
-    min_pairs: int = 8,
 ) -> WhitneyC1Report:
     """Test sup-remainder/|x-y| decay over the smallest dyadic scales.
 
@@ -182,8 +181,8 @@ def check_whitney_c1(
     the ratios are nonincreasing (within ``decay_tol`` relative slack, finite
     and nonnegative) across the three smallest buckets.  A genuine
     differential decays to 0; a systematically perturbed one plateaus.  The
-    report lists the ``scale_buckets`` (at least 3) smallest populated
-    buckets.  The profile forks worker processes on large samples (see
+    report lists the ``scale_buckets`` (at least 3) smallest buckets of 8 or
+    more pairs.  The profile forks worker processes on large samples (see
     ``calculus.pair_modulus_profile``).
     """
     require_same_sample(sample, f, A)
@@ -191,7 +190,7 @@ def check_whitney_c1(
         raise BuildError(f"scale_buckets must be at least 3, got {scale_buckets}")
     if not (np.isfinite(decay_tol) and decay_tol >= 0):
         raise BuildError(f"decay_tol must be finite and nonnegative, got {decay_tol!r}")
-    profile = pair_modulus_profile(f, A, min_pairs=min_pairs, covectors=False)
+    profile = pair_modulus_profile(f, A, covectors=False)
     if len(profile) < 3:
         raise UndersampledError(
             f"only {len(profile)} populated scale buckets, need at least 3"

@@ -711,6 +711,24 @@ def test_geodesic_and_reconstruct_where_a_vertex_ties_its_only_predecessor(tmp_p
     assert json.loads(proc.stdout)["field"]["values"] == [0.0, -1.0, -1.0]  # x - 1
 
 
+def test_reconstruct_fills_a_vertex_that_ties_its_predecessor_and_has_a_smaller_index(
+        tmp_path):
+    # vertex 1 ties vertex 2, its predecessor, at float distance 1.0 from
+    # vertex 0 and comes first in (distance, index) order, so a fill in that
+    # order read vertex 2's value before it was set
+    doc = {"version": 1, "ambient_dim": 2, "points": [[1, 0], [1e-17, 0], [0, 0]],
+           "edges": [[0, 2, 1.0], [2, 1, 1e-17]]}
+    path = tmp_path / "tie.json"
+    path.write_text(json.dumps(doc))
+    cov = tmp_path / "A.json"
+    cov.write_text(json.dumps({"version": 1, "set": "", "covectors": [[1, 0]] * 3}))
+    proc = run_qcalc_process("reconstruct", str(path), str(cov), "--base", "0")
+    assert proc.returncode == 0, proc.stderr
+    report = json.loads(proc.stdout)
+    assert report["field"]["values"] == [0.0, -1.0, -1.0]  # x - 1
+    assert report["warning"] is None
+
+
 def test_holder_fit_rejects_nan_field(tmp_path, capsys):
     seg = build_polyline([(i / 64, 0.0) for i in range(65)])
     set_path = str(tmp_path / "seg.json")

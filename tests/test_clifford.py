@@ -9,6 +9,7 @@ from qcalc.clifford import (
     ComplexLinearMap,
     LinearCliffordMap,
     Multivector,
+    _mask_bits,
     _tables,
     blade_order,
     complete_from_hyperplane,
@@ -59,6 +60,32 @@ def test_product_examples():
     prod = (one + e(2, 1)) * (one - e(2, 1))
     assert prod.coefficient(()) == 2.0
     assert prod.norm() == 2.0
+
+
+def _blade_sign(a: int, b: int) -> int:
+    """Sign of (blade a) * (blade b), verbatim the per-pair loop that filled
+    the sign table before its closed form: the oracle for that form."""
+    sign = 1
+    res = a
+    for j in _mask_bits(b):
+        if (res >> (j + 1)).bit_count() % 2:
+            sign = -sign
+        if res >> j & 1:
+            sign = -sign
+            res &= ~(1 << j)
+        else:
+            res |= 1 << j
+    return sign
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3, 4, 5, 6])
+def test_sign_table_equals_the_per_pair_loop(dim):
+    size = 1 << dim
+    oracle = np.array([[_blade_sign(a, b) for b in range(size)] for a in range(size)],
+                      dtype=np.int8)
+    sign = _tables(dim)[2]
+    assert sign.dtype == np.int8
+    assert sign.tobytes() == oracle.tobytes()
 
 
 def test_graded_lex_blade_order():

@@ -1,0 +1,114 @@
+"""Metamorphic relations: the path-integral checks respect exact symmetries.
+
+Scaling the points by 2^-3 while scaling A by 2^3, and reflecting x -> -x
+while negating A's x component, change every product in the trapezoid rule
+only by an exact power of two or sign, and every edge length not at all or
+by an exact power of two.  ``path_integral``, ``verify_ftc``, ``loop_defect``
+and ``reconstruct`` (values and warning) must then give the same bits.
+
+Swapping coordinates is left out: it reorders the terms of each dot
+product, which an FMA dot does not round the same way.
+"""
+from __future__ import annotations
+
+import math
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from conftest import connected_planar_graphs
+from qcalc import geometry, metric
+from qcalc.calculus import loop_defect, path_integral, reconstruct, verify_ftc
+from qcalc.fields import CovectorField, ScalarField
+from qcalc.geometry import PolylinePath, SetSample
+
+SCALE = 2.0 ** -3
+
+
+def scaled(sample, A):
+    """Points times 2^-3 and A times 2^3."""
+    edges = tuple((i, j, w * SCALE) for i, j, w in sample.edges)
+    moved = SetSample(sample.ambient_dim, (sample.points_array * SCALE).tolist(), edges)
+    return moved, A.covectors / SCALE
+
+
+def reflected(sample, A):
+    """x -> -x, and A's x component negated."""
+    flip = np.ones(sample.ambient_dim)
+    flip[0] = -1.0
+    moved = SetSample(sample.ambient_dim, (sample.points_array * flip).tolist(), sample.edges)
+    return moved, A.covectors * flip
+
+
+TRANSFORMS = {"scaled": scaled, "reflected": reflected}
+
+
+def closed_walk(sample, rng, steps):
+    """A random edge walk from a random vertex, closed by a shortest path back."""
+    verts = [int(rng.integers(sample.vertex_count))]
+    for _ in range(steps):
+        nbrs = sample.adjacency[verts[-1]]
+        verts.append(nbrs[int(rng.integers(len(nbrs)))][0])
+    back = metric.shortest_path(sample, verts[-1], verts[0]).vertices
+    return verts + list(back[1:])
+
+
+def results(sample, cov, f_values, verts, base):
+    """Every number the four functions report for one sample and field."""
+    A, f = CovectorField(sample, cov), ScalarField(sample, f_values)
+    closed = PolylinePath.from_vertices(sample, verts)
+    opened = PolylinePath.from_vertices(sample, verts[: len(verts) // 2 + 1])
+    rec = reconstruct(sample, A, base, float(f_values[base]))
+    return (
+        repr(path_integral(A, opened)),
+        repr(path_integral(A, opened, "midpoint", 3)),
+        repr(verify_ftc(f, A, opened)),
+        repr(loop_defect(A, closed)),
+        rec.values.tobytes(),
+        rec.warning,
+    )
+
+
+def assert_relations(sample, cov, f_values, verts, base):
+    A = CovectorField(sample, cov)
+    expected = results(sample, cov, f_values, verts, base)
+    for name, transform in TRANSFORMS.items():
+        moved, moved_cov = transform(sample, A)
+        assert results(moved, moved_cov, f_values, verts, base) == expected, name
+
+
+SAMPLES = {
+    "gasket 5": lambda: geometry.build_gasket(5),
+    "carpet 3": lambda: geometry.build_carpet(3),
+    "dumbbell": lambda: geometry.build_dumbbell(1.0, 0.1, math.pi / 32),
+}
+
+
+@pytest.mark.parametrize("gradient", [True, False])
+@pytest.mark.parametrize("name", sorted(SAMPLES))
+def test_builder_samples(name, gradient):
+    sample = SAMPLES[name]()
+    rng = np.random.default_rng(7)
+    pts = sample.points_array
+    if gradient:  # f = sin 3x + xy and its gradient; only the gasket warns
+        f_values = np.sin(3 * pts[:, 0]) + pts[:, 0] * pts[:, 1]
+        cov = np.c_[3 * np.cos(3 * pts[:, 0]) + pts[:, 1], pts[:, 0]]
+    else:  # a random field, far from a gradient
+        f_values = rng.normal(size=sample.vertex_count)
+        cov = rng.normal(size=pts.shape)
+    assert_relations(sample, cov, f_values, closed_walk(sample, rng, 30), 0)
+
+
+@settings(max_examples=50, deadline=None)
+@given(graph=connected_planar_graphs(), complex_field=st.booleans(),
+       seed=st.integers(0, 2**32 - 1))
+def test_random_graphs(graph, complex_field, seed):
+    sample, f_values, _ = graph
+    rng = np.random.default_rng(seed)
+    cov = rng.normal(size=(sample.vertex_count, 2))
+    if complex_field:
+        cov = cov + 1j * rng.normal(size=cov.shape)
+    verts = closed_walk(sample, rng, int(rng.integers(1, 2 * sample.vertex_count)))
+    assert_relations(sample, cov, f_values, verts, int(rng.integers(sample.vertex_count)))

@@ -386,6 +386,22 @@ def test_local_to_global_reports_hypothesis_violation(gasket2):
     assert not rep.passed
 
 
+@pytest.mark.parametrize("name, value", [
+    ("radius", math.nan), ("radius", -1.0),
+    ("C", math.inf), ("C", math.nan), ("C", -1.0),
+    ("k", 0.0), ("k", math.inf), ("k", math.nan),
+    ("tol", math.inf), ("tol", math.nan), ("tol", -1.0),
+])
+def test_local_to_global_rejects_values_that_make_the_verdict_vacuous(gasket4, name, value):
+    # with C = 1 this field breaks the local hypothesis at 617 pairs; radius nan
+    # or -1 (k = 100), C inf and tol inf each passed it, and tol nan found none
+    f = ScalarField.from_function(gasket4, lambda p: 10.0 * p[0] ** 2 + p[1])
+    assert len(verify_local_to_global(gasket4, f, C=1.0).local_violations) == 617
+    kwargs = {"C": 1.0, "k": 100.0, name: value}
+    with pytest.raises(BuildError, match=f"^{name} must be"):
+        verify_local_to_global(gasket4, f, **kwargs)
+
+
 def test_local_to_global_measured_constant_always_passes(gasket3, dumbbell):
     khats = {}
     for s in (gasket3, dumbbell):
