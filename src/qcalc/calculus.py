@@ -120,9 +120,12 @@ def reconstruct(
 
     Deterministic given the shortest-path tie rule.  If the worst loop
     defect over the fundamental cycles of the shortest-path tree exceeds
-    ``defect_tol``, the returned field carries a non-integrability warning.
+    ``defect_tol``, the returned field carries a non-integrability warning;
+    a ``defect_tol`` that is not finite raises a ``BuildError``.
     """
     require_same_sample(sample, A)
+    if not math.isfinite(defect_tol):
+        raise BuildError(f"defect_tol must be finite, got {defect_tol!r}")
     if not np.isfinite(base_value):
         raise BuildError(f"base_value must be finite, got {base_value!r}")
     dist, pred = predecessor_array(sample, basepoint)
@@ -165,8 +168,8 @@ def whitney_remainder(f: ScalarField, A: CovectorField, x: int, y: int) -> float
 
 def oscillation(A: CovectorField, x: int, radius: float) -> float:
     """Sup of |A(w) - A(x)| over sample points w in the closed ball around x."""
-    if radius < 0:
-        raise BuildError("radius must be nonnegative")
+    if not radius >= 0:  # a NaN ball would hold no point, not even x
+        raise BuildError(f"radius must be nonnegative, got {radius!r}")
     _check_vertex(A.sample, x)
     pts = A.sample.points_array
     d = row_norms(pts - pts[x])
@@ -208,7 +211,7 @@ def verify_remainder_bound(
     below k |x-y| times the oscillation of A over the closed ball of radius
     k |x-y| around x, plus ``tol``.  The caller must pass an admissible k
     (at least the chord-arc constant of the sample); a k that is not finite
-    and positive raises a ``BuildError``.
+    and positive, or a ``tol`` that is not finite, raises a ``BuildError``.
 
     Each source row x is evaluated as whole arrays over y, with these
     deterministic tie rules:
@@ -233,6 +236,8 @@ def verify_remainder_bound(
     with them runs in this process.
     """
     _check_k(k)
+    if not math.isfinite(tol):  # a negative tol stays legal
+        raise BuildError(f"tol must be finite, got {tol!r}")
     if sample is None:
         sample = f.sample
     require_same_sample(sample, f, A)

@@ -837,12 +837,16 @@ def _json_text(value, nl: str) -> str:
 
 def _number_list_text(value: list, inner: str, nl: str) -> str | None:
     """A list of plain ints and finite floats, or of equal-length nonempty rows
-    of them, formatted by one ``%r`` template as ``json`` lays it out; None
-    for any other list.  The reprs of ``int`` and ``float`` are the ones
-    ``json`` writes."""
+    of them, formatted by one ``%s`` template as ``json`` lays it out; None
+    for any other list.  The strs of ``int`` and ``float`` are the reprs
+    ``json`` writes.
+
+    When at most half the numbers are distinct, as on a lattice, each
+    non-integral float is formatted once.  Integral floats are left out of
+    that memo: ``1.0 == 1`` and ``0.0 == -0.0`` print differently."""
     kinds = set(map(type, value))
     if kinds <= {int, float}:
-        args, item = tuple(value), "%r"
+        args, item = tuple(value), "%s"
     elif kinds == {list} and len(widths := set(map(len, value))) == 1 and 0 not in widths:
         from itertools import chain
 
@@ -850,9 +854,13 @@ def _number_list_text(value: list, inner: str, nl: str) -> str | None:
         if not set(map(type, args)) <= {int, float}:
             return None
         row = inner + "  "
-        item = "[" + row + ("," + row).join(["%r"] * widths.pop()) + inner + "]"
+        item = "[" + row + ("," + row).join(["%s"] * widths.pop()) + inner + "]"
     else:
         return None
+    distinct = set(args)
+    if 2 * len(distinct) <= len(args):
+        text_of = {a: repr(a) for a in distinct if type(a) is float and not a.is_integer()}
+        args = tuple(map(text_of.get, args, args))
     text = ("[" + inner + ("," + inner).join([item] * len(value)) + nl + "]") % args
     # only the reprs of inf and nan hold an "n"; json writes those as Infinity and NaN
     return None if "n" in text else text

@@ -183,11 +183,14 @@ def check_whitney_c1(
     differential decays to 0; a systematically perturbed one plateaus.  The
     report lists the ``scale_buckets`` (at least 3) smallest buckets of 8 or
     more pairs.  The profile forks worker processes on large samples (see
-    ``calculus.pair_modulus_profile``).
+    ``calculus.pair_modulus_profile``).  A ``threshold`` that is not finite
+    raises a ``BuildError``.
     """
     require_same_sample(sample, f, A)
     if scale_buckets < 3:  # the decay test reads the three smallest buckets
         raise BuildError(f"scale_buckets must be at least 3, got {scale_buckets}")
+    if not np.isfinite(threshold):
+        raise BuildError(f"threshold must be finite, got {threshold!r}")
     if not (np.isfinite(decay_tol) and decay_tol >= 0):
         raise BuildError(f"decay_tol must be finite and nonnegative, got {decay_tol!r}")
     profile = pair_modulus_profile(f, A, covectors=False)

@@ -244,6 +244,15 @@ def test_reconstruct_warns_on_area_form(square_loop):
     assert "2.0" in rec.warning  # worst defect
 
 
+@pytest.mark.parametrize("defect_tol", [math.nan, math.inf])
+def test_reconstruct_defect_tol_must_be_finite(gasket4, defect_tol):
+    # a random field warns at the default; a NaN or infinite defect_tol never warned
+    A = CovectorField(gasket4, np.random.default_rng(0).normal(size=(gasket4.vertex_count, 2)))
+    assert reconstruct(gasket4, A, 0).warning is not None
+    with pytest.raises(BuildError, match=f"defect_tol must be finite, got {defect_tol!r}$"):
+        reconstruct(gasket4, A, 0, defect_tol=defect_tol)
+
+
 def test_reconstruct_matches_shortest_path_integrals(gasket2):
     rng = np.random.default_rng(11)
     A = CovectorField(gasket2, rng.normal(size=(gasket2.vertex_count, 2)))
@@ -317,6 +326,13 @@ def test_oscillation_rejects_negative_radius(gasket2):
         oscillation(A, 0, -0.1)
 
 
+def test_oscillation_rejects_nan_radius(gasket2):
+    # a NaN ball holds no point, and numpy's max of nothing used to escape
+    A = CovectorField.constant(gasket2, (1.0, 0.0))
+    with pytest.raises(BuildError, match="radius must be nonnegative, got nan$"):
+        oscillation(A, 0, math.nan)
+
+
 @pytest.mark.parametrize("x", [-1, 15])
 def test_oscillation_rejects_out_of_range_vertex(gasket2, x):
     A = CovectorField.constant(gasket2, (1.0, 0.0))
@@ -354,6 +370,17 @@ def test_k_must_be_finite_and_positive(gasket3, check, k):
     A = CovectorField.from_function(gasket3, lambda p: (2 * p[0], 0.0))
     with pytest.raises(BuildError, match=f"k must be finite and positive, got {k!r}$"):
         check(f, A, gasket3, k=k)
+
+
+@pytest.mark.parametrize("tol", [math.nan, math.inf])
+def test_remainder_tol_must_be_finite(gasket4, tol):
+    # the wrong differential A = 0 of 10x^2 + y: a NaN or infinite tol used to
+    # pass it with no violation
+    f = ScalarField.from_function(gasket4, lambda p: 10 * p[0] ** 2 + p[1])
+    A = CovectorField.constant(gasket4, (0.0, 0.0))
+    assert len(verify_remainder_bound(f, A, gasket4, k=2, pairs=False).violations) == 15006
+    with pytest.raises(BuildError, match=f"tol must be finite, got {tol!r}$"):
+        verify_remainder_bound(f, A, gasket4, k=2, tol=tol)
 
 
 

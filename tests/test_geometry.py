@@ -748,11 +748,30 @@ def test_write_json_writes_the_text_of_json_dumps(doc):
     assert _written(doc) == json.dumps(doc, sort_keys=True, indent=2) + "\n"
 
 
+# lists and rows of 4-12 numbers drawn from at most three values of a pool whose
+# members collide (1 == 1.0 == True, 0.0 == -0.0, 2 ** 53 == 2.0 ** 53) but print
+# differently: at most half their numbers are distinct, as on a lattice
+COLLIDING = st.lists(st.sampled_from([0.0, -0.0, 1, 1.0, True, 0.5, 2 ** 53, 2.0 ** 53,
+                                      math.nan, math.inf]), min_size=1, max_size=3)
+REPEATS = COLLIDING.map(st.sampled_from).flatmap(lambda pick: st.one_of(
+    st.lists(pick, min_size=4, max_size=12),
+    st.integers(2, 3).flatmap(
+        lambda w: st.lists(st.lists(pick, min_size=w, max_size=w), min_size=2, max_size=4))))
+
+
+@settings(deadline=None, max_examples=150)
+@given(REPEATS)
+def test_write_json_writes_repeated_numbers_as_json_dumps(doc):
+    assert _written(doc) == json.dumps(doc, sort_keys=True, indent=2) + "\n"
+
+
 @pytest.mark.parametrize("doc", [
     {"values": [[1.5, -0.0], [math.nan, 2]], "set": "abc", "warning": None},
     {"points": [[0, 0], [1e16, 5e-324]], "edges": [[0, 1, 1e16]], "label": "é"},
     [[], []], [[1, 2], [3]], [[True, 1], [2, 3]], [[[0.5, 1.0], [2.0, -3.0]]], [(1, 2.5), (3, 4.0)],
     {"nested": {"b": [], "a": {}}}, {1: [1.0, 2.0], 2: "x"}, [math.inf], [2 ** 70, -1, 0.25],
+    [1.0, 1, 1.0, 1], [0.0, -0.0, 0.0, -0.0], [[0, 0.5], [1, 0.5], [2, 0.5]],
+    [[0.5, 1], [0.5, 1.0], [0.5, True], [0.5, 1]], [math.nan, 0.5, 0.5, 0.5],
 ])
 def test_write_json_writes_files_as_json_dumps(tmp_path, doc):
     path = tmp_path / "doc.json"

@@ -208,6 +208,16 @@ def test_c1_decay_slack_must_be_finite_and_nonnegative(gasket4, slack):
     assert not check_whitney_c1(gasket4, f, A, threshold=2.0, decay_tol=0.1).passed
 
 
+@pytest.mark.parametrize("threshold", [math.inf, math.nan])
+def test_c1_threshold_must_be_finite(gasket4, threshold):
+    # an infinite threshold used to pass the wrong differential A = 0 of 10x^2 + y
+    f = ScalarField.from_function(gasket4, lambda p: 10 * p[0] ** 2 + p[1])
+    A = CovectorField.constant(gasket4, (0.0, 0.0))
+    assert not check_whitney_c1(gasket4, f, A).passed
+    with pytest.raises(BuildError, match=f"threshold must be finite, got {threshold!r}$"):
+        check_whitney_c1(gasket4, f, A, threshold=threshold)
+
+
 def test_c1_reports_the_buckets_asked_for(gasket4):
     f = ScalarField.from_function(gasket4, lambda p: p[0] ** 2)
     A = CovectorField.from_function(gasket4, lambda p: (2 * p[0], 0.0))
