@@ -263,14 +263,24 @@ def _dirac_sum(directions: Sequence[Multivector], columns: Sequence[Multivector]
     return total
 
 
+def _check_tol(name: str, value: float) -> None:
+    """Reject a tolerance that is not finite and nonnegative."""
+    if not (np.isfinite(value) and value >= 0):
+        raise BuildError(f"{name} must be finite and nonnegative, got {value!r}")
+
+
 def is_left_monogenic(L: LinearCliffordMap, tol: float = 1e-12) -> MonogenicReport:
-    """Defect norm of the left Dirac condition sum_i e_i c_i = 0."""
+    """Defect norm of the left Dirac condition sum_i e_i c_i = 0; a tol that is
+    not finite and nonnegative raises a ``BuildError``."""
+    _check_tol("tol", tol)
     defect = _dirac_sum(_basis(L.dim), L.columns, "left").norm()
     return MonogenicReport("left", defect, tol, defect <= tol)
 
 
 def is_right_monogenic(L: LinearCliffordMap, tol: float = 1e-12) -> MonogenicReport:
-    """Defect norm of the right Dirac condition sum_i c_i e_i = 0."""
+    """Defect norm of the right Dirac condition sum_i c_i e_i = 0; a tol that is
+    not finite and nonnegative raises a ``BuildError``."""
+    _check_tol("tol", tol)
     defect = _dirac_sum(_basis(L.dim), L.columns, "right").norm()
     return MonogenicReport("right", defect, tol, defect <= tol)
 
@@ -437,10 +447,11 @@ def tangential_derivative_on_graph(
     value a acts on a planar direction (dx, dy) as a (dx + i dy).
 
     Passes when the worst residual is at most c_quad * h^2 + tol for the
-    grid step h.
+    grid step h.  A c_quad or tol that is not finite and nonnegative raises
+    a ``BuildError``.
     """
-    if not (np.isfinite(c_quad) and c_quad >= 0):
-        raise BuildError(f"c_quad must be finite and nonnegative, got {c_quad!r}")
+    _check_tol("c_quad", c_quad)
+    _check_tol("tol", tol)
     sample = require_same_sample(f, deriv)
     _require_graph_chain(sample)
     pts = sample.points_array

@@ -89,8 +89,8 @@ def row_norms(diff: np.ndarray) -> np.ndarray:
     sq = (diff.conj() * diff).real if np.iscomplexobj(diff) else diff * diff
     if sq.shape[1] >= 8:
         return np.sqrt(np.add.reduce(np.ascontiguousarray(sq), axis=1))
-    acc = sq[:, 0].copy()
-    for c in range(1, sq.shape[1]):
+    acc = sq[:, 0] + sq[:, 1] if sq.shape[1] > 1 else sq[:, 0].copy()
+    for c in range(2, sq.shape[1]):
         acc += sq[:, c]
     return np.sqrt(acc, out=acc)
 

@@ -16,7 +16,7 @@ import numpy as np
 
 from .errors import BuildError, DisconnectedSampleError, ResourceLimitError
 from .fields import ScalarField, require_same_sample
-from .geometry import POINT_CAP, PolylinePath, SetSample, pair_blocks, report_dict, row_norms
+from .geometry import PAIR_BLOCK, POINT_CAP, PolylinePath, SetSample, report_dict, row_norms
 
 #: most pairs sampled mode draws (2^24)
 _PAIR_BUDGET_CAP = POINT_CAP ** 2 // 64
@@ -223,6 +223,199 @@ class LocalToGlobalReport:
         return report_dict(self, local_violations=self.local_violations[:20], passed=self.passed)
 
 
+#: most vertices of a kd leaf of ``verify_local_to_global`` up to 2^12 vertices
+_LEAF = 16
+
+#: most kd levels of ``verify_local_to_global``: 256 leaves, so that one leaf
+#: pair holds at most ``PAIR_BLOCK`` pairs up to ``POINT_CAP`` vertices
+_KD_DEPTH_CAP = 8
+
+
+def _kd_leaves(pts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """A vertex order of a kd split of ``pts``, and the bounds of its leaves.
+
+    Each level halves every group of consecutive vertices at its middle
+    position along the group's widest coordinate.  The depth is the least
+    that leaves at most ``_LEAF`` vertices in a leaf, but at most
+    ``_KD_DEPTH_CAP``.  Leaf t holds ``order[bounds[t] : bounds[t + 1]]``;
+    leaf sizes differ by at most 1.
+    """
+    nv = len(pts)
+    depth = min(_KD_DEPTH_CAP, ((nv - 1) // _LEAF).bit_length())
+    coords = np.ascontiguousarray(pts.T)
+    order = np.arange(nv)
+    for level in range(depth):
+        bounds = (np.arange((1 << level) + 1) * nv) >> level
+        p = np.take(coords, order, 1)
+        width = np.maximum.reduceat(p, bounds[:-1], 1) - np.minimum.reduceat(p, bounds[:-1], 1)
+        group = np.repeat(np.arange(1 << level, dtype=np.int16), np.diff(bounds))
+        key = np.take_along_axis(p, np.argmax(width, axis=0)[group][None], 0)[0]
+        # sorted by the key within each group: a stable (radix) sort of the
+        # small group numbers after a sort by the key
+        by_key = np.argsort(key)
+        order = order[by_key[np.argsort(group[by_key], kind="stable")]]
+    return order, (np.arange((1 << depth) + 1) * nv) >> depth
+
+
+def _lipschitz_scan(pts: np.ndarray, vals: np.ndarray, radius: float, C: float,
+                    tol: float) -> tuple[tuple, float, tuple[int, int]]:
+    """(violations, l_glob, witness) of ``verify_local_to_global``, by pairs
+    of kd leaves.
+
+    Leaves.  ``_kd_leaves`` cuts the vertices into 2^depth leaves of at most
+    ``_LEAF`` = 16 vertices, but into no more than 256 (at ``POINT_CAP`` a
+    leaf holds 128).  Each leaf pair (a, b), a <= b, is evaluated as
+    (slot, slot, leaf pair) arrays, about ``PAIR_BLOCK`` pairs at a time,
+    with the float operations of the row loop: the chord is ``row_norms`` of
+    x_j - x_i and the ratio |f_j - f_i| / chord.  fl(u - v) = -fl(v - u),
+    so the orientation of a pair does not change a bit.  A short leaf
+    repeats its last vertex and a leaf paired with itself holds each pair
+    twice; such repeats have the same bits, and a vertex paired with itself
+    is dropped.
+
+    The bound.  For a leaf pair, g_c = max(lo_b - hi_a, lo_a - hi_b, 0) is
+    the float gap of the two bounding boxes in coordinate c, D =
+    ``row_norms(g)``, S = max(fl(max_b f - min_a f), fl(max_a f - min_b f)),
+    and bound = fl(S / D).  Rounding to nearest is monotone (u >= v gives
+    fl(u) >= fl(v)).  So for i in a and j in b, |fl(x_jc - x_ic)| >= g_c;
+    the squares, their sums in ``row_norms``' fixed order and the square
+    root keep the inequality, so the float chord is at least D; and
+    |fl(f_j - f_i)| <= S.  Division is monotone as well, so every float
+    ratio of the pair is at most the bound, with no margin, subnormal and
+    overflowing values included.  For a complex f, S is the hypot of the
+    real and imaginary spans, widened by 2^-20 relative and 2^-1070
+    absolute: that covers any |z| (numpy's, and the hypot of the spans)
+    within 2^-22 relative plus 2^-1072 absolute of the exact value.
+
+    Phase 1 scans in full the leaf pairs with D <= radius, with a bound that
+    is not finite, or with D below the normal range (where a chord may round
+    to 0: the bound covers these too, but this way no zero chord rests on
+    it).  Every pair within
+    radius lies in the first kind, so phase 1 finds every local violation.
+    A NaN ratio needs a chord of 0 or |f_j - f_i| = inf, so D = 0 or S = inf
+    and a bound that is not finite: phase 1 finds every NaN.  A row holding
+    one offers no witness; when there is one, phase 1 is swept again with
+    those rows' ratios set to 0.  Phase 2 scans the other leaf pairs by
+    falling bound while the bound reaches the largest ratio found so far.
+    A skipped leaf pair has a bound, and so every ratio, below a ratio
+    already measured: it can neither hold l_glob nor tie it, and the witness
+    is that of the full scan.  Working memory is one batch and n + 4
+    (leaf, leaf) arrays of at most 256^2 entries, whatever nv and radius.
+    """
+    nv, n = pts.shape
+    if nv < 2:
+        return (), 0.0, (0, 0)
+    order, bounds = _kd_leaves(pts)
+    sizes = np.diff(bounds)
+    leaves, s = len(sizes), int(sizes.max())
+    # slot t of leaf l is vertex slots[t, l]; a short leaf repeats its last vertex
+    slots = order[np.minimum(np.arange(s)[:, None], sizes - 1) + bounds[:-1]]
+
+    def box(v):  # the least and largest v over each leaf, leaves on the last axis
+        v = v[order].T
+        return np.minimum.reduceat(v, bounds[:-1], -1), np.maximum.reduceat(v, bounds[:-1], -1)
+
+    def span(v):  # [a, b]: >= every |fl(v_j - v_i)|, i in leaf a, j in leaf b
+        lo, hi = box(v)
+        return np.maximum(hi - lo[:, None], hi[:, None] - lo)
+
+    # leaf pair (a, b) is entry a * leaves + b of the (leaves, leaves) arrays
+    lo, hi = box(pts)
+    gaps = np.maximum(np.maximum(lo[:, None] - hi[..., None], lo[..., None] - hi[:, None]), 0.0)
+    gap = row_norms(gaps.reshape(n, -1).T).reshape(leaves, leaves)
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        if np.iscomplexobj(vals):
+            df_span = np.hypot(span(vals.real), span(vals.imag)) * (1 + 2.0**-20) + 2.0**-1070
+        else:
+            df_span = span(vals)
+        bound = df_span / gap
+    upper = np.arange(leaves)[:, None] <= np.arange(leaves)
+    near = (gap <= radius) | ~np.isfinite(bound) | (gap < np.finfo(float).tiny)
+    bound = bound.ravel()
+    xs = np.ascontiguousarray(pts.T[:, slots])
+    fs = vals[slots]
+    per = max(1, PAIR_BLOCK // (s * s))
+
+    def ratios(batch, skip=None):
+        """Ratios and chords of the leaf pairs ``batch``, as (slot, slot,
+        leaf pair) arrays raveled; a vertex paired with itself, and with
+        ``skip`` a pair whose row is in ``skip``, gets ratio 0."""
+        a, b = np.divmod(batch, leaves)
+        with np.errstate(over="ignore", divide="ignore", invalid="ignore"):  # inf and NaN ratios
+            diff = np.take(xs, b, 2)[:, None] - np.take(xs, a, 2)[:, :, None]
+            d = row_norms(diff.reshape(n, -1).T)
+            df = np.abs(np.take(fs, b, 1)[None] - np.take(fs, a, 1)[:, None]).ravel()
+            r = df / d
+        if skip is not None or (a == b).any():
+            i, j = (x.ravel() for x in np.broadcast_arrays(
+                np.take(slots, a, 1)[:, None], np.take(slots, b, 1)[None]))
+            r[i == j] = 0.0
+            if skip is not None:
+                r[np.isin(np.minimum(i, j), skip)] = 0.0
+        return r, d, df, a, b
+
+    def pairs(flat, a, b):
+        ta, tb, p = np.unravel_index(flat, (s, s, len(a)))
+        i, j = slots[ta, a[p]], slots[tb, b[p]]
+        return np.minimum(i, j), np.maximum(i, j)
+
+    best, witness = 0.0, (0, 0)
+
+    def offer(r, top, a, b):
+        nonlocal best, witness
+        if not (top > 0 and top >= best):
+            return
+        i, j = pairs(np.flatnonzero(r == top), a, b)
+        m = int(np.argmin(i * nv + j))
+        pair = (int(i[m]), int(j[m]))
+        if top > best or pair < witness:
+            best, witness = float(top), pair
+
+    # phase 1: every leaf pair that may hold a local pair or a NaN ratio;
+    # the leaf pairs of a leaf with itself first, so that only the first
+    # batches pay for dropping a vertex paired with itself
+    first = np.flatnonzero(near & upper)
+    first = first[np.argsort(first % (leaves + 1) != 0, kind="stable")]
+    found, nan_rows = [], []
+    for start in range(0, len(first), per):
+        r, d, df, a, b = ratios(first[start : start + per])
+        near_pairs = np.flatnonzero(d <= radius)
+        bad = near_pairs[df[near_pairs] > C * d[near_pairs] + tol]
+        if bad.size:
+            i, j = pairs(bad, a, b)
+            found.append((i * nv + j, r[bad]))
+        top = r.max()
+        if np.isnan(top):
+            nan_rows.append(pairs(np.flatnonzero(np.isnan(r)), a, b)[0])
+        elif not nan_rows:
+            offer(r, top, a, b)
+    skip = None
+    if nan_rows:  # a row holding a NaN ratio offers no witness: sweep again without it
+        skip = np.unique(np.concatenate(nan_rows))
+        best, witness = 0.0, (0, 0)
+        for start in range(0, len(first), per):
+            r, _, _, a, b = ratios(first[start : start + per], skip)
+            offer(r, r.max(), a, b)
+    # phase 2: the other leaf pairs by falling bound, while the bound reaches
+    # the largest ratio found
+    rest = np.flatnonzero(~near & upper)
+    rest = rest[(bound[rest] >= best) & (bound[rest] > 0)]
+    rest = rest[np.argsort(-bound[rest])]
+    for start in range(0, len(rest), per):
+        batch = rest[start : start + per]
+        batch = batch[bound[batch] >= best]
+        if not batch.size:
+            break
+        r, _, _, a, b = ratios(batch, skip)
+        offer(r, r.max(), a, b)
+    violations: tuple = ()
+    if found:
+        keys, ratio = (np.concatenate(parts) for parts in zip(*found))
+        keys, at = np.unique(keys, return_index=True)  # a short leaf repeats pairs
+        violations = tuple(zip((keys // nv).tolist(), (keys % nv).tolist(), ratio[at].tolist()))
+    return violations, best, witness
+
+
 def verify_local_to_global(
     sample: SetSample,
     f: ScalarField,
@@ -238,8 +431,10 @@ def verify_local_to_global(
     report then compares the measured global Lipschitz constant against
     k*C + tol.
 
-    The pairs are scanned in the folded blocks of ``geometry.pair_blocks``;
-    the report is the one of a scan in row-major order.  Violations are
+    The pairs are scanned by pairs of kd leaves, and a leaf pair whose
+    proved bound lies below a ratio already measured is skipped (see
+    ``_lipschitz_scan``); the report is the one of a full scan in row-major
+    order.  Violations are
     sorted by (i, j).  The witness is the first pair in row-major order with
     the largest ratio |f(x_j) - f(x_i)| / |x_j - x_i|, and (0, 0) when every
     ratio is 0; a row holding a 0/0 ratio (coincident points) offers no
@@ -255,46 +450,8 @@ def verify_local_to_global(
         if not (math.isfinite(value) and value >= 0):
             raise BuildError(f"{name} must be finite and nonnegative, got {value!r}")
     _check_k(k)
-    pts_t = np.ascontiguousarray(sample.points_array.T)
-    vals = f.values
-    cap, blocks = pair_blocks(sample.vertex_count)
-    # one contiguous row per coordinate of x_j - x_i
-    diff = np.empty((len(pts_t), cap))
-    dval = np.empty(cap, dtype=vals.dtype)
-    found = []
-    l_glob = 0.0
-    witness = (0, 0)
-    for size, segs in blocks:
-        for i, start, length in segs:
-            stop = start + length
-            np.subtract(pts_t[:, i + 1 :], pts_t[:, i, None], out=diff[:, start:stop])
-            np.subtract(vals[i + 1 :], vals[i], out=dval[start:stop])
-        d = row_norms(diff[:, :size].T)
-        df = np.abs(dval[:size])
-        with np.errstate(divide="ignore", invalid="ignore"):  # a chord that rounds to 0
-            ratios = df / d
-        rows, starts, _ = np.array(segs).T
-        near = np.flatnonzero(d <= radius)
-        bad = near[df[near] > C * d[near] + tol]
-        if bad.size:
-            seg = np.searchsorted(starts, bad, side="right") - 1
-            found.append((rows[seg], rows[seg] + 1 + bad - starts[seg], ratios[bad]))
-        # a row holding a NaN ratio has a NaN maximum and offers no witness;
-        # ties go to the smallest row, then to its first j
-        row_max = np.maximum.reduceat(ratios, starts)
-        top = np.fmax.reduce(row_max)
-        if not top >= l_glob:
-            continue
-        tied = np.flatnonzero(row_max == top)
-        i, start, length = segs[tied[np.argmin(rows[tied])]]
-        pair = (i, i + 1 + int(np.argmax(ratios[start : start + length])))
-        if top > l_glob or pair < witness:
-            l_glob, witness = float(top), pair
-    violations: tuple = ()
-    if found:
-        vi, vj, vr = (np.concatenate(parts) for parts in zip(*found))
-        order = np.lexsort((vj, vi))
-        violations = tuple(zip(vi[order].tolist(), vj[order].tolist(), vr[order].tolist()))
+    violations, l_glob, witness = _lipschitz_scan(
+        sample.points_array, f.values, radius, C, tol)
     bound = k * C
     return LocalToGlobalReport(
         radius=float(radius),

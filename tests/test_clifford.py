@@ -166,6 +166,15 @@ def test_monogenic_defect_unit():
     assert math.isclose(rep.defect, 1.0, abs_tol=1e-15)
 
 
+@pytest.mark.parametrize("tol", [math.inf, -math.inf, math.nan, -1e-12])
+@pytest.mark.parametrize("check", [is_left_monogenic, is_right_monogenic])
+def test_monogenic_checks_refuse_a_tolerance_that_is_not_finite_and_nonnegative(check, tol):
+    # tol=inf would pass the unit-defect map; a NaN or negative tol fails every map
+    L = LinearCliffordMap(2, (Multivector.scalar(2, 1.0), Multivector.zero(2)))
+    with pytest.raises(BuildError, match="tol must be finite and nonnegative"):
+        check(L, tol)
+
+
 def test_random_maps_projected_onto_kernel_are_monogenic():
     # projection oracle: project random column stacks onto the null space of
     # the Dirac constraint matrix, independent of the completion formula
@@ -385,6 +394,15 @@ def test_cubic_function_second_order_decay():
         assert rep.passed
     ratios = [residuals[i] / residuals[i + 1] for i in range(len(residuals) - 1)]
     assert all(3.5 <= r <= 4.5 for r in ratios), ratios
+
+
+@pytest.mark.parametrize("tol", [math.inf, -math.inf, math.nan, -1e-12])
+def test_graph_derivative_refuses_a_tolerance_that_is_not_finite_and_nonnegative(tol):
+    # tol=inf would make the threshold inf, so every residual would pass
+    sample = build_lipschitz_graph([0.5], 0.125, (0.0, 1.0))
+    f, a = graph_fields(sample, lambda z: z * z, lambda z: 3 * z)
+    with pytest.raises(BuildError, match="tol must be finite and nonnegative"):
+        tangential_derivative_on_graph(f, a, tol=tol)
 
 
 def test_complex_linearity_forced_by_representation():

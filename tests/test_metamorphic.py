@@ -8,6 +8,14 @@ and ``reconstruct`` (values and warning) must then give the same bits.
 
 Swapping coordinates is left out: it reorders the terms of each dot
 product, which an FMA dot does not round the same way.
+
+``verify_local_to_global`` obeys its own relations.  Points times 2^-3, with
+C times 8 and the radius times 2^-3, scale every chord by exactly 2^-3, so
+l_glob and every violation ratio scale by exactly 8 and the witness stays.
+x -> -x and swapping the two coordinates of a planar sample leave every
+chord's bits (two squares added either way round), so the report is the
+same.  Relabelling the vertices keeps each pair's ratio, so l_glob keeps
+its bits and the violating pairs are the same pairs.
 """
 from __future__ import annotations
 
@@ -22,7 +30,7 @@ from conftest import connected_planar_graphs
 from qcalc import geometry, metric
 from qcalc.calculus import loop_defect, path_integral, reconstruct, verify_ftc
 from qcalc.fields import CovectorField, ScalarField
-from qcalc.geometry import PolylinePath, SetSample
+from qcalc.geometry import PolylinePath, SetSample, row_norms
 
 SCALE = 2.0 ** -3
 
@@ -112,3 +120,63 @@ def test_random_graphs(graph, complex_field, seed):
         cov = cov + 1j * rng.normal(size=cov.shape)
     verts = closed_walk(sample, rng, int(rng.integers(1, 2 * sample.vertex_count)))
     assert_relations(sample, cov, f_values, verts, int(rng.integers(sample.vertex_count)))
+
+
+# ---------------------------------------------------------------------------
+# verify_local_to_global
+
+
+def moved_sample(sample, pts, edges=None):
+    return SetSample(sample.ambient_dim, pts.tolist(), sample.edges if edges is None else edges)
+
+
+def assert_local_to_global_relations(sample, vals, C):
+    f = ScalarField(sample, vals)
+    radius = 2.0 * sample.max_edge_length
+    rep = metric.verify_local_to_global(sample, f, radius, C, 2.0)
+    pts = sample.points_array
+    # points * 2^-3, C * 8, radius * 2^-3: ratios * 8, the same pairs
+    edges = tuple((i, j, w * SCALE) for i, j, w in sample.edges)
+    small = moved_sample(sample, pts * SCALE, edges)
+    got = metric.verify_local_to_global(small, ScalarField(small, vals), radius * SCALE,
+                                        C / SCALE, 2.0)
+    assert got.l_glob == rep.l_glob / SCALE and got.witness_pair == rep.witness_pair
+    assert got.local_violations == tuple((i, j, r / SCALE) for i, j, r in rep.local_violations)
+    # x -> -x, and the two coordinates swapped: the same report
+    for moved_pts in (pts * [-1.0, 1.0], pts[:, ::-1]):
+        moved = moved_sample(sample, moved_pts)
+        assert metric.verify_local_to_global(moved, ScalarField(moved, vals), radius, C,
+                                             2.0) == rep
+    # a random relabelling: l_glob's bits and the set of violating pairs
+    perm = np.random.default_rng(sample.vertex_count).permutation(sample.vertex_count)
+    new_of = np.argsort(perm)
+    edges = tuple((int(new_of[i]), int(new_of[j]), w) for i, j, w in sample.edges)
+    relabelled = moved_sample(sample, pts[perm], edges)
+    got = metric.verify_local_to_global(relabelled, ScalarField(relabelled, vals[perm]),
+                                        radius, C, 2.0)
+    assert got.l_glob == rep.l_glob
+    assert {(min(perm[i], perm[j]), max(perm[i], perm[j]), r)
+            for i, j, r in got.local_violations} == set(rep.local_violations)
+    i, j = perm[list(got.witness_pair)]
+    if rep.l_glob > 0:
+        ratio = abs(vals[j] - vals[i]) / row_norms(pts[[j]] - pts[i])[0]
+        assert ratio == rep.l_glob
+    return rep
+
+
+@pytest.mark.parametrize("name", sorted(SAMPLES))
+def test_local_to_global_relations_on_builder_samples(name):
+    sample = SAMPLES[name]()
+    pts = sample.points_array
+    # a smooth field, with C small enough to give violations, and a random one
+    smooth = np.sin(3 * pts[:, 0]) + pts[:, 0] * pts[:, 1]
+    assert assert_local_to_global_relations(sample, smooth, 1.5).local_violations
+    vals = np.random.default_rng(3).normal(size=sample.vertex_count)
+    assert assert_local_to_global_relations(sample, vals, 5.0).local_violations
+
+
+@settings(max_examples=50, deadline=None)
+@given(graph=connected_planar_graphs(), C=st.sampled_from([0.0, 1.0, 4.0]))
+def test_local_to_global_relations_on_random_graphs(graph, C):
+    sample, f_values, _ = graph
+    assert_local_to_global_relations(sample, f_values, C)

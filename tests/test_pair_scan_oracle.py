@@ -5,12 +5,14 @@
 to the shared row kernel (``geometry.row_norms``, ``calculus._row_dots`` and
 ``np.bincount``) and then to the folded pair blocks of
 ``geometry.pair_blocks``: ``np.linalg.norm(..., axis=1)``, ``np.einsum`` and
-``np.add.at``, one upper-triangle row at a time.  Their results must agree
-exactly, bit for bit.
+``np.add.at``, one upper-triangle row at a time.  ``verify_local_to_global``
+has since moved on to pairs of kd leaves, skipping those whose proved bound
+lies below a measured ratio.  Their results must agree exactly, bit for bit.
 """
 from __future__ import annotations
 
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -396,3 +398,129 @@ def test_profile_on_near_coincident_points_warns_nothing():
         profile = pair_modulus_profile(f, A, 1)
     assert [(b.octave, b.count) for b in profile] == [(-80, 1), (0, 2)]
     assert math.isnan(profile[0].remainder_ratio_sup)
+
+
+# ---------------------------------------------------------------------------
+# kd leaf pairs: skipped leaf pairs never change the report
+
+
+def chain_sample(points):
+    """A sample built in code (so coincident points are allowed) on the given
+    points, joined by a chain of edges."""
+    pts = [tuple(map(float, p)) for p in points]
+    return SetSample(len(pts[0]), tuple(pts),
+                     tuple((i, i + 1, math.dist(pts[i], pts[i + 1])) for i in range(len(pts) - 1)))
+
+
+def assert_report_equals_reference(sample, f, radius, C, k=2.0, tol=1e-9):
+    with np.errstate(all="ignore"):  # the row loop's own inf and NaN ratios
+        ref = local_to_global_reference(
+            sample, f, 2.0 * sample.max_edge_length if radius is None else radius, C, k, tol)
+    rep = verify_local_to_global(sample, f, radius, C, k, tol)
+    assert rep == ref
+    return rep
+
+
+@st.composite
+def l2g_cases(draw):
+    """(points, values, radius, C) across leaf-size boundaries, scales and
+    field kinds: affine plus noise, f = x on a lattice (exact ties), values
+    near +-1e308 (|f_j - f_i| = inf), complex values, coincident points."""
+    nv = draw(st.integers(1, 70))
+    n = draw(st.sampled_from([1, 2, 3, 9]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if draw(st.booleans()):
+        pts = rng.integers(0, 6, size=(nv, n)).astype(float)  # lattice: repeats and ties
+    else:
+        pts = rng.normal(size=(nv, n))
+    for _ in range(draw(st.integers(0, 3)) if nv > 1 else 0):
+        i, j = rng.integers(0, nv, size=2)
+        pts[i] = pts[j]
+    pts *= 2.0 ** draw(st.sampled_from([-400, 0, 400]))
+    kind = draw(st.sampled_from(["affine", "x", "huge", "complex", "random"]))
+    if kind == "affine":
+        vals = pts @ rng.normal(size=n) + 0.5 + 1e-9 * rng.normal(size=nv) * np.abs(pts).max()
+    elif kind == "x":
+        vals = pts[:, 0].copy()
+    elif kind == "huge":
+        vals = rng.choice([-1.0, 1.0], size=nv) * 1e308 * rng.uniform(0.9, 1.0, size=nv)
+    elif kind == "complex":
+        vals = rng.normal(size=nv) + 1j * rng.normal(size=nv)
+    else:
+        vals = rng.normal(size=nv)
+    radius = draw(st.sampled_from([None, 0.0, "diameter", "random"]))
+    if radius == "diameter":  # the sum of the extents is at least the diameter
+        radius = float(np.ptp(pts, axis=0).sum())
+    elif radius == "random":
+        radius = float(rng.uniform(0, 2) * np.ptp(pts, axis=0).max())
+    C = draw(st.sampled_from([0.0, 0.5, 1.0, 1e9]))
+    return pts, vals, radius, C
+
+
+@settings(deadline=None, max_examples=300)
+@given(l2g_cases())
+def test_leaf_pair_scan_equals_the_row_loop(case):
+    pts, vals, radius, C = case
+    sample = chain_sample(pts)
+    assert_report_equals_reference(sample, ScalarField(sample, vals), radius, C)
+
+
+@pytest.mark.parametrize("nv", [1, 2, 15, 16, 17, 31, 32, 33, 63, 64, 65, 70])
+@pytest.mark.parametrize("n", [1, 3, 9])
+def test_leaf_pair_scan_at_leaf_size_boundaries(nv, n):
+    rng = np.random.default_rng(nv * 10 + n)
+    pts = rng.normal(size=(nv, n))
+    sample = chain_sample(pts)
+    for vals in (pts @ rng.normal(size=n) + 1e-6 * rng.normal(size=nv),  # affine plus noise
+                 pts[:, 0].copy(),
+                 rng.normal(size=nv) + 1j * rng.normal(size=nv)):
+        f = ScalarField(sample, vals)
+        for radius in (None, 0.0, 100.0):
+            assert_report_equals_reference(sample, f, radius, 0.5)
+
+
+def test_ties_of_f_equal_x_across_leaves():
+    # a 20 x 20 lattice with f = x: every horizontal pair has ratio exactly 1,
+    # the maximum, in many leaf pairs; the least (i, j) wins
+    pts = [(i % 20 / 8, i // 20 / 8) for i in range(400)][::-1]
+    sample = chain_sample(pts)
+    f = ScalarField(sample, [p[0] for p in pts])
+    rep = assert_report_equals_reference(sample, f, None, 1.0)
+    assert rep.l_glob == 1.0 and rep.witness_pair == (0, 1)
+
+
+def test_coincident_points_in_distant_leaves():
+    # 200 points on a curve; points 7 and 180 coincide with the same value,
+    # so row 7 holds a NaN ratio and offers no witness, and points 50 and 150
+    # coincide with different values, so (50, 150) has ratio inf
+    t = np.linspace(0, 3, 200)
+    pts = np.stack([np.cos(t), np.sin(2 * t)], axis=1)
+    pts[180] = pts[7]
+    pts[150] = pts[50]
+    sample = chain_sample(pts)
+    vals = np.sin(5 * t)
+    vals[180] = vals[7]
+    vals[150] = vals[50] + 1.0
+    with np.errstate(divide="ignore", invalid="ignore"):
+        rep = assert_report_equals_reference(sample, ScalarField(sample, vals), None, 1.0)
+    assert rep.l_glob == math.inf and rep.witness_pair == (50, 150)
+    # without the inf pair, the NaN row 7 still hides its own largest ratio
+    vals[150] = vals[50]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        rep = assert_report_equals_reference(sample, ScalarField(sample, vals), None, 1.0)
+    assert 7 not in rep.witness_pair and 50 not in rep.witness_pair
+
+
+def test_leaf_pair_scan_memory_does_not_grow_with_radius():
+    # gasket 7 with every pair local and no violation: the scan holds one
+    # batch and the leaf-pair arrays, not the 5.4 million pairs
+    sample = build_gasket(7)
+    f = ScalarField(sample, np.sin(3 * sample.points_array[:, 0]) + sample.points_array[:, 1])
+    tracemalloc.start()
+    try:
+        rep = verify_local_to_global(sample, f, 10.0, 1e9, 2.0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rep.hypothesis_ok and rep.l_glob > 0
+    assert peak < 8 * 2**20
