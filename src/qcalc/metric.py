@@ -287,11 +287,15 @@ def _lipschitz_scan(pts: np.ndarray, vals: np.ndarray, radius: float, C: float,
     absolute: that covers any |z| (numpy's, and the hypot of the spans)
     within 2^-22 relative plus 2^-1072 absolute of the exact value.
 
-    Phase 1 scans in full the leaf pairs with D <= radius, with a bound that
-    is not finite, or with D below the normal range (where a chord may round
-    to 0: the bound covers these too, but this way no zero chord rests on
-    it).  Every pair within
-    radius lies in the first kind, so phase 1 finds every local violation.
+    Phase 1 scans in full the leaf pairs with D <= radius that may hold a
+    local violation, S > fl(C D), those with a bound that is not finite, and
+    those with D below the normal range (where a chord may round to 0: the
+    bound covers these too, but this way no zero chord rests on it).  Every
+    pair within radius lies in a leaf pair with D <= radius, and one with
+    S <= fl(C D) holds no violation: its chords d are at least D, and C and
+    tol are finite and >= 0, so by monotone rounding, with no margin,
+    |fl(f_j - f_i)| <= S <= fl(C D) <= fl(C d) <= fl(fl(C d) + tol).  So
+    phase 1 finds every local violation.
     A NaN ratio needs a chord of 0 or |f_j - f_i| = inf, so D = 0 or S = inf
     and a bound that is not finite: phase 1 finds every NaN.  A row holding
     one offers no witness; when there is one, phase 1 is swept again with
@@ -329,8 +333,9 @@ def _lipschitz_scan(pts: np.ndarray, vals: np.ndarray, radius: float, C: float,
         else:
             df_span = span(vals)
         bound = df_span / gap
+        near = (((gap <= radius) & ~(df_span <= C * gap)) | ~np.isfinite(bound)
+                | (gap < np.finfo(float).tiny))
     upper = np.arange(leaves)[:, None] <= np.arange(leaves)
-    near = (gap <= radius) | ~np.isfinite(bound) | (gap < np.finfo(float).tiny)
     bound = bound.ravel()
     xs = np.ascontiguousarray(pts.T[:, slots])
     fs = vals[slots]
@@ -371,7 +376,7 @@ def _lipschitz_scan(pts: np.ndarray, vals: np.ndarray, radius: float, C: float,
         if top > best or pair < witness:
             best, witness = float(top), pair
 
-    # phase 1: every leaf pair that may hold a local pair or a NaN ratio;
+    # phase 1: every leaf pair that may hold a local violation or a NaN ratio;
     # the leaf pairs of a leaf with itself first, so that only the first
     # batches pay for dropping a vertex paired with itself
     first = np.flatnonzero(near & upper)

@@ -16,6 +16,15 @@ x -> -x and swapping the two coordinates of a planar sample leave every
 chord's bits (two squares added either way round), so the report is the
 same.  Relabelling the vertices keeps each pair's ratio, so l_glob keeps
 its bits and the violating pairs are the same pairs.
+
+``discrete_gradient`` obeys the covariant relations.  Points and edge
+lengths times 2^-3, with f unchanged, scale the edge system by exactly 2^-3
+and leave its right-hand side, so every LSQR quantity is the unscaled
+run's times a power of two and the covectors come out exactly 2^3 times
+larger.  x -> -x negates the system's x column and so A's x component,
+and nothing else (an exact zero is not negated: it stays +0).  Relabelling
+is left out: the adjoint's ``np.bincount`` then adds each vertex's edge
+terms in another order, which need not round the same way.
 """
 from __future__ import annotations
 
@@ -28,7 +37,8 @@ from hypothesis import strategies as st
 
 from conftest import connected_planar_graphs
 from qcalc import geometry, metric
-from qcalc.calculus import loop_defect, path_integral, reconstruct, verify_ftc
+from qcalc.calculus import (discrete_gradient, loop_defect, path_integral, reconstruct,
+                            verify_ftc)
 from qcalc.fields import CovectorField, ScalarField
 from qcalc.geometry import PolylinePath, SetSample, row_norms
 
@@ -180,3 +190,41 @@ def test_local_to_global_relations_on_builder_samples(name):
 def test_local_to_global_relations_on_random_graphs(graph, C):
     sample, f_values, _ = graph
     assert_local_to_global_relations(sample, f_values, C)
+
+
+# ---------------------------------------------------------------------------
+# discrete_gradient
+
+
+def assert_gradient_relations(sample, f_values):
+    A = discrete_gradient(sample, ScalarField(sample, f_values))
+    for name, transform in TRANSFORMS.items():
+        # the transforms map A covariantly, so they give the expected covectors
+        moved, expected = transform(sample, A)
+        got = discrete_gradient(moved, ScalarField(moved, f_values)).covectors
+        # bit for bit once zeros lose their sign: the adjoint's sums start at
+        # +0, so an A_x that is exactly 0 stays +0 under x -> -x
+        assert (got + 0.0).tobytes() == (expected + 0.0).tobytes(), name
+    return A
+
+
+GRADIENT_SAMPLES = dict(SAMPLES, helix=lambda: geometry.build_polyline(
+    [(math.cos(t / 5), math.sin(t / 5), t / 20) for t in range(80)]))
+
+
+@pytest.mark.parametrize("name", sorted(GRADIENT_SAMPLES))
+def test_discrete_gradient_relations_on_builder_samples(name):
+    sample = GRADIENT_SAMPLES[name]()
+    x, y = sample.points_array[:, 0], sample.points_array[:, 1]
+    # an inconsistent edge system on the gasket, where the fit is least squares
+    A = assert_gradient_relations(sample, np.exp(x) * np.cos(3 * y) + x * y)
+    assert np.any(A.covectors)
+
+
+@settings(max_examples=50, deadline=None)
+@given(graph=connected_planar_graphs(), complex_field=st.booleans())
+def test_discrete_gradient_relations_on_random_graphs(graph, complex_field):
+    sample, f_values, _ = graph
+    if complex_field:
+        f_values = f_values + 1j * f_values[::-1]
+    assert_gradient_relations(sample, f_values)

@@ -422,10 +422,11 @@ def assert_report_equals_reference(sample, f, radius, C, k=2.0, tol=1e-9):
 
 
 @st.composite
-def l2g_cases(draw):
+def l2g_cases(draw, radii=(None, 0.0, "diameter", "random")):
     """(points, values, radius, C) across leaf-size boundaries, scales and
     field kinds: affine plus noise, f = x on a lattice (exact ties), values
-    near +-1e308 (|f_j - f_i| = inf), complex values, coincident points."""
+    near +-1e308 (|f_j - f_i| = inf), complex values, coincident points.
+    The radius is drawn from ``radii``."""
     nv = draw(st.integers(1, 70))
     n = draw(st.sampled_from([1, 2, 3, 9]))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
@@ -448,7 +449,7 @@ def l2g_cases(draw):
         vals = rng.normal(size=nv) + 1j * rng.normal(size=nv)
     else:
         vals = rng.normal(size=nv)
-    radius = draw(st.sampled_from([None, 0.0, "diameter", "random"]))
+    radius = draw(st.sampled_from(radii))
     if radius == "diameter":  # the sum of the extents is at least the diameter
         radius = float(np.ptp(pts, axis=0).sum())
     elif radius == "random":
@@ -463,6 +464,49 @@ def test_leaf_pair_scan_equals_the_row_loop(case):
     pts, vals, radius, C = case
     sample = chain_sample(pts)
     assert_report_equals_reference(sample, ScalarField(sample, vals), radius, C)
+
+
+@settings(deadline=None, max_examples=150)
+@given(l2g_cases(radii=("diameter",)))
+def test_every_pair_local_equals_the_row_loop(case):
+    # with every pair within radius, phase 1 keeps only the leaf pairs whose
+    # bound allows a violation; the others must still give every ratio
+    pts, vals, radius, C = case
+    sample = chain_sample(pts)
+    assert_report_equals_reference(sample, ScalarField(sample, vals), radius, C)
+
+
+@pytest.mark.parametrize("C", [0.5, 4.0, 1e9])
+@pytest.mark.parametrize("name", sorted(SAMPLES))
+def test_radius_of_the_diameter_on_builder_samples(name, C):
+    sample = SAMPLES[name]()
+    pts = sample.points_array
+    radius = float(np.ptp(pts, axis=0).sum())
+    for vals in (np.sin(3 * pts[:, 0]) + pts[:, 0] * pts[:, -1],
+                 np.random.default_rng(5).normal(size=sample.vertex_count)):
+        assert_report_equals_reference(sample, ScalarField(sample, vals), radius, C)
+
+
+def test_large_radius_and_C_evaluate_few_pairs(monkeypatch):
+    # radius 10 on gasket 6 makes every pair local, and C = 1e9 leaves no
+    # leaf pair able to violate: phase 1 keeps only the leaf pairs whose
+    # bound is not finite, and phase 2 prunes the rest
+    sample = build_gasket(6)
+    x, y = sample.points_array.T
+    f = ScalarField(sample, 1.2 * np.exp(0.8 * x) * np.cos(3 * y + 1) + 0.4 * x * y)
+    rows = []
+
+    def counting(a):
+        rows.append(len(a))
+        return row_norms(a)
+    monkeypatch.setattr(metric, "row_norms", counting)
+    rep = verify_local_to_global(sample, f, 10.0, 1e9, 2.0)
+    monkeypatch.undo()
+    assert rep == local_to_global_reference(sample, f, 10.0, 1e9, 2.0, 1e-9)
+    leaves = len(metric._kd_leaves(sample.points_array)[1]) - 1
+    evaluated = sum(rows) - leaves**2  # less the one call on the leaf boxes' gaps
+    nv = sample.vertex_count
+    assert rep.hypothesis_ok and 0 < evaluated < 0.2 * nv * (nv - 1) / 2
 
 
 @pytest.mark.parametrize("nv", [1, 2, 15, 16, 17, 31, 32, 33, 63, 64, 65, 70])
