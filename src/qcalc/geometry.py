@@ -20,7 +20,7 @@ import pickle
 from collections import deque
 from dataclasses import dataclass, fields, is_dataclass
 from functools import cached_property
-from typing import Callable, Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
@@ -124,6 +124,59 @@ def pair_blocks(nv: int) -> tuple[int, list[tuple[int, list[tuple[int, int, int]
                 size += i + 1
         blocks.append((size, segs))
     return (blocks[0][0] if blocks else 0), blocks
+
+
+#: most vertices of a kd leaf of ``SetSample.kd_leaves`` up to 2^12 vertices
+_LEAF = 16
+
+#: most kd levels of ``SetSample.kd_leaves``: 256 leaves, so that one leaf
+#: pair holds at most ``PAIR_BLOCK`` pairs up to ``POINT_CAP`` vertices
+_KD_DEPTH_CAP = 8
+
+
+def _kd_split(pts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """A vertex order of a kd split of ``pts``, and the bounds of its leaves.
+
+    Each level halves every group of consecutive vertices at its middle
+    position along the group's widest coordinate.  The depth is the least
+    that leaves at most ``_LEAF`` vertices in a leaf, but at most
+    ``_KD_DEPTH_CAP``.  Leaf t holds ``order[bounds[t] : bounds[t + 1]]``;
+    leaf sizes differ by at most 1.
+    """
+    nv = len(pts)
+    depth = min(_KD_DEPTH_CAP, ((nv - 1) // _LEAF).bit_length())
+    coords = np.ascontiguousarray(pts.T)
+    order = np.arange(nv)
+    for level in range(depth):
+        bounds = (np.arange((1 << level) + 1) * nv) >> level
+        p = np.take(coords, order, 1)
+        width = np.maximum.reduceat(p, bounds[:-1], 1) - np.minimum.reduceat(p, bounds[:-1], 1)
+        group = np.repeat(np.arange(1 << level, dtype=np.int16), np.diff(bounds))
+        key = np.take_along_axis(p, np.argmax(width, axis=0)[group][None], 0)[0]
+        # sorted by the key within each group: a stable (radix) sort of the
+        # small group numbers after a sort by the key
+        by_key = np.argsort(key)
+        order = order[by_key[np.argsort(group[by_key], kind="stable")]]
+    return order, (np.arange((1 << depth) + 1) * nv) >> depth
+
+
+def _leaf_box(v: np.ndarray, order: np.ndarray, bounds: np.ndarray) -> tuple:
+    """The least and largest v (vertices first) over each leaf, leaves on the last axis."""
+    v = v[order].T
+    return np.minimum.reduceat(v, bounds[:-1], -1), np.maximum.reduceat(v, bounds[:-1], -1)
+
+
+class KdLeaves(NamedTuple):
+    """The leaves of ``SetSample.kd_leaves``, as read-only arrays."""
+
+    order: np.ndarray  # (nv,) the vertices in leaf order
+    bounds: np.ndarray  # (leaves + 1,) leaf t is order[bounds[t] : bounds[t + 1]]
+    slots: np.ndarray  # (s, leaves) slot t of leaf l; a short leaf repeats its last vertex
+    xs: np.ndarray  # (n, s, leaves) C-contiguous coordinates of the slots
+    lo: np.ndarray  # (n, leaves) the least coordinates over each leaf
+    hi: np.ndarray  # (n, leaves) the largest
+    gap: np.ndarray  # (leaves, leaves) D: the float gap of the two leaves' boxes
+    upper: np.ndarray  # (leaves, leaves) bool, a <= b
 
 
 #: most processes a scan is split over
@@ -303,6 +356,34 @@ class SetSample:
         pairs = list(zip(head[order].tolist(), w[order].tolist()))
         stops = np.cumsum(np.bincount(tail, minlength=self.vertex_count)).tolist()
         return tuple(tuple(pairs[a:b]) for a, b in zip([0] + stops, stops))
+
+    @cached_property
+    def kd_leaves(self) -> KdLeaves:
+        """The leaves of a kd split of the points (``_kd_split``), with what
+        ``metric.verify_local_to_global`` reads of them: the slot table, the
+        slot coordinates, the leaf boxes, the gap D of each leaf pair's boxes
+        (per-coordinate gaps through ``row_norms``) and the mask a <= b.
+
+        Built on first use and kept, so that scans of other fields on this
+        sample reuse it.  At ``POINT_CAP`` points in the plane (256 leaves of
+        128) it holds 1.6 MB.
+        """
+        pts = self.points_array
+        n = pts.shape[1]
+        order, bounds = _kd_split(pts)
+        sizes = np.diff(bounds)
+        leaves, s = len(sizes), int(sizes.max())
+        slots = order[np.minimum(np.arange(s)[:, None], sizes - 1) + bounds[:-1]]
+        # leaf pair (a, b) is entry a * leaves + b of the (leaves, leaves) arrays
+        lo, hi = _leaf_box(pts, order, bounds)
+        gaps = np.maximum(np.maximum(lo[:, None] - hi[..., None], lo[..., None] - hi[:, None]), 0.0)
+        gap = row_norms(gaps.reshape(n, -1).T).reshape(leaves, leaves)
+        upper = np.arange(leaves)[:, None] <= np.arange(leaves)
+        record = KdLeaves(order, bounds, slots, np.ascontiguousarray(pts.T[:, slots]), lo, hi,
+                          gap, upper)
+        for arr in record:
+            arr.setflags(write=False)
+        return record
 
     @cached_property
     def max_edge_length(self) -> float:

@@ -16,7 +16,8 @@ import numpy as np
 
 from .errors import BuildError, DisconnectedSampleError, ResourceLimitError
 from .fields import ScalarField, require_same_sample
-from .geometry import PAIR_BLOCK, POINT_CAP, PolylinePath, SetSample, report_dict, row_norms
+from .geometry import (PAIR_BLOCK, POINT_CAP, PolylinePath, SetSample, _leaf_box, report_dict,
+                       row_norms)
 
 #: most pairs sampled mode draws (2^24)
 _PAIR_BUDGET_CAP = POINT_CAP ** 2 // 64
@@ -223,55 +224,22 @@ class LocalToGlobalReport:
         return report_dict(self, local_violations=self.local_violations[:20], passed=self.passed)
 
 
-#: most vertices of a kd leaf of ``verify_local_to_global`` up to 2^12 vertices
-_LEAF = 16
-
-#: most kd levels of ``verify_local_to_global``: 256 leaves, so that one leaf
-#: pair holds at most ``PAIR_BLOCK`` pairs up to ``POINT_CAP`` vertices
-_KD_DEPTH_CAP = 8
-
-
-def _kd_leaves(pts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """A vertex order of a kd split of ``pts``, and the bounds of its leaves.
-
-    Each level halves every group of consecutive vertices at its middle
-    position along the group's widest coordinate.  The depth is the least
-    that leaves at most ``_LEAF`` vertices in a leaf, but at most
-    ``_KD_DEPTH_CAP``.  Leaf t holds ``order[bounds[t] : bounds[t + 1]]``;
-    leaf sizes differ by at most 1.
-    """
-    nv = len(pts)
-    depth = min(_KD_DEPTH_CAP, ((nv - 1) // _LEAF).bit_length())
-    coords = np.ascontiguousarray(pts.T)
-    order = np.arange(nv)
-    for level in range(depth):
-        bounds = (np.arange((1 << level) + 1) * nv) >> level
-        p = np.take(coords, order, 1)
-        width = np.maximum.reduceat(p, bounds[:-1], 1) - np.minimum.reduceat(p, bounds[:-1], 1)
-        group = np.repeat(np.arange(1 << level, dtype=np.int16), np.diff(bounds))
-        key = np.take_along_axis(p, np.argmax(width, axis=0)[group][None], 0)[0]
-        # sorted by the key within each group: a stable (radix) sort of the
-        # small group numbers after a sort by the key
-        by_key = np.argsort(key)
-        order = order[by_key[np.argsort(group[by_key], kind="stable")]]
-    return order, (np.arange((1 << depth) + 1) * nv) >> depth
-
-
-def _lipschitz_scan(pts: np.ndarray, vals: np.ndarray, radius: float, C: float,
+def _lipschitz_scan(sample: SetSample, vals: np.ndarray, radius: float, C: float,
                     tol: float) -> tuple[tuple, float, tuple[int, int]]:
     """(violations, l_glob, witness) of ``verify_local_to_global``, by pairs
     of kd leaves.
 
-    Leaves.  ``_kd_leaves`` cuts the vertices into 2^depth leaves of at most
-    ``_LEAF`` = 16 vertices, but into no more than 256 (at ``POINT_CAP`` a
-    leaf holds 128).  Each leaf pair (a, b), a <= b, is evaluated as
-    (slot, slot, leaf pair) arrays, about ``PAIR_BLOCK`` pairs at a time,
-    with the float operations of the row loop: the chord is ``row_norms`` of
-    x_j - x_i and the ratio |f_j - f_i| / chord.  fl(u - v) = -fl(v - u),
-    so the orientation of a pair does not change a bit.  A short leaf
-    repeats its last vertex and a leaf paired with itself holds each pair
-    twice; such repeats have the same bits, and a vertex paired with itself
-    is dropped.
+    Leaves.  ``SetSample.kd_leaves`` cuts the vertices into 2^depth leaves
+    of at most 16 vertices, but into no more than 256 (at ``POINT_CAP`` a
+    leaf holds 128), and holds what depends on the points alone: the slot
+    table, the slot coordinates and the gaps D below.  Each leaf pair
+    (a, b), a <= b, is evaluated as (slot, slot, leaf pair) arrays, about
+    ``PAIR_BLOCK`` pairs at a time, with the float operations of the row
+    loop: the chord is ``row_norms`` of x_j - x_i and the ratio
+    |f_j - f_i| / chord.  fl(u - v) = -fl(v - u), so the orientation of a
+    pair does not change a bit.  A short leaf repeats its last vertex and a
+    leaf paired with itself holds each pair twice; such repeats have the
+    same bits, and a vertex paired with itself is dropped.
 
     The bound.  For a leaf pair, g_c = max(lo_b - hi_a, lo_a - hi_b, 0) is
     the float gap of the two bounding boxes in coordinate c, D =
@@ -303,30 +271,22 @@ def _lipschitz_scan(pts: np.ndarray, vals: np.ndarray, radius: float, C: float,
     falling bound while the bound reaches the largest ratio found so far.
     A skipped leaf pair has a bound, and so every ratio, below a ratio
     already measured: it can neither hold l_glob nor tie it, and the witness
-    is that of the full scan.  Working memory is one batch and n + 4
-    (leaf, leaf) arrays of at most 256^2 entries, whatever nv and radius.
+    is that of the full scan.  Working memory is one batch and three
+    (leaf, leaf) arrays of at most 256^2 entries (S, the bound and the
+    phase-1 mask), whatever nv and radius; the leaves and D live on the
+    sample, built by its first scan.
     """
-    nv, n = pts.shape
+    nv, n = sample.points_array.shape
     if nv < 2:
         return (), 0.0, (0, 0)
-    order, bounds = _kd_leaves(pts)
-    sizes = np.diff(bounds)
-    leaves, s = len(sizes), int(sizes.max())
-    # slot t of leaf l is vertex slots[t, l]; a short leaf repeats its last vertex
-    slots = order[np.minimum(np.arange(s)[:, None], sizes - 1) + bounds[:-1]]
-
-    def box(v):  # the least and largest v over each leaf, leaves on the last axis
-        v = v[order].T
-        return np.minimum.reduceat(v, bounds[:-1], -1), np.maximum.reduceat(v, bounds[:-1], -1)
+    order, bounds, slots, xs, _, _, gap, upper = sample.kd_leaves
+    s, leaves = slots.shape
 
     def span(v):  # [a, b]: >= every |fl(v_j - v_i)|, i in leaf a, j in leaf b
-        lo, hi = box(v)
+        lo, hi = _leaf_box(v, order, bounds)
         return np.maximum(hi - lo[:, None], hi[:, None] - lo)
 
     # leaf pair (a, b) is entry a * leaves + b of the (leaves, leaves) arrays
-    lo, hi = box(pts)
-    gaps = np.maximum(np.maximum(lo[:, None] - hi[..., None], lo[..., None] - hi[:, None]), 0.0)
-    gap = row_norms(gaps.reshape(n, -1).T).reshape(leaves, leaves)
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
         if np.iscomplexobj(vals):
             df_span = np.hypot(span(vals.real), span(vals.imag)) * (1 + 2.0**-20) + 2.0**-1070
@@ -335,9 +295,7 @@ def _lipschitz_scan(pts: np.ndarray, vals: np.ndarray, radius: float, C: float,
         bound = df_span / gap
         near = (((gap <= radius) & ~(df_span <= C * gap)) | ~np.isfinite(bound)
                 | (gap < np.finfo(float).tiny))
-    upper = np.arange(leaves)[:, None] <= np.arange(leaves)
     bound = bound.ravel()
-    xs = np.ascontiguousarray(pts.T[:, slots])
     fs = vals[slots]
     per = max(1, PAIR_BLOCK // (s * s))
 
@@ -439,9 +397,10 @@ def verify_local_to_global(
     The pairs are scanned by pairs of kd leaves, and a leaf pair whose
     proved bound lies below a ratio already measured is skipped (see
     ``_lipschitz_scan``); the report is the one of a full scan in row-major
-    order.  Violations are
-    sorted by (i, j).  The witness is the first pair in row-major order with
-    the largest ratio |f(x_j) - f(x_i)| / |x_j - x_i|, and (0, 0) when every
+    order.  The first call on a sample builds the leaves and keeps them on
+    it (``SetSample.kd_leaves``).  Violations are sorted by (i, j).  The
+    witness is the first pair in row-major order with the largest ratio
+    |f(x_j) - f(x_i)| / |x_j - x_i|, and (0, 0) when every
     ratio is 0; a row holding a 0/0 ratio (coincident points) offers no
     witness.  A NaN or negative radius, a C or tol that is not finite and
     nonnegative, or a k that is not finite and positive raises a ``BuildError``.
@@ -455,8 +414,7 @@ def verify_local_to_global(
         if not (math.isfinite(value) and value >= 0):
             raise BuildError(f"{name} must be finite and nonnegative, got {value!r}")
     _check_k(k)
-    violations, l_glob, witness = _lipschitz_scan(
-        sample.points_array, f.values, radius, C, tol)
+    violations, l_glob, witness = _lipschitz_scan(sample, f.values, radius, C, tol)
     bound = k * C
     return LocalToGlobalReport(
         radius=float(radius),

@@ -25,6 +25,17 @@ larger.  x -> -x negates the system's x column and so A's x component,
 and nothing else (an exact zero is not negated: it stays +0).  Relabelling
 is left out: the adjoint's ``np.bincount`` then adds each vertex's edge
 terms in another order, which need not round the same way.
+
+``verify_remainder_bound`` keeps its bits under points times 2^-3 with A
+times 2^3 (each term of A(x)(y - x) is the same product, the chords scale
+by 2^-3 and the oscillations by 2^3, so every remainder, bound and ratio
+keeps its bits) and under x -> -x with A_x negated (the same terms and
+chords).  The CSV buffers keep their bits too, but for the chords' exact
+2^-3.  Relabelling keeps each ordered pair's remainder and bound, so the
+violations are the same pairs and ``max_ratio`` keeps its bits; its pair
+is compared only where the maximum is unique.  Swapping the coordinates
+does not hold: the forward term ``diff @ A(x)`` is an OpenBLAS gemv, whose
+rounding follows the column order.
 """
 from __future__ import annotations
 
@@ -38,7 +49,7 @@ from hypothesis import strategies as st
 from conftest import connected_planar_graphs
 from qcalc import geometry, metric
 from qcalc.calculus import (discrete_gradient, loop_defect, path_integral, reconstruct,
-                            verify_ftc)
+                            verify_ftc, verify_remainder_bound)
 from qcalc.fields import CovectorField, ScalarField
 from qcalc.geometry import PolylinePath, SetSample, row_norms
 
@@ -228,3 +239,72 @@ def test_discrete_gradient_relations_on_random_graphs(graph, complex_field):
     if complex_field:
         f_values = f_values + 1j * f_values[::-1]
     assert_gradient_relations(sample, f_values)
+
+
+# ---------------------------------------------------------------------------
+# verify_remainder_bound
+
+
+def remainder_ties(sample, vals, cov, k, top):
+    """How many ordered pairs have remainder ratio ``top``, by the scan's
+    float operations row by row."""
+    pts, ties = sample.points_array, 0
+    for x in range(sample.vertex_count):
+        diff = pts - pts[x]
+        d = row_norms(diff)
+        order = np.argsort(d)
+        prefix = np.maximum.accumulate(row_norms(cov - cov[x])[order])
+        pos = np.searchsorted(d[order], k * d, side="right") - 1
+        rhs = k * d * prefix[np.maximum(pos, 0)]
+        lhs = np.abs(vals - vals[x] - diff @ cov[x])
+        with np.errstate(divide="ignore", invalid="ignore"):
+            ratio = np.where(rhs > 0, lhs / rhs, np.where(lhs > 0, np.inf, 0.0))
+        ratio[x] = 0.0
+        ties += int(np.count_nonzero(ratio == top))
+    return ties
+
+
+def remainder(sample, vals, cov, k):
+    return verify_remainder_bound(ScalarField(sample, vals), CovectorField(sample, cov), sample,
+                                  k=k)
+
+
+def buffers(rep):
+    return [b.tobytes() for b in (rep.pair_remainder, rep.pair_bound, rep.pair_index)]
+
+
+# carpet 3 holds too, but takes 1.2 s
+REMAINDER_SAMPLES = {"gasket 5": SAMPLES["gasket 5"], "carpet 2": lambda: geometry.build_carpet(2)}
+
+
+@pytest.mark.parametrize("name", sorted(REMAINDER_SAMPLES))
+def test_remainder_relations_on_builder_samples(name):
+    sample = REMAINDER_SAMPLES[name]()
+    pts = sample.points_array
+    x, y = pts.T
+    # f = sin 3x + xy with its gradient: k = 2.3 is admissible, 0.6 is not
+    vals, cov = np.sin(3 * x) + x * y, np.c_[3 * np.cos(3 * x) + y, x]
+    A = CovectorField(sample, cov)
+    for k in (2.3, 0.6):
+        rep = remainder(sample, vals, cov, k)
+        assert rep.passed == (k > 1)
+        for transform in (scaled, reflected):
+            moved, moved_cov = transform(sample, A)
+            got = remainder(moved, vals, moved_cov, k)
+            # remainders and bounds are >= 0 and finite here, so == is bitwise
+            assert got == rep and got.max_ratio.hex() == rep.max_ratio.hex(), transform.__name__
+            assert buffers(got) == buffers(rep), transform.__name__
+            scale = 1.0 if transform is reflected else SCALE
+            assert got.pair_dist.tobytes() == (rep.pair_dist * scale).tobytes()
+        # a random relabelling: vertex v of the relabelled sample is perm[v]
+        perm = np.random.default_rng(sample.vertex_count).permutation(sample.vertex_count)
+        new_of = np.argsort(perm)
+        edges = tuple((int(new_of[i]), int(new_of[j]), w) for i, j, w in sample.edges)
+        relabelled = moved_sample(sample, pts[perm], edges)
+        got = remainder(relabelled, vals[perm], cov[perm], k)
+        assert got.max_ratio.hex() == rep.max_ratio.hex()
+        assert sorted((int(perm[i]), int(perm[j]), lhs, rhs)
+                      for i, j, lhs, rhs in got.violations) == list(rep.violations)
+        # the pairs may differ only where the maximum is tied
+        if tuple(int(v) for v in perm[list(got.max_ratio_pair)]) != rep.max_ratio_pair:
+            assert remainder_ties(sample, vals, cov, k, rep.max_ratio) > 1

@@ -20,7 +20,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qcalc import metric
+from qcalc import geometry, metric
 from qcalc.calculus import (
     BucketStat,
     _row_dots,
@@ -421,6 +421,19 @@ def assert_report_equals_reference(sample, f, radius, C, k=2.0, tol=1e-9):
     return rep
 
 
+def assert_warm_equals_cold(sample, fresh, vals, radius, C):
+    """The report on ``sample``, whose kd leaves an earlier scan built, equals
+    bit for bit (by repr) the one on ``fresh()``, an equal sample scanned
+    cold, and the row loop's.  A sample of one vertex has no pairs and
+    builds no leaves."""
+    assert ("kd_leaves" in vars(sample)) == (sample.vertex_count > 1)
+    cold_sample = fresh()
+    assert cold_sample == sample and "kd_leaves" not in vars(cold_sample)
+    warm = assert_report_equals_reference(sample, ScalarField(sample, vals), radius, C)
+    cold = verify_local_to_global(cold_sample, ScalarField(cold_sample, vals), radius, C, 2.0)
+    assert repr(warm) == repr(cold)
+
+
 @st.composite
 def l2g_cases(draw, radii=(None, 0.0, "diameter", "random")):
     """(points, values, radius, C) across leaf-size boundaries, scales and
@@ -499,12 +512,12 @@ def test_large_radius_and_C_evaluate_few_pairs(monkeypatch):
     def counting(a):
         rows.append(len(a))
         return row_norms(a)
+    sample.kd_leaves  # the leaf boxes' gaps, built ahead, so that every counted row is a pair
     monkeypatch.setattr(metric, "row_norms", counting)
     rep = verify_local_to_global(sample, f, 10.0, 1e9, 2.0)
     monkeypatch.undo()
     assert rep == local_to_global_reference(sample, f, 10.0, 1e9, 2.0, 1e-9)
-    leaves = len(metric._kd_leaves(sample.points_array)[1]) - 1
-    evaluated = sum(rows) - leaves**2  # less the one call on the leaf boxes' gaps
+    evaluated = sum(rows)
     nv = sample.vertex_count
     assert rep.hypothesis_ok and 0 < evaluated < 0.2 * nv * (nv - 1) / 2
 
@@ -568,3 +581,60 @@ def test_leaf_pair_scan_memory_does_not_grow_with_radius():
         tracemalloc.stop()
     assert rep.hypothesis_ok and rep.l_glob > 0
     assert peak < 8 * 2**20
+
+
+# ---------------------------------------------------------------------------
+# the kd leaves are built once per sample and kept on it
+
+
+def test_three_scans_build_the_split_once(monkeypatch):
+    sample = build_gasket(5)
+    split, calls = geometry._kd_split, []
+
+    def counting(pts):
+        calls.append(len(pts))
+        return split(pts)
+    monkeypatch.setattr(geometry, "_kd_split", counting)
+    x, y = sample.points_array.T
+    diameter = float(np.ptp(sample.points_array, axis=0).sum())
+    # other fields, C and radii, one of them at least the diameter
+    for vals, radius, C in ((np.sin(3 * x) + x * y, None, 1.0), (x - 2 * y, 0.05, 0.5),
+                            (np.exp(x) * np.cos(2 * y), diameter, 1e9)):
+        assert_report_equals_reference(sample, ScalarField(sample, vals), radius, C)
+    assert calls == [sample.vertex_count]
+
+
+@pytest.mark.parametrize("name", sorted(SAMPLES))
+def test_warm_reports_equal_cold_ones_on_builder_samples(name):
+    sample = SAMPLES[name]()
+    pts = sample.points_array
+    smooth, noise = smooth_fields(sample)[0].values, random_fields(sample, 6, True)[0].values
+    verify_local_to_global(sample, ScalarField(sample, noise), None, 1.0, 2.0)
+    diameter = float(np.ptp(pts, axis=0).sum())
+    for vals, radius, C in ((smooth, None, 1.0), (smooth, diameter, 0.25), (noise, None, 0.25),
+                            (noise, diameter, 1e9)):
+        assert_warm_equals_cold(sample, SAMPLES[name], vals, radius, C)
+
+
+@settings(deadline=None, max_examples=150)
+@given(l2g_cases())
+def test_warm_reports_equal_cold_ones(case):
+    # complex f, coincident points, |f_j - f_i| = inf and 1-70 vertices; the
+    # first scan, with another field, C and radius, builds the leaves
+    pts, vals, radius, C = case
+    sample = chain_sample(pts)
+    with np.errstate(all="ignore"):
+        verify_local_to_global(sample, ScalarField(sample, vals[::-1]), None, 1.0, 2.0)
+        assert_warm_equals_cold(sample, lambda: chain_sample(pts), vals, radius, C)
+
+
+def test_kd_leaves_are_read_only_and_per_sample():
+    doc = geometry.sample_to_dict(build_gasket(4))
+    a, b = sample_from_dict(doc), sample_from_dict(doc)
+    assert a == b and a.kd_leaves is a.kd_leaves and a.kd_leaves is not b.kd_leaves
+    for name, x, y in zip(a.kd_leaves._fields, a.kd_leaves, b.kd_leaves):
+        assert not x.flags.writeable, name
+        with pytest.raises(ValueError):
+            x.flat[0] = x.flat[-1]
+        assert not np.shares_memory(x, y), name
+        assert x.dtype == y.dtype and x.tobytes() == y.tobytes(), name
