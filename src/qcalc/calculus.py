@@ -24,10 +24,10 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import BuildError, PathError, QcalcError, UndersampledError
+from .errors import BuildError, PathError, QcalcError, UndersampledError, require
 from .fields import CovectorField, ScalarField, require_same_sample
 from .geometry import PolylinePath, SetSample, pair_blocks, report_dict, row_map, row_norms
-from .metric import _check_k, _check_vertex, predecessor_array
+from .metric import _check_vertex, predecessor_array
 
 #: bucket sups below this are treated as exactly zero in modulus fits
 _EXACT_TOL = 1e-13
@@ -124,10 +124,8 @@ def reconstruct(
     a ``defect_tol`` that is not finite raises a ``BuildError``.
     """
     require_same_sample(sample, A)
-    if not math.isfinite(defect_tol):
-        raise BuildError(f"defect_tol must be finite, got {defect_tol!r}")
-    if not np.isfinite(base_value):
-        raise BuildError(f"base_value must be finite, got {base_value!r}")
+    require("defect_tol", defect_tol, "finite")
+    require("base_value", base_value, "finite")
     dist, pred = predecessor_array(sample, basepoint)
     if not np.all(np.isfinite(dist)):
         raise PathError("sample must be connected for reconstruction")
@@ -168,8 +166,7 @@ def whitney_remainder(f: ScalarField, A: CovectorField, x: int, y: int) -> float
 
 def oscillation(A: CovectorField, x: int, radius: float) -> float:
     """Sup of |A(w) - A(x)| over sample points w in the closed ball around x."""
-    if not radius >= 0:  # a NaN ball would hold no point, not even x
-        raise BuildError(f"radius must be nonnegative, got {radius!r}")
+    require("radius", radius, "nonnegative")  # a NaN ball would hold no point, not even x
     _check_vertex(A.sample, x)
     pts = A.sample.points_array
     d = row_norms(pts - pts[x])
@@ -235,9 +232,8 @@ def verify_remainder_bound(
     says when that is unsafe.  The buffers are filled in place, so a scan
     with them runs in this process.
     """
-    _check_k(k)
-    if not math.isfinite(tol):  # a negative tol stays legal
-        raise BuildError(f"tol must be finite, got {tol!r}")
+    require("k", k, "finite and positive")
+    require("tol", tol, "finite")  # a negative tol stays legal
     if sample is None:
         sample = f.sample
     require_same_sample(sample, f, A)
@@ -542,7 +538,7 @@ def fit_holder_modulus(
     positive.  The profile forks worker processes on large samples (see
     ``pair_modulus_profile``).
     """
-    _check_k(k)
+    require("k", k, "finite and positive")
     if sample is None:
         sample = f.sample
     require_same_sample(sample, f, A)

@@ -22,7 +22,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import AlgebraError, BuildError
+from .errors import AlgebraError, BuildError, require
 from .fields import ScalarField, require_same_sample
 from .geometry import (SetSample, _expect, _is_finite_number, _is_index, _number_rows,
                        report_dict)
@@ -263,26 +263,22 @@ def _dirac_sum(directions: Sequence[Multivector], columns: Sequence[Multivector]
     return total
 
 
-def _check_tol(name: str, value: float) -> None:
-    """Reject a tolerance that is not finite and nonnegative."""
-    if not (np.isfinite(value) and value >= 0):
-        raise BuildError(f"{name} must be finite and nonnegative, got {value!r}")
+def _monogenic_report(L: LinearCliffordMap, tol: float, side: str) -> MonogenicReport:
+    require("tol", tol, "finite and nonnegative")
+    defect = _dirac_sum(_basis(L.dim), L.columns, side).norm()
+    return MonogenicReport(side, defect, tol, defect <= tol)
 
 
 def is_left_monogenic(L: LinearCliffordMap, tol: float = 1e-12) -> MonogenicReport:
     """Defect norm of the left Dirac condition sum_i e_i c_i = 0; a tol that is
     not finite and nonnegative raises a ``BuildError``."""
-    _check_tol("tol", tol)
-    defect = _dirac_sum(_basis(L.dim), L.columns, "left").norm()
-    return MonogenicReport("left", defect, tol, defect <= tol)
+    return _monogenic_report(L, tol, "left")
 
 
 def is_right_monogenic(L: LinearCliffordMap, tol: float = 1e-12) -> MonogenicReport:
     """Defect norm of the right Dirac condition sum_i c_i e_i = 0; a tol that is
     not finite and nonnegative raises a ``BuildError``."""
-    _check_tol("tol", tol)
-    defect = _dirac_sum(_basis(L.dim), L.columns, "right").norm()
-    return MonogenicReport("right", defect, tol, defect <= tol)
+    return _monogenic_report(L, tol, "right")
 
 
 def complete_from_hyperplane(
@@ -360,12 +356,7 @@ def monogenic_space_dimension(n: int, side: str = "left") -> int:
 
 def complex_to_even(z: complex) -> Multivector:
     """Embed C into the even part of Cl_2 by 1 -> 1, i -> e2 e1 = -e12."""
-    out = Multivector.zero(2)
-    c = out.coeffs.copy()
-    c.setflags(write=True)
-    c[0] = z.real
-    c[3] = -z.imag
-    return Multivector(2, c)
+    return Multivector(2, [z.real, 0.0, 0.0, -z.imag])
 
 
 @dataclass(frozen=True)
@@ -450,8 +441,8 @@ def tangential_derivative_on_graph(
     grid step h.  A c_quad or tol that is not finite and nonnegative raises
     a ``BuildError``.
     """
-    _check_tol("c_quad", c_quad)
-    _check_tol("tol", tol)
+    require("c_quad", c_quad, "finite and nonnegative")
+    require("tol", tol, "finite and nonnegative")
     sample = require_same_sample(f, deriv)
     _require_graph_chain(sample)
     pts = sample.points_array

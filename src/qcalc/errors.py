@@ -1,5 +1,7 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the rule check on numeric arguments."""
 from __future__ import annotations
+
+import cmath
 
 
 class QcalcError(Exception):
@@ -8,6 +10,22 @@ class QcalcError(Exception):
 
 class BuildError(QcalcError, ValueError):
     """Invalid parameters passed to a builder or an operation."""
+
+
+#: the rules of ``require``; "finite" alone takes a complex value
+_RULES = {
+    "finite": cmath.isfinite,
+    "nonnegative": lambda v: v >= 0,  # inf passes, NaN does not
+    "finite and nonnegative": lambda v: cmath.isfinite(v) and v >= 0,
+    "finite and positive": lambda v: cmath.isfinite(v) and v > 0,
+}
+
+
+def require(name: str, value, rule: str) -> None:
+    """Raise a ``BuildError`` naming ``name`` unless ``value`` satisfies
+    ``rule``, one of the keys of ``_RULES``."""
+    if not _RULES[rule](value):
+        raise BuildError(f"{name} must be {rule}, got {value!r}")
 
 
 class ResourceLimitError(QcalcError):

@@ -173,8 +173,6 @@ class KdLeaves(NamedTuple):
     bounds: np.ndarray  # (leaves + 1,) leaf t is order[bounds[t] : bounds[t + 1]]
     slots: np.ndarray  # (s, leaves) slot t of leaf l; a short leaf repeats its last vertex
     xs: np.ndarray  # (n, s, leaves) C-contiguous coordinates of the slots
-    lo: np.ndarray  # (n, leaves) the least coordinates over each leaf
-    hi: np.ndarray  # (n, leaves) the largest
     gap: np.ndarray  # (leaves, leaves) D: the float gap of the two leaves' boxes
     upper: np.ndarray  # (leaves, leaves) bool, a <= b
 
@@ -361,7 +359,7 @@ class SetSample:
     def kd_leaves(self) -> KdLeaves:
         """The leaves of a kd split of the points (``_kd_split``), with what
         ``metric.verify_local_to_global`` reads of them: the slot table, the
-        slot coordinates, the leaf boxes, the gap D of each leaf pair's boxes
+        slot coordinates, the gap D of each leaf pair's bounding boxes
         (per-coordinate gaps through ``row_norms``) and the mask a <= b.
 
         Built on first use and kept, so that scans of other fields on this
@@ -379,8 +377,7 @@ class SetSample:
         gaps = np.maximum(np.maximum(lo[:, None] - hi[..., None], lo[..., None] - hi[:, None]), 0.0)
         gap = row_norms(gaps.reshape(n, -1).T).reshape(leaves, leaves)
         upper = np.arange(leaves)[:, None] <= np.arange(leaves)
-        record = KdLeaves(order, bounds, slots, np.ascontiguousarray(pts.T[:, slots]), lo, hi,
-                          gap, upper)
+        record = KdLeaves(order, bounds, slots, np.ascontiguousarray(pts.T[:, slots]), gap, upper)
         for arr in record:
             arr.setflags(write=False)
         return record

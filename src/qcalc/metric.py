@@ -14,7 +14,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import BuildError, DisconnectedSampleError, ResourceLimitError
+from .errors import BuildError, DisconnectedSampleError, ResourceLimitError, require
 from .fields import ScalarField, require_same_sample
 from .geometry import (PAIR_BLOCK, POINT_CAP, PolylinePath, SetSample, _leaf_box, report_dict,
                        row_norms)
@@ -30,12 +30,6 @@ def _check_vertex(sample: SetSample, v: int) -> None:
     """Reject vertex indices outside 0..nv-1 (no wrap-around from the end)."""
     if not 0 <= v < sample.vertex_count:
         raise BuildError(f"vertex {v} out of range")
-
-
-def _check_k(k: float) -> None:
-    """Reject a chord-arc constant k that is not finite and positive."""
-    if not (math.isfinite(k) and k > 0):
-        raise BuildError(f"k must be finite and positive, got {k!r}")
 
 
 def _settle(sample: SetSample, source: int, targets: Sequence[int] = ()) -> tuple[list, list]:
@@ -279,7 +273,7 @@ def _lipschitz_scan(sample: SetSample, vals: np.ndarray, radius: float, C: float
     nv, n = sample.points_array.shape
     if nv < 2:
         return (), 0.0, (0, 0)
-    order, bounds, slots, xs, _, _, gap, upper = sample.kd_leaves
+    order, bounds, slots, xs, gap, upper = sample.kd_leaves
     s, leaves = slots.shape
 
     def span(v):  # [a, b]: >= every |fl(v_j - v_i)|, i in leaf a, j in leaf b
@@ -408,12 +402,10 @@ def verify_local_to_global(
     require_same_sample(sample, f)
     if radius is None:
         radius = 2.0 * sample.max_edge_length
-    if not radius >= 0:
-        raise BuildError(f"radius must be nonnegative, got {radius!r}")
-    for name, value in (("C", C), ("tol", tol)):
-        if not (math.isfinite(value) and value >= 0):
-            raise BuildError(f"{name} must be finite and nonnegative, got {value!r}")
-    _check_k(k)
+    require("radius", radius, "nonnegative")
+    require("C", C, "finite and nonnegative")
+    require("tol", tol, "finite and nonnegative")
+    require("k", k, "finite and positive")
     violations, l_glob, witness = _lipschitz_scan(sample, f.values, radius, C, tol)
     bound = k * C
     return LocalToGlobalReport(

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .calculus import pair_modulus_profile
-from .errors import BuildError, UndersampledError, UnderdeterminedNeighborhoodError
+from .errors import BuildError, UndersampledError, UnderdeterminedNeighborhoodError, require
 from .fields import CovectorField, ScalarField, require_same_sample
 from .geometry import SetSample, report_dict, row_norms
 from .metric import _check_vertex
@@ -96,8 +96,10 @@ def determined_subspace(
     The difference-quotient design matrix (w - x over the ball, divided by
     the radius) determines the differential along its singular directions
     with singular value above ``slack``; the orthogonal complement is free.
+    A ``slack`` that is not finite and nonnegative raises a ``BuildError``.
     """
     require_same_sample(sample, f)
+    require("slack", slack, "finite and nonnegative")
     idx = _ball_indices(sample, x, radius)
     rows = (sample.points_array[idx] - sample.points_array[x]) / radius
     _, s, vt = np.linalg.svd(rows, full_matrices=True)
@@ -133,9 +135,11 @@ def differential_stability(
 
     When the neighborhood does not determine all of R^n (smallest singular
     value at or below ``slack``) the differential is not unique and no
-    condition number is reported.
+    condition number is reported.  A ``slack`` that is not finite and
+    nonnegative raises a ``BuildError``.
     """
     require_same_sample(sample, f)
+    require("slack", slack, "finite and nonnegative")
     idx = _ball_indices(sample, x, radius)
     rows = (sample.points_array[idx] - sample.points_array[x]) / radius
     s = np.linalg.svd(rows, compute_uv=False)
@@ -189,10 +193,8 @@ def check_whitney_c1(
     require_same_sample(sample, f, A)
     if scale_buckets < 3:  # the decay test reads the three smallest buckets
         raise BuildError(f"scale_buckets must be at least 3, got {scale_buckets}")
-    if not np.isfinite(threshold):
-        raise BuildError(f"threshold must be finite, got {threshold!r}")
-    if not (np.isfinite(decay_tol) and decay_tol >= 0):
-        raise BuildError(f"decay_tol must be finite and nonnegative, got {decay_tol!r}")
+    require("threshold", threshold, "finite")
+    require("decay_tol", decay_tol, "finite and nonnegative")
     profile = pair_modulus_profile(f, A, covectors=False)
     if len(profile) < 3:
         raise UndersampledError(

@@ -13,6 +13,7 @@ from __future__ import annotations
 import ast
 import hashlib
 import json
+import re
 from pathlib import Path
 
 import numpy as np
@@ -329,4 +330,21 @@ def test_only_geometry_indents_json():
              if path.name != "geometry.py"
              for node in ast.walk(ast.parse(path.read_text()))
              if isinstance(node, ast.keyword) and node.arg == "indent"]
+    assert found == []
+
+
+def test_only_errors_words_numeric_rules():
+    """Every "must be finite / nonnegative / positive ..., got ..." refusal
+    goes through ``errors.require``: no other module raises a ``BuildError``
+    with such an f-string."""
+    rule = re.compile(r"must be (finite|nonnegative|positive)\b.*, got ")
+    found = [(path.name, node.lineno)
+             for path in sorted(Path(qcalc.__file__).parent.glob("*.py"))
+             if path.name != "errors.py"
+             for node in ast.walk(ast.parse(path.read_text()))
+             if isinstance(node, ast.Raise) and isinstance(node.exc, ast.Call)
+             and getattr(node.exc.func, "id", None) == "BuildError"
+             for arg in node.exc.args if isinstance(arg, ast.JoinedStr)
+             if rule.search("".join(part.value for part in arg.values
+                                    if isinstance(part, ast.Constant)))]
     assert found == []

@@ -155,6 +155,18 @@ def test_stability_collinear_signals_nonunique():
     assert rep.condition is None
 
 
+@pytest.mark.parametrize("check", [determined_subspace, differential_stability])
+@pytest.mark.parametrize("slack", [math.inf, math.nan, -1.0, -1e-300])
+def test_local_slack_must_be_finite_and_nonnegative(gasket3, check, slack):
+    # a NaN or infinite slack used to report dimension 0 (not unique), and a
+    # negative one the full dimension (unique) whatever the spectrum
+    f = ScalarField.from_function(gasket3, lambda p: p[0])
+    with pytest.raises(BuildError, match=f"slack must be finite and nonnegative, "
+                                         f"got {slack!r}$"):
+        check(gasket3, f, 0, 0.3, slack=slack)
+    check(gasket3, f, 0, 0.3, slack=0.0)
+
+
 # ---------------------------------------------------------------------------
 # check_whitney_c1
 
