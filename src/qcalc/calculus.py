@@ -121,7 +121,8 @@ def reconstruct(
     Deterministic given the shortest-path tie rule.  If the worst loop
     defect over the fundamental cycles of the shortest-path tree exceeds
     ``defect_tol``, the returned field carries a non-integrability warning;
-    a ``defect_tol`` that is not finite raises a ``BuildError``.
+    a ``defect_tol`` that is not finite raises a ``BuildError``.  The field
+    is complex if ``A`` or ``base_value`` is.
     """
     require_same_sample(sample, A)
     require("defect_tol", defect_tol, "finite")
@@ -132,8 +133,9 @@ def reconstruct(
     nv = sample.vertex_count
     # the step along tree edge pred[v] -> v; the basepoint's -1 gives an unused one
     steps, parent = _edge_integrals(A, pred, np.arange(nv)).tolist(), pred.tolist()
+    dtype = np.result_type(A.covectors, base_value)  # complex if either is
     vals = [None] * nv
-    vals[basepoint] = np.array(base_value, dtype=A.covectors.dtype).item()
+    vals[basepoint] = np.array(base_value, dtype=dtype).item()
     # a vertex can tie its predecessor's float distance, so fill in chain order:
     # walk up to a vertex that has a value, then fill the chain back down
     for v in range(nv):
@@ -143,7 +145,7 @@ def reconstruct(
             v = parent[v]
         for w in reversed(chain):
             vals[w] = vals[parent[w]] + steps[w]
-    values = np.array(vals, dtype=A.covectors.dtype)
+    values = np.array(vals, dtype=dtype)
     i, j = sample.edge_ends
     off_tree = (pred[j] != i) & (pred[i] != j)
     i, j = i[off_tree], j[off_tree]

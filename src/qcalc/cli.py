@@ -18,7 +18,7 @@ from . import geometry
 from .errors import QcalcError
 from .fields import CovectorField, ScalarField, load_field
 from .geometry import (_is_finite_number, document, load_sample, path_to_dict, read_json,
-                       sample_to_dict)
+                       sample_document)
 
 TOLERANCE_DEFAULTS = {
     "ftc": 1e-9,        # pass threshold for the path-integral identity
@@ -137,7 +137,7 @@ def _reconstruct(opt: dict):
     A = _field(opt["A"], sample, CovectorField)
     from . import calculus
     rec = calculus.reconstruct(sample, A, opt["base"], opt["value"], defect_tol=defect_tol)
-    return document(basepoint=opt["base"], base_value=opt["value"], field=rec.as_dict(),
+    return document(basepoint=opt["base"], base_value=opt["value"], field=rec.as_document(),
                     warning=rec.warning)
 
 
@@ -244,22 +244,22 @@ _GROUPS = {
 #: ``--out``; a group's parser comes with its first row, and its actions have no help.
 #: A row lists ``--seed``, ``--csv`` or ``--tol`` only if its handler reads it.
 COMMANDS = {
-    "build gasket": (None, (_LEVEL,), lambda opt: sample_to_dict(
+    "build gasket": (None, (_LEVEL,), lambda opt: sample_document(
         geometry.build_gasket(opt["level"]))),
-    "build carpet": (None, (_LEVEL,), lambda opt: sample_to_dict(
+    "build carpet": (None, (_LEVEL,), lambda opt: sample_document(
         geometry.build_carpet(opt["level"]))),
     "build polyline": (None, (_arg("--coords", required=True, help="JSON list of points"),
                               _arg("--closed", action="store_true")),
-                       lambda opt: sample_to_dict(geometry.build_polyline(
+                       lambda opt: sample_document(geometry.build_polyline(
                            _coords(opt["coords"]), closed=opt["closed"]))),
     "build graph": (None, (_arg("--slopes", type=_comma_list(float), required=True,
                                 help="comma separated slopes"),
                            _STEP, _arg("--span", type=float, nargs=2, required=True)),
-                    lambda opt: sample_to_dict(geometry.build_lipschitz_graph(
+                    lambda opt: sample_document(geometry.build_lipschitz_graph(
                         opt["slopes"], opt["step"], opt["span"]))),
     "build dumbbell": (None, (_arg("--radius", type=float, required=True),
                               _arg("--neck", type=float, required=True), _STEP),
-                       lambda opt: sample_to_dict(geometry.build_dumbbell(
+                       lambda opt: sample_document(geometry.build_dumbbell(
                            opt["radius"], opt["neck"], opt["step"]))),
     "k-estimate": ("estimate the chord-arc constant",
                    (_SET, _arg("--exhaustive", action="store_true"),

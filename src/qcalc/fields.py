@@ -12,8 +12,8 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .errors import BuildError, FieldMismatchError, FormatError
-from .geometry import (SCHEMA_VERSION, SetSample, _expect, _is_finite_number, _is_index, read_json,
-                       write_json)
+from .geometry import (SCHEMA_VERSION, SetSample, _expect, _is_finite_number, _is_index, as_lists,
+                       read_json, write_json)
 
 
 def _coerce(values, shape, what: str) -> np.ndarray:
@@ -28,13 +28,6 @@ def _coerce(values, shape, what: str) -> np.ndarray:
         raise BuildError(f"{what} contains non-finite entries")
     arr.setflags(write=False)
     return arr
-
-
-def _json_values(arr: np.ndarray) -> list:
-    """``arr`` as nested lists of floats, each complex entry as [re, im]."""
-    if np.iscomplexobj(arr):
-        arr = np.stack((arr.real, arr.imag), -1)
-    return arr.tolist()
 
 
 @dataclass(frozen=True, eq=False)
@@ -58,12 +51,16 @@ class ScalarField:
     def is_complex(self) -> bool:
         return np.iscomplexobj(self.values)
 
-    def as_dict(self) -> dict:
-        doc = {"version": SCHEMA_VERSION, "set": self.sample.fingerprint,
-               "values": _json_values(self.values)}
+    def as_document(self) -> dict:
+        """The field's JSON document, its values an array (``write_json``
+        writes a complex value as [re, im])."""
+        doc = {"version": SCHEMA_VERSION, "set": self.sample.fingerprint, "values": self.values}
         if self.warning is not None:
             doc["warning"] = self.warning
         return doc
+
+    def as_dict(self) -> dict:
+        return as_lists(self.as_document())
 
 
 @dataclass(frozen=True, eq=False)
@@ -90,9 +87,12 @@ class CovectorField:
     def is_complex(self) -> bool:
         return np.iscomplexobj(self.covectors)
 
-    def as_dict(self) -> dict:
+    def as_document(self) -> dict:
         return {"version": SCHEMA_VERSION, "set": self.sample.fingerprint,
-                "covectors": _json_values(self.covectors)}
+                "covectors": self.covectors}
+
+    def as_dict(self) -> dict:
+        return as_lists(self.as_document())
 
 
 def require_same_sample(*objs) -> SetSample:
@@ -167,4 +167,4 @@ def load_field(path: str, sample: SetSample):
 
 
 def dump_field(field, path: str) -> None:
-    write_json(field.as_dict(), path)
+    write_json(field.as_document(), path)

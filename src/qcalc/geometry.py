@@ -391,7 +391,7 @@ class SetSample:
         """Content hash used to check that fields belong to this sample."""
         import hashlib  # here, so that commands which never hash a sample skip it
 
-        payload = json.dumps(sample_to_dict(self), sort_keys=True)
+        payload = _json_text(sample_document(self), None)  # json.dumps(..., sort_keys=True)
         return hashlib.sha256(payload.encode()).hexdigest()[:16]
 
 
@@ -767,14 +767,24 @@ def build_dumbbell(bubble_radius: float, neck_width: float, step: float) -> SetS
 # serialization
 
 
+def sample_document(sample: SetSample) -> dict:
+    """The JSON document of ``sample``, which ``write_json`` writes and
+    ``fingerprint`` hashes; its edges are a structured array of (i, j, length)."""
+    edges = np.empty(sample.edge_count, [("i", np.intp), ("j", np.intp), ("length", float)])
+    edges["i"], edges["j"], edges["length"] = *sample.edge_ends, sample.edge_lengths
+    return {"version": SCHEMA_VERSION, "ambient_dim": sample.ambient_dim,
+            "points": sample.points_array, "edges": edges, "label": sample.label}
+
+
 def sample_to_dict(sample: SetSample) -> dict:
-    return {
-        "version": SCHEMA_VERSION,
-        "ambient_dim": sample.ambient_dim,
-        "points": sample.points_array.tolist(),
-        "edges": list(map(list, zip(*sample.edge_ends.tolist(), sample.edge_lengths.tolist()))),
-        "label": sample.label,
-    }
+    return as_lists(sample_document(sample))
+
+
+def as_lists(doc: dict) -> dict:
+    """``doc`` with each array value as the nested lists ``json`` reads back
+    from the text ``write_json`` writes for it."""
+    return {key: json.loads(_array_text(v, None)) if isinstance(v, np.ndarray) else v
+            for key, v in doc.items()}
 
 
 def _expect(cond: bool, source: str, field: str, message: str) -> None:
@@ -876,13 +886,13 @@ def sample_from_dict(doc: dict, source: str = "<dict>") -> SetSample:
 
 
 def dump_sample(sample: SetSample, path: str) -> None:
-    write_json(sample_to_dict(sample), path)
+    write_json(sample_document(sample), path)
 
 
 def write_json(doc, path: str | None = None) -> None:
     """Write ``json.dumps(doc, sort_keys=True, indent=2)`` and a newline to the
-    file ``path``, or to stdout if ``path`` is empty.  Every document qcalc
-    writes goes through here."""
+    file ``path``, or to stdout if ``path`` is empty; an array in ``doc`` is
+    written as its ``as_lists`` lists.  Every document qcalc writes goes through here."""
     text = _json_text(doc, "\n") + "\n"
     if path:
         with open(path, "w") as fh:
@@ -891,57 +901,84 @@ def write_json(doc, path: str | None = None) -> None:
         print(text, end="")
 
 
-def _json_text(value, nl: str) -> str:
+def _json_text(value, nl: str | None) -> str:
     """``json.dumps(value, sort_keys=True, indent=2)`` for a value whose own
-    line starts after ``nl`` (a newline and that line's indent).
+    line starts after ``nl`` (a newline and that line's indent), or
+    ``json.dumps(value, sort_keys=True)`` if ``nl`` is None.
 
-    Objects with plain string keys and nonempty lists are written here, item by
-    item; lists of numbers take ``_number_list_text``.  Everything else,
-    scalars included, is written by ``json`` itself, re-indented: a JSON
-    text holds no raw newline outside its layout.
-    """
-    inner = nl + "  "
+    Arrays, and lists of ints or of floats, take ``_array_text``; objects with
+    plain string keys and other nonempty lists are written item by item, and
+    everything else by ``json`` itself, re-indented."""
+    inner = None if nl is None else nl + "  "
+    if isinstance(value, np.ndarray):
+        return _array_text(value, nl)
     if type(value) is dict and value and set(map(type, value)) == {str}:
-        return "{" + inner + ("," + inner).join(
-            json.dumps(key) + ": " + _json_text(v, inner)
-            for key, v in sorted(value.items())) + nl + "}"
+        return _bracketed("{}", [json.dumps(key) + ": " + _json_text(v, inner)
+                                 for key, v in sorted(value.items())], nl)
     if type(value) is list and value:
-        return _number_list_text(value, inner, nl) or (
-            "[" + inner + ("," + inner).join(_json_text(v, inner) for v in value) + nl + "]")
+        if (kinds := set(map(type, value))) == {int} or kinds == {float}:
+            numbers = np.array(value)  # ints beyond 64 bits give an object or float array
+            if numbers.dtype.kind in ("f" if float in kinds else "iu"):
+                return _array_text(numbers, nl)
+        return _bracketed("[]", [_json_text(v, inner) for v in value], nl)
     if isinstance(value, (list, tuple, dict)):
-        return json.dumps(value, sort_keys=True, indent=2).replace("\n", nl)
+        text = json.dumps(value, sort_keys=True, indent=None if nl is None else 2)
+        return text if nl is None else text.replace("\n", nl)
     return json.dumps(value)  # a scalar, for which indent and sort_keys change nothing
 
 
-def _number_list_text(value: list, inner: str, nl: str) -> str | None:
-    """A list of plain ints and finite floats, or of equal-length nonempty rows
-    of them, formatted by one ``%s`` template as ``json`` lays it out; None
-    for any other list.  The strs of ``int`` and ``float`` are the reprs
-    ``json`` writes.
+def _bracketed(brackets: str, items: list, nl: str | None) -> str:
+    """``items`` between ``brackets``, laid out as ``json`` does after ``nl``."""
+    if nl is None:
+        return brackets[0] + ", ".join(items) + brackets[1]
+    inner = nl + "  "
+    return brackets[0] + inner + ("," + inner).join(items) + nl + brackets[1]
 
-    When at most half the numbers are distinct, as on a lattice, each
-    non-integral float is formatted once.  Integral floats are left out of
-    that memo: ``1.0 == 1`` and ``0.0 == -0.0`` print differently."""
-    kinds = set(map(type, value))
-    if kinds <= {int, float}:
-        args, item = tuple(value), "%s"
-    elif kinds == {list} and len(widths := set(map(len, value))) == 1 and 0 not in widths:
-        from itertools import chain
 
-        args = tuple(chain.from_iterable(value))
-        if not set(map(type, args)) <= {int, float}:
-            return None
-        row = inner + "  "
-        item = "[" + row + ("," + row).join(["%s"] * widths.pop()) + inner + "]"
-    else:
-        return None
-    distinct = set(args)
-    if 2 * len(distinct) <= len(args):
-        text_of = {a: repr(a) for a in distinct if type(a) is float and not a.is_integer()}
-        args = tuple(map(text_of.get, args, args))
-    text = ("[" + inner + ("," + inner).join([item] * len(value)) + nl + "]") % args
-    # only the reprs of inf and nan hold an "n"; json writes those as Infinity and NaN
-    return None if "n" in text else text
+def _template(shape: tuple, nl: str | None) -> str:
+    """The ``%s`` template of the nested lists of an array of this shape."""
+    if not shape:
+        return "%s"
+    inner = None if nl is None else nl + "  "
+    return _bracketed("[]", [_template(shape[1:], inner)] * shape[0], nl) if shape[0] else "[]"
+
+
+def _array_text(arr: np.ndarray, nl: str | None) -> str:
+    """``_json_text`` of the nested lists of an int, float, complex or
+    structured array.  A complex entry is written as [re, im] and a
+    structured one as the list of its fields: their columns are interleaved
+    along a trailing axis.  The entries fill one ``%s`` template."""
+    columns, shape = [arr], arr.shape
+    if arr.dtype.names or arr.dtype.kind == "c":
+        columns = [arr[n] for n in arr.dtype.names] if arr.dtype.names else [arr.real, arr.imag]
+        shape += (len(columns),)
+    entries = [None] * math.prod(shape)
+    for k, column in enumerate(columns):
+        entries[k::len(columns)] = _entries(column)
+    return _template(shape, nl) % tuple(entries)
+
+
+#: json's text of the float reprs that are not JSON numbers
+_NON_FINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
+
+
+def _entries(values: np.ndarray) -> list:
+    """The entries of an int or float array in C order, as the Python ints or
+    floats whose strs ``json`` writes, or as those texts: when at most half
+    the entries are distinct, as on a lattice, or one is not finite, each
+    distinct bit pattern (-0.0 is not 0.0) is formatted once."""
+    if values.dtype.kind in "iu":
+        return values.ravel().tolist()
+    flat = np.ravel(values.astype(np.float64, copy=False))
+    bits = flat.view(np.uint64)
+    ordered = np.sort(bits)
+    step = ordered[1:] != ordered[:-1]
+    if 2 + 2 * np.count_nonzero(step) > len(bits) and np.isfinite(flat).all():
+        return flat.tolist()  # a float's str is its repr
+    distinct = np.append(ordered[:1], ordered[1:][step])
+    texts = map(float.__repr__, distinct.view(np.float64).tolist())
+    memo = np.array([_NON_FINITE.get(t, t) for t in texts], dtype=object)
+    return memo[np.searchsorted(distinct, bits)].tolist()
 
 
 def read_json(path: str):

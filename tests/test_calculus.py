@@ -264,6 +264,29 @@ def test_reconstruct_matches_shortest_path_integrals(gasket2):
         )
 
 
+@pytest.mark.parametrize("base_value", [1 + 0j, 0.25 - 3j, -0.0 + 2.5j])
+def test_reconstruct_complex_base_on_a_real_field(gasket3, base_value):
+    # a complex base on a real field gives the complex field base + integral of A:
+    # its real part is the real reconstruction from base_value.real, bit for bit
+    rng = np.random.default_rng(30)
+    A = CovectorField(gasket3, rng.normal(size=(gasket3.vertex_count, 2)))
+    rec = reconstruct(gasket3, A, 5, base_value)
+    real = reconstruct(gasket3, A, 5, base_value.real)
+    assert rec.is_complex and not real.is_complex
+    assert rec.values.real.tobytes() == real.values.tobytes()
+    assert np.all(rec.values.imag == base_value.imag)
+    assert rec.warning == real.warning
+
+
+def test_reconstruct_of_a_real_base_is_real(gasket3):
+    # an int or numpy base is the float base, bit for bit
+    A = CovectorField.from_function(gasket3, lambda p: (2 * p[0] + p[1], p[0] - 3 * p[1]))
+    for base, same in ((2, 2.0), (np.float64(-1.25), -1.25), (np.int64(3), 3.0)):
+        rec = reconstruct(gasket3, A, 0, base)
+        assert rec.values.dtype == np.float64
+        assert rec.values.tobytes() == reconstruct(gasket3, A, 0, same).values.tobytes()
+
+
 # ---------------------------------------------------------------------------
 # whitney_remainder / oscillation
 

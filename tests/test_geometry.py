@@ -9,9 +9,11 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from qcalc import geometry
 from qcalc.errors import BuildError, FormatError, PathError, ResourceLimitError
+from qcalc.fields import CovectorField, ScalarField, dump_field
 from qcalc.geometry import (
     PolylinePath,
     SetSample,
@@ -771,9 +773,115 @@ def test_write_json_writes_repeated_numbers_as_json_dumps(doc):
     [[], []], [[1, 2], [3]], [[True, 1], [2, 3]], [[[0.5, 1.0], [2.0, -3.0]]], [(1, 2.5), (3, 4.0)],
     {"nested": {"b": [], "a": {}}}, {1: [1.0, 2.0], 2: "x"}, [math.inf], [2 ** 70, -1, 0.25],
     [1.0, 1, 1.0, 1], [0.0, -0.0, 0.0, -0.0], [[0, 0.5], [1, 0.5], [2, 0.5]],
+    [-(2 ** 63), 2 ** 63], [2 ** 64 - 1, 2 ** 63], [2 ** 64, 0], [[-(2 ** 63)], [2 ** 63]],
     [[0.5, 1], [0.5, 1.0], [0.5, True], [0.5, 1]], [math.nan, 0.5, 0.5, 0.5],
 ])
 def test_write_json_writes_files_as_json_dumps(tmp_path, doc):
     path = tmp_path / "doc.json"
     geometry.write_json(doc, str(path))
     assert path.read_text() == json.dumps(doc, sort_keys=True, indent=2) + "\n"
+
+
+# ---------------------------------------------------------------------------
+# samples and fields written and hashed from their arrays
+
+# a finite pool of coordinates: signed zeros, the smallest subnormal, huge and
+# integral floats, and lattice values that repeat, so that documents of mostly
+# repeated and of mostly distinct numbers are both drawn
+POOL = [-0.0, 0.0, 5e-324, -5e-324, 1e308, -1e308, 2.0 ** 53, -(2.0 ** 53), 2.0 ** 53 + 2,
+        1.0, 3.0, 1e16, 0.1, 1 / 3, 123456.789, *(k / 8 for k in range(-8, 9))]
+LABELS = st.one_of(st.text(max_size=8), st.sampled_from(
+    ['"', '\\"quoted\\"', "\u2028", "a\u2028b", "é", "гаскет", "\U0001d11e"]))
+
+
+@st.composite
+def pool_samples(draw) -> SetSample:
+    n = draw(st.integers(1, 3))
+    coords = st.sampled_from(POOL)
+    points = draw(st.lists(st.lists(coords, min_size=n, max_size=n), min_size=1, max_size=30))
+    nv = len(points)
+    edges = draw(st.lists(st.tuples(st.integers(0, nv - 1), st.integers(0, nv - 1),
+                                    coords.map(abs)), max_size=40))
+    return SetSample(n, points, edges, draw(LABELS))
+
+
+def _listed_sample(s: SetSample) -> dict:
+    """A sample's document as the lists built entry by entry, the oracle."""
+    return {"version": 1, "ambient_dim": s.ambient_dim, "points": s.points_array.tolist(),
+            "edges": [[i, j, length] for i, j, length in s.edges], "label": s.label}
+
+
+def _indented(doc) -> str:
+    return json.dumps(doc, sort_keys=True, indent=2) + "\n"
+
+
+@settings(deadline=None, max_examples=200)
+@given(pool_samples())
+def test_samples_are_written_and_hashed_as_their_lists(tmp_path_factory, s):
+    import hashlib
+
+    doc = _listed_sample(s)
+    assert json.dumps(sample_to_dict(s)) == json.dumps(doc)
+    path = tmp_path_factory.mktemp("doc") / "s.json"
+    geometry.dump_sample(s, str(path))
+    assert path.read_text() == _indented(doc)
+    payload = json.dumps(doc, sort_keys=True)
+    assert s.fingerprint == hashlib.sha256(payload.encode()).hexdigest()[:16]
+
+
+@settings(deadline=None, max_examples=150)
+@given(pool_samples(), st.data())
+def test_fields_are_written_as_their_lists(tmp_path_factory, s, data):
+    nv, n = s.vertex_count, s.ambient_dim
+    coords = st.sampled_from(POOL)
+    values = np.array(data.draw(st.lists(coords, min_size=nv, max_size=nv)))
+    rows = np.array(data.draw(st.lists(st.lists(coords, min_size=n, max_size=n),
+                                       min_size=nv, max_size=nv)))
+
+    def pairs(z):
+        return [[c.real, c.imag] for c in z]
+
+    head = {"version": 1, "set": s.fingerprint}
+    cases = [(ScalarField(s, values, warning="\u2028é"),
+              {**head, "values": values.tolist(), "warning": "\u2028é"}),
+             (ScalarField(s, values[::-1] - 1j * values), {**head, "values": pairs(
+                 (values[::-1] - 1j * values).tolist())}),
+             (CovectorField(s, rows), {**head, "covectors": rows.tolist()}),
+             (CovectorField(s, rows * 1j - 0.0), {**head, "covectors": [
+                 pairs(r) for r in (rows * 1j - 0.0).tolist()]})]
+    path = tmp_path_factory.mktemp("doc") / "f.json"
+    for field, doc in cases:
+        assert json.dumps(field.as_dict()) == json.dumps(doc)
+        dump_field(field, str(path))
+        assert path.read_text() == _indented(doc)
+
+
+FLOATS = st.one_of(st.sampled_from(POOL + [math.nan, -math.nan, math.inf, -math.inf]),
+                   st.floats())
+ARRAYS = st.one_of(
+    hnp.arrays(np.float64, hnp.array_shapes(min_dims=1, max_dims=3, min_side=0, max_side=5),
+               elements=FLOATS),
+    hnp.arrays(np.int64, hnp.array_shapes(min_dims=1, max_dims=3, min_side=0, max_side=5),
+               elements=st.one_of(st.integers(-3, 3), st.integers(-(2 ** 63), 2 ** 63 - 1))),
+    hnp.arrays(np.complex128, hnp.array_shapes(min_dims=1, max_dims=2, max_side=4),
+               elements=st.builds(complex, FLOATS, FLOATS)))
+ARRAY_DOCUMENTS = st.recursive(
+    ARRAYS, lambda inner: st.one_of(st.lists(inner, max_size=3),
+                                    st.dictionaries(st.text(max_size=3), inner, max_size=3)),
+    max_leaves=6)
+
+
+def _array_lists(doc):
+    if isinstance(doc, np.ndarray) and doc.dtype.kind == "c":
+        return np.stack((doc.real, doc.imag), -1).tolist()
+    if isinstance(doc, np.ndarray):
+        return doc.tolist()
+    if isinstance(doc, dict):
+        return {key: _array_lists(v) for key, v in doc.items()}
+    return [_array_lists(v) for v in doc]
+
+
+@settings(deadline=None, max_examples=300)
+@given(ARRAY_DOCUMENTS)
+def test_write_json_writes_arrays_as_their_lists(doc):
+    assert _written(doc) == _indented(_array_lists(doc))
