@@ -10,15 +10,24 @@ import argparse
 import json
 import math
 import sys
-from typing import TextIO
+from typing import Sequence, TextIO
 
 import numpy as np
 
 from . import geometry
 from .errors import QcalcError
-from .fields import CovectorField, ScalarField, load_field
 from .geometry import (_is_finite_number, document, load_sample, path_to_dict, read_json,
                        sample_document)
+
+
+def __getattr__(name: str):
+    # ``load_field`` stays a name of this module, where perfbench's tracer
+    # wraps it, though ``_field`` imports it on use
+    if name == "load_field":
+        from .fields import load_field
+        return load_field
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
 
 TOLERANCE_DEFAULTS = {
     "ftc": 1e-9,        # pass threshold for the path-integral identity
@@ -56,11 +65,12 @@ def _tolerance(opt: dict, name: str) -> float:
     return tol
 
 
-def _field(path: str, sample, kind=ScalarField):
-    """The field stored at ``path``, which must be a ``kind`` field."""
+def _field(path: str, sample, covector: bool = False):
+    """The field stored at ``path``: a covector field if ``covector``, else a scalar field."""
+    from .fields import CovectorField, ScalarField, load_field
     loaded = load_field(path, sample)
-    if not isinstance(loaded, kind):
-        name, key = ("scalar", "values") if kind is ScalarField else ("covector", "covectors")
+    if not isinstance(loaded, CovectorField if covector else ScalarField):
+        name, key = ("covector", "covectors") if covector else ("scalar", "values")
         raise UsageError(f"{path}: expected a {name} field ({key!r})")
     return loaded
 
@@ -68,7 +78,7 @@ def _field(path: str, sample, kind=ScalarField):
 def _set_f_A(opt: dict):
     """The set sample, scalar field ``f`` and covector field ``A`` named by ``opt``."""
     sample = load_sample(opt["set"])
-    return sample, _field(opt["f"], sample), _field(opt["A"], sample, CovectorField)
+    return sample, _field(opt["f"], sample), _field(opt["A"], sample, covector=True)
 
 
 def _coords(text: str) -> list:
@@ -86,6 +96,7 @@ def _coords(text: str) -> list:
 # Each handler returns the report document; one with ``passed: false`` exits 1.
 # It reads its inputs first and imports its kernel module only then, so a
 # subcommand loads just what it uses and a rejected document none of it.
+# ``fields`` too is imported only by the handlers that read a field.
 
 
 def _k_estimate(opt: dict):
@@ -119,10 +130,11 @@ def _geodesic(opt: dict):
 def _ftc(opt: dict):
     tol = _tolerance(opt, "ftc")
     sample, f, A = _set_f_A(opt)
-    from . import calculus, metric
+    from . import calculus
     if opt.get("vertices"):
         path = geometry.PolylinePath.from_vertices(sample, opt["vertices"])
     elif opt.get("src") is not None and opt.get("dst") is not None:
+        from . import metric
         path = metric.shortest_path(sample, opt["src"], opt["dst"])
     else:
         raise UsageError("ftc needs either --vertices or both --from and --to")
@@ -134,7 +146,7 @@ def _ftc(opt: dict):
 def _reconstruct(opt: dict):
     defect_tol = _tolerance(opt, "loop")
     sample = load_sample(opt["set"])
-    A = _field(opt["A"], sample, CovectorField)
+    A = _field(opt["A"], sample, covector=True)
     from . import calculus
     rec = calculus.reconstruct(sample, A, opt["base"], opt["value"], defect_tol=defect_tol)
     return document(basepoint=opt["base"], base_value=opt["value"], field=rec.as_document(),
@@ -297,7 +309,16 @@ COMMANDS = {
 }
 
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser(argv: Sequence[str] | None = None) -> argparse.ArgumentParser:
+    """The parser of every command, or with ``argv``, the parser for that command line.
+
+    Every command gets its (sub)parser either way, so the top-level and group
+    help and the unknown-command error do not depend on ``argv``.  With
+    ``argv``, only the rows whose words all appear in it get their arguments:
+    the row the command line names always does, and a row's arguments are
+    read only when its parser runs.
+    """
+    words = None if argv is None else set(argv)
     top = argparse.ArgumentParser(prog="qcalc", description=__doc__)
     parents = {"": top.add_subparsers(dest="command", required=True)}
     for name, (help_text, arguments, _handler) in COMMANDS.items():
@@ -308,9 +329,10 @@ def build_parser() -> argparse.ArgumentParser:
                 dest=dest, required=True)
         # a help=None keyword would still list the action under its parent
         parser = parents[group].add_parser(action, **({"help": help_text} if help_text else {}))
-        for flags, kwargs in arguments:
-            parser.add_argument(*flags, **kwargs)
-        parser.add_argument("--out", metavar="PATH")
+        if words is None or words.issuperset(name.split()):
+            for flags, kwargs in arguments:
+                parser.add_argument(*flags, **kwargs)
+            parser.add_argument("--out", metavar="PATH")
     return top
 
 
@@ -356,7 +378,9 @@ def emit_pairs_csv(report, out: TextIO) -> None:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
+    if argv is None:
+        argv = sys.argv[1:]
+    parser = build_parser(argv)
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:

@@ -18,14 +18,16 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Sequence
+from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
 
 from .errors import AlgebraError, BuildError, require
-from .fields import ScalarField, require_same_sample
 from .geometry import (SetSample, _expect, _is_finite_number, _is_index, _number_rows,
-                       report_dict)
+                       report_dict, require_same_sample)
+
+if TYPE_CHECKING:
+    from .fields import ScalarField
 
 DIM_CAP = 6
 

@@ -11,9 +11,9 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .errors import BuildError, FieldMismatchError, FormatError
+from .errors import BuildError, FormatError
 from .geometry import (SCHEMA_VERSION, SetSample, _expect, _is_finite_number, _is_index, as_lists,
-                       read_json, write_json)
+                       read_json, require_same_sample, write_json)
 
 
 def _coerce(values, shape, what: str) -> np.ndarray:
@@ -93,21 +93,6 @@ class CovectorField:
 
     def as_dict(self) -> dict:
         return as_lists(self.as_document())
-
-
-def require_same_sample(*objs) -> SetSample:
-    """Return the shared sample, or raise if the objects disagree."""
-    samples = [o.sample if not isinstance(o, SetSample) else o for o in objs]
-    first = samples[0]
-    for other in samples[1:]:
-        if other is first:
-            continue
-        if other.fingerprint != first.fingerprint:
-            raise FieldMismatchError(
-                f"objects refer to different samples "
-                f"({first.label!r} vs {other.label!r})"
-            )
-    return first
 
 
 def _check_header(doc, sample: SetSample, source: str) -> None:

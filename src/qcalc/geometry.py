@@ -24,7 +24,8 @@ from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
-from .errors import BuildError, FormatError, PathError, QcalcError, ResourceLimitError
+from .errors import (BuildError, FieldMismatchError, FormatError, PathError, QcalcError,
+                     ResourceLimitError)
 
 SCHEMA_VERSION = 1
 
@@ -435,6 +436,27 @@ class PolylinePath:
 
     def reverse(self) -> "PolylinePath":
         return PolylinePath.from_vertices(self.sample, self.vertices[::-1])
+
+
+def _check_vertex(sample: SetSample, v: int) -> None:
+    """Reject vertex indices outside 0..nv-1 (no wrap-around from the end)."""
+    if not 0 <= v < sample.vertex_count:
+        raise BuildError(f"vertex {v} out of range")
+
+
+def require_same_sample(*objs) -> SetSample:
+    """Return the shared sample of samples, fields and paths, or raise if they disagree."""
+    samples = [o.sample if not isinstance(o, SetSample) else o for o in objs]
+    first = samples[0]
+    for other in samples[1:]:
+        if other is first:
+            continue
+        if other.fingerprint != first.fingerprint:
+            raise FieldMismatchError(
+                f"objects refer to different samples "
+                f"({first.label!r} vs {other.label!r})"
+            )
+    return first
 
 
 # ---------------------------------------------------------------------------

@@ -10,26 +10,22 @@ from __future__ import annotations
 import heapq
 import math
 from dataclasses import dataclass
-from typing import Sequence
+from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
 
 from .errors import BuildError, DisconnectedSampleError, ResourceLimitError, require
-from .fields import ScalarField, require_same_sample
-from .geometry import (PAIR_BLOCK, POINT_CAP, PolylinePath, SetSample, _leaf_box, report_dict,
-                       row_norms)
+from .geometry import (PAIR_BLOCK, POINT_CAP, PolylinePath, SetSample, _check_vertex, _leaf_box,
+                       report_dict, require_same_sample, row_norms)
+
+if TYPE_CHECKING:
+    from .fields import ScalarField
 
 #: most pairs sampled mode draws (2^24)
 _PAIR_BUDGET_CAP = POINT_CAP ** 2 // 64
 
 #: relative tolerance for recognizing "dist[u] + w == dist[v]" on float sums
 _TIE_TOL = 1e-12
-
-
-def _check_vertex(sample: SetSample, v: int) -> None:
-    """Reject vertex indices outside 0..nv-1 (no wrap-around from the end)."""
-    if not 0 <= v < sample.vertex_count:
-        raise BuildError(f"vertex {v} out of range")
 
 
 def _settle(sample: SetSample, source: int, targets: Sequence[int] = ()) -> tuple[list, list]:

@@ -392,6 +392,43 @@ VALID_ARGV = {
 }
 
 
+def parsed(parser, argv: list, capsys) -> tuple:
+    """The options ``parser`` reads from ``argv`` (None on exit), its exit code, stdout, stderr."""
+    try:
+        result, code = vars(parser.parse_args(argv)), None
+    except SystemExit as exc:
+        result, code = None, exc.code
+    captured = capsys.readouterr()
+    return result, code, captured.out, captured.err
+
+
+@pytest.mark.parametrize("command", sorted(cli.COMMANDS))
+def test_the_parser_for_a_command_line_reads_it_as_the_full_parser(monkeypatch, capsys, command):
+    # a run adds only its own command's arguments; the same line, and the
+    # line without its last positional argument, read the same
+    monkeypatch.setenv("COLUMNS", "80")
+    argv = VALID_ARGV[command].split()
+    npos = next(i for i, word in enumerate([*argv, "-"]) if word.startswith("-"))
+    short = argv[: npos - 1] + argv[npos:]
+    full = parsed(cli.build_parser(), argv, capsys)
+    assert full[0] is not None
+    assert parsed(cli.build_parser(argv), argv, capsys) == full
+    full = parsed(cli.build_parser(), short, capsys)
+    assert full[1] == 2 and full[3]
+    assert parsed(cli.build_parser(short), short, capsys) == full
+
+
+@pytest.mark.parametrize("line", ["", "-h", "build", "build -h", "clifford", "clifford check -h",
+                                  "definitely-not-a-command", "--bogus build gasket --level 2",
+                                  "build --bogus gasket --level 2", "-- k-estimate set.json"])
+def test_the_parser_for_help_and_malformed_lines_reads_them_as_the_full_parser(
+        monkeypatch, capsys, line):
+    monkeypatch.setenv("COLUMNS", "80")
+    argv = line.split()
+    full = parsed(cli.build_parser(), argv, capsys)
+    assert parsed(cli.build_parser(argv), argv, capsys) == full
+
+
 @pytest.mark.parametrize("command", sorted(cli.COMMANDS))
 def test_each_command_takes_only_the_options_it_reads(tmp_path, monkeypatch, capsys, command):
     # every command used to accept --seed, --csv and any --tol name, and to ignore them

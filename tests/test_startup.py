@@ -1,19 +1,28 @@
-"""What ``import qcalc`` and each subcommand load.
+"""What ``import qcalc`` and each subcommand load, and how a CLI process ends.
 
 The package resolves its public names on first use, and each CLI handler
 imports its kernel module only after its inputs have loaded, so short
-commands and rejected documents skip the modules they do not use.
+commands and rejected documents skip the modules they do not use.  A
+``python -m qcalc`` process runs without the cyclic collector and freezes
+what is alive at exit; ``cli.main`` called in-process leaves both alone.
 """
 from __future__ import annotations
 
+import gc
 import importlib
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
+import numpy as np
 import pytest
 
 import qcalc
+from qcalc.cli import main
+from qcalc.fields import CovectorField, ScalarField, dump_field
+from qcalc.geometry import build_gasket, build_lipschitz_graph, dump_sample
 
 # the names ``qcalc`` exported before it became lazy, by defining submodule
 EXPORTED = {
@@ -35,7 +44,6 @@ EXPORTED = {
     "whitney": ["check_whitney_c1", "determined_subspace", "differential_stability",
                 "local_flatness"],
 }
-KERNELS = {"calculus", "metric", "whitney", "clifford"}
 
 
 def test_all_lists_the_exported_names():
@@ -66,21 +74,24 @@ def test_star_import_gives_every_name():
 
 
 # Runs ``python -m qcalc`` in a child process and prints, as the last stdout
-# line, the qcalc submodules it loaded.
+# line, the qcalc submodules it loaded and the collector's state after the run.
 PROBE = """
-import json, runpy, sys
+import gc, json, runpy, sys
 sys.argv[0] = "qcalc"
 try:
     runpy.run_module("qcalc", run_name="__main__", alter_sys=True)
 except SystemExit as exc:
     code = exc.code
 loaded = sorted(m.split(".")[1] for m in sys.modules if m.startswith("qcalc."))
-print(json.dumps({"code": code, "loaded": loaded}))
+print(json.dumps({"code": code, "loaded": loaded, "gc_enabled": gc.isenabled(),
+                  "frozen": gc.get_freeze_count()}))
 """
 
 
-def loaded_by(*argv: str) -> dict:
-    proc = subprocess.run([sys.executable, "-c", PROBE, *argv], capture_output=True, text=True)
+def loaded_by(*argv: str, cwd=None) -> dict:
+    env = {**os.environ, "PYTHONPATH": str(Path(qcalc.__file__).parents[1])}
+    proc = subprocess.run([sys.executable, "-c", PROBE, *argv], capture_output=True, text=True,
+                          cwd=cwd, env=env)
     assert proc.returncode == 0, proc.stderr
     return json.loads(proc.stdout.splitlines()[-1])
 
@@ -93,26 +104,73 @@ def test_import_qcalc_loads_no_submodule():
     assert proc.stdout.strip() == "['qcalc']"
 
 
-def test_build_loads_no_kernel(tmp_path):
-    run = loaded_by("build", "gasket", "--level", "2", "--out", str(tmp_path / "g.json"))
-    assert run["code"] == 0
-    assert not KERNELS & set(run["loaded"])
+#: the qcalc modules every command line loads
+BASE = {"cli", "errors", "geometry"}
+#: the modules each command loads beyond ``BASE``, and its argv (files in ``inputs``)
+LOADS = {
+    "build": (set(), "build gasket --level 2 --out out.json"),
+    "k-estimate": ({"metric"}, "k-estimate g3.json --sample 5"),
+    "geodesic": ({"metric"}, "geodesic g3.json 0 5"),
+    "flatness": ({"whitney"}, "flatness g3.json --index 1 --radius 0.3"),
+    "clifford check": ({"clifford"}, "clifford check cols.json"),
+    "clifford complete": ({"clifford"}, "clifford complete --dim 2 --partial partial.json"),
+    "clifford dimension": ({"clifford"}, "clifford dimension --dim 3"),
+    "remainder-check": ({"fields", "calculus"}, "remainder-check g3.json f.json A.json --k 2"),
+    "holder-fit": ({"fields", "calculus"}, "holder-fit g3.json f.json A.json"),
+    "ftc --vertices": ({"fields", "calculus"}, "ftc g3.json f.json A.json --vertices 0,1"),
+    "whitney": ({"fields", "calculus", "whitney"}, "whitney g3.json f.json A.json"),
+    "reconstruct": ({"fields", "calculus", "metric"}, "reconstruct g3.json A.json --base 0"),
+    "ftc --from/--to": ({"fields", "calculus", "metric"},
+                        "ftc g3.json f.json A.json --from 0 --to 5"),
+    "graph-derivative": ({"fields", "clifford"}, "graph-derivative graph.json fz.json dz.json"),
+    # a document rejected on load loads no kernel, and a field reader only fields
+    "rejected sample": (set(), "k-estimate bad.json --exhaustive"),
+    "rejected field": ({"fields"}, "remainder-check g3.json bad-field.json A.json --k 2"),
+}
 
 
-def test_clifford_dimension_loads_only_clifford():
-    run = loaded_by("clifford", "dimension", "--dim", "3")
-    assert run["code"] == 0
-    assert KERNELS & set(run["loaded"]) == {"clifford"}
+@pytest.fixture(scope="module")
+def inputs(tmp_path_factory):
+    """The directory of the documents ``LOADS`` names."""
+    root = tmp_path_factory.mktemp("inputs")
+    sample = build_gasket(3)
+    dump_sample(sample, str(root / "g3.json"))
+    dump_field(ScalarField.from_function(sample, lambda p: p[0] ** 2), str(root / "f.json"))
+    dump_field(CovectorField.from_function(sample, lambda p: (2 * p[0], 0.0)),
+               str(root / "A.json"))
+    graph = build_lipschitz_graph([0.5], 0.0625, (0.0, 1.0))
+    dump_sample(graph, str(root / "graph.json"))
+    zs = graph.points_array @ np.array([1, 1j])
+    dump_field(ScalarField(graph, zs * zs), str(root / "fz.json"))
+    dump_field(ScalarField(graph, 2 * zs), str(root / "dz.json"))
+    (root / "cols.json").write_text(json.dumps(
+        {"dim": 2, "columns": [[1.0, 0.0, 0.0, 0.0], [0.0, 0.0, 0.0, -1.0]]}))
+    (root / "partial.json").write_text(json.dumps({"dim": 2, "columns": [[1.0, 0.0, 0.0, 0.0]]}))
+    (root / "bad.json").write_text('{"version": 1, "points": [[0, 0], [1, 0]')
+    (root / "bad-field.json").write_text('{"version": 1, "values": [0, "x"]}')
+    return root
 
 
-def test_k_estimate_loads_metric_only_after_a_good_document(tmp_path):
-    good = tmp_path / "g.json"
-    qcalc.geometry.dump_sample(qcalc.build_gasket(2), str(good))
-    run = loaded_by("k-estimate", str(good), "--sample", "5")
-    assert run["code"] == 0
-    assert KERNELS & set(run["loaded"]) == {"metric"}
-    bad = tmp_path / "bad.json"
-    bad.write_text('{"version": 1, "points": [[0, 0], [1, 0]')
-    run = loaded_by("k-estimate", str(bad), "--exhaustive")
-    assert run["code"] == 2
-    assert not KERNELS & set(run["loaded"])
+@pytest.mark.parametrize("case", sorted(LOADS))
+def test_each_command_loads_only_the_modules_it_calls(inputs, case):
+    extra, argv = LOADS[case]
+    run = loaded_by(*argv.split(), cwd=inputs)
+    assert run["code"] == (2 if case.startswith("rejected") else 0)
+    assert set(run["loaded"]) == BASE | extra
+
+
+def test_a_process_runs_without_the_collector_and_exits_frozen(inputs):
+    for argv in (LOADS["build"][1], LOADS["rejected sample"][1], "definitely-not-a-command"):
+        run = loaded_by(*argv.split(), cwd=inputs)
+        assert run["code"] in (0, 2)
+        assert run["gc_enabled"] is False and run["frozen"] > 0, argv
+
+
+def test_main_in_process_leaves_the_collector_alone(inputs, monkeypatch, capsys):
+    monkeypatch.chdir(inputs)
+    enabled, frozen = gc.isenabled(), gc.get_freeze_count()
+    for argv in ("k-estimate g3.json --sample 5", "k-estimate bad.json --exhaustive",
+                 "definitely-not-a-command"):
+        main(argv.split())
+        assert (gc.isenabled(), gc.get_freeze_count()) == (enabled, frozen), argv
+    capsys.readouterr()
