@@ -19,6 +19,7 @@ through the sampling of the field itself.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 from typing import Sequence
 
@@ -60,17 +61,27 @@ def _fsum(parts: Sequence) -> float | complex:
     return math.fsum(parts)
 
 
-def _dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Row-wise dot products, each bit for bit the 1-D ``a[e] @ b[e]``: a stacked
-    matmul of 1 x n by n x 1 rows calls the same BLAS dot, which ``einsum`` and
-    column sums do not (at n = 2 they differ in about a quarter of the rows)."""
-    return np.matmul(a[:, None, :], b[:, :, None])[:, 0, 0]
+def _row_dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Row-wise dot products of the rows of ``a`` with the rows of a 2-D ``b``,
+    or with a 1-D ``b`` for every row, the one kernel for every A(x) . v.
+
+    The products are added left to right as whole columns,
+    ((a0 b0 + a1 b1) + a2 b2) + ..., each rounded once, so a result does not
+    depend on the CPU's BLAS kernel; the final ``+ 0.0`` turns a -0.0 into
+    0.0.  For n = 2 the sum of two products does not depend on their order,
+    so swapping the coordinates keeps every result's bits.
+    """
+    acc = a[:, 0] * b[..., 0]
+    for c in range(1, a.shape[1]):
+        acc += a[:, c] * b[..., c]
+    acc += 0.0
+    return acc
 
 
 def _edge_integrals(A: CovectorField, tails: np.ndarray, heads: np.ndarray) -> np.ndarray:
     """Trapezoid rule 0.5 (A(u) + A(v)) . (v - u) over each edge u = tails[e], v = heads[e]."""
     pts, cov = A.sample.points_array, A.covectors
-    return _dots(0.5 * (cov[tails] + cov[heads]), pts[heads] - pts[tails])
+    return _row_dots(0.5 * (cov[tails] + cov[heads]), pts[heads] - pts[tails])
 
 
 def path_integral(
@@ -84,14 +95,17 @@ def path_integral(
     Per straight segment [u, v] the field is linearly interpolated between
     its endpoint samples and applied to the displacement v - u.  The
     trapezoid rule integrates the interpolant exactly; the midpoint rule
-    with ``subdivisions`` pieces is provided as an alternative quadrature.
-    Under either rule, reversing the path negates the result exactly.
+    with ``subdivisions`` pieces (an integer of at least 1) is provided as
+    an alternative quadrature.  Under either rule, reversing the path
+    negates the result exactly.
     """
     sample = require_same_sample(A, path)
     if rule not in ("trapezoid", "midpoint"):
         raise BuildError(f"unknown quadrature rule {rule!r}")
-    if subdivisions < 1:
-        raise BuildError("subdivisions must be at least 1")
+    # True is an int to Python, and 2.5 or NaN would reach range() below
+    whole = isinstance(subdivisions, numbers.Integral) and not isinstance(subdivisions, bool)
+    if not whole or subdivisions < 1:
+        raise BuildError(f"subdivisions must be an integer of at least 1, got {subdivisions!r}")
     verts = np.array(path.vertices)
     tails, heads = verts[:-1], verts[1:]
     if rule == "trapezoid":
@@ -100,7 +114,7 @@ def path_integral(
     dp = (pts[heads] - pts[tails]) / s
     # piece s - 1 - q of the reversed segment gets these two weights swapped,
     # as the same floats: its value is negated
-    pieces = [_dots((s - q - 0.5) / s * cov[tails] + (q + 0.5) / s * cov[heads], dp)
+    pieces = [_row_dots((s - q - 0.5) / s * cov[tails] + (q + 0.5) / s * cov[heads], dp)
               for q in range(s)]
     return _fsum([_fsum(row) for row in np.stack(pieces, axis=1).tolist()])
 
@@ -174,7 +188,8 @@ def whitney_remainder(f: ScalarField, A: CovectorField, x: int, y: int) -> float
     for v in (x, y):
         _check_vertex(sample, v)
     pts = sample.points_array
-    return float(abs(f.values[y] - f.values[x] - A.covectors[x] @ (pts[y] - pts[x])))
+    step = _row_dots(A.covectors[[x]], pts[y] - pts[x])[0]
+    return float(abs(f.values[y] - f.values[x] - step))
 
 
 def oscillation(A: CovectorField, x: int, radius: float) -> float:
@@ -284,7 +299,7 @@ def verify_remainder_bound(
             pos = np.searchsorted(d_sorted, k * d_sorted, side="right") - 1
             osc = np.empty_like(prefix)
             osc[order] = prefix[np.maximum(pos, 0)]
-            lhs = np.abs(vals - vals[x] - diff @ cov[x])
+            lhs = np.abs(vals - vals[x] - _row_dots(diff, cov[x]))
             rhs = radius * osc
 
             bad = np.nonzero(lhs > rhs + tol)[0]
@@ -365,7 +380,7 @@ def affine_rigidity_test(
     pts = sample.points_array
     design = np.hstack([np.ones((sample.vertex_count, 1)), pts])
     beta, *_ = np.linalg.lstsq(design, f.values, rcond=None)
-    residual = float(np.max(np.abs(f.values - design @ beta)))
+    residual = float(np.max(np.abs(f.values - _row_dots(design, beta))))
     return AffineRigidityReport(
         hypothesis_ok=hypothesis_ok,
         covector_spread=spread,
@@ -387,25 +402,6 @@ class BucketStat:
     remainder_ratio_sup: float
     covector_osc_sup: float
     count: int
-
-
-def _row_dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Row-wise dot products, bit for bit ``np.einsum("ij,ij->i", a, b)`` on C-ordered rows.
-
-    A sum of one or two products is the same in any order, so up to two
-    columns the products are added as whole columns; the final ``+ 0.0``
-    turns a -0.0 into 0.0, as einsum's sum starting from 0.0 does.  From
-    three columns on einsum adds in its own SIMD lane order (three columns
-    as (p0 + p2) + p1), so einsum itself is used there, on C-ordered copies
-    of transposed inputs.
-    """
-    if a.shape[1] > 2:
-        return np.einsum("ij,ij->i", np.ascontiguousarray(a), np.ascontiguousarray(b))
-    acc = a[:, 0] * b[:, 0]
-    if a.shape[1] == 2:
-        acc += a[:, 1] * b[:, 1]
-    acc += 0.0
-    return acc
 
 
 def pair_modulus_profile(
@@ -434,13 +430,12 @@ def pair_modulus_profile(
     n = pts.shape[1]
     pts_t, cov_t = np.ascontiguousarray(pts.T), np.ascontiguousarray(cov.T)
     cap, blocks = pair_blocks(sample.vertex_count)
-    # one contiguous row per coordinate of y - x, A(y) - A(x) and A(y)
+    # one contiguous row per coordinate of y - x, A(y) - A(x), A(x) and A(y)
     diff = np.empty((n, cap))
     dcov = np.empty((n, cap), dtype=cov.dtype)
+    cov_i = np.empty_like(dcov)
     cov_j = np.empty_like(dcov)
-    diff_rows = np.empty((cap, n))
     dval = np.empty(cap, dtype=vals.dtype)
-    fwd = np.empty(cap, dtype=np.result_type(pts, cov))
 
     def scan_blocks(bs):
         for size, segs in bs:
@@ -449,20 +444,15 @@ def pair_modulus_profile(
                 np.subtract(pts_t[:, i + 1 :], pts_t[:, i, None], out=diff[:, start:stop])
                 if covectors:
                     np.subtract(cov_t[:, i + 1 :], cov_t[:, i, None], out=dcov[:, start:stop])
+                cov_i[:, start:stop] = cov_t[:, i, None]
                 cov_j[:, start:stop] = cov_t[:, i + 1 :]
                 np.subtract(vals[i + 1 :], vals[i], out=dval[start:stop])
-            for c in range(n):
-                diff_rows[:size, c] = diff[c, :size]
-            # one matmul per row on its (length, n) rows: OpenBLAS's gemv rounds
-            # unlike an elementwise dot
-            for i, start, length in segs:
-                np.matmul(diff_rows[start : start + length], cov[i],
-                          out=fwd[start : start + length])
-            d = row_norms(diff[:, :size].T)
+            rows = diff[:, :size].T
+            d = row_norms(rows)
             dv = dval[:size]
-            rem_fwd = np.abs(dv - fwd[:size])
+            rem_fwd = np.abs(dv - _row_dots(rows, cov_i[:, :size].T))
             # f(x) - f(y) is -(f(y) - f(x)) exactly, so this is |f(x) - f(y) + A(y)(y - x)|
-            rem_bwd = np.abs(_row_dots(diff[:, :size].T, cov_j[:, :size].T) - dv)
+            rem_bwd = np.abs(_row_dots(rows, cov_j[:, :size].T) - dv)
             # a chord that rounds to 0 gives an infinite or NaN ratio, and its
             # log2(0) = -inf, clipped as floats, lands in bucket 0
             with np.errstate(divide="ignore", invalid="ignore"):

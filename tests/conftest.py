@@ -100,6 +100,32 @@ def chord(p, q) -> float:
     return math.sqrt(sq)
 
 
+def row_dots(a, b) -> np.ndarray:
+    """Row-wise dot products as ``calculus._row_dots`` rounds them on every CPU,
+    computed without numpy arithmetic.
+
+    ``b`` holds one row per row of ``a``, or is one row for every row.  Each
+    row's products are added left to right in Python floats, or in Python
+    complex numbers where numpy's promotion makes the result complex, and the
+    sum then gets + 0 in both parts, which turns a -0.0 into 0.0.  The loop is
+    written out: built-in ``sum`` adds floats with compensation from Python
+    3.12 on.
+    """
+    a, b = np.asarray(a), np.asarray(b)
+    dtype = np.result_type(a, b)
+    rows_a, rows_b = a.astype(dtype).tolist(), b.astype(dtype).tolist()
+    if b.ndim == 1:
+        rows_b = [rows_b] * len(rows_a)
+    zero = dtype.type(0).item()  # 0.0, or 0j
+    out = []
+    for x, y in zip(rows_a, rows_b):
+        acc = x[0] * y[0]
+        for c in range(1, len(x)):
+            acc = acc + x[c] * y[c]
+        out.append(acc + zero)
+    return np.array(out, dtype=dtype)
+
+
 def brute_force_chord_arc(sample) -> tuple[float, tuple[int, int]]:
     """Max geodesic/Euclidean ratio by a plain pair scan over scipy distances,
     and at least 1, since no path is shorter than its chord.

@@ -87,8 +87,9 @@ def test_path_integral_rejects_bad_rule(gasket2):
     p = metric.shortest_path(gasket2, 0, 4)
     with pytest.raises(BuildError):
         path_integral(A, p, rule="simpson")
-    with pytest.raises(BuildError):
-        path_integral(A, p, rule="midpoint", subdivisions=0)
+    for subdivisions in (0, 2.5, math.nan, True):
+        with pytest.raises(BuildError, match="subdivisions"):
+            path_integral(A, p, rule="midpoint", subdivisions=subdivisions)
 
 
 @settings(deadline=None, max_examples=40)

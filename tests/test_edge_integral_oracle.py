@@ -1,10 +1,12 @@
 """The whole-array edge integrals against the loops they replaced.
 
-``path_integral_reference`` and ``reconstruct_reference`` are, verbatim,
-the per-segment loop of ``path_integral`` (both rules) and the per-vertex
-tree fill and per-edge defect loop of ``reconstruct`` from before
-``calculus._edge_integrals``.  Integrals, reconstructed values and
-warnings must agree bit for bit, for real and complex fields.
+``path_integral_reference`` and ``reconstruct_reference`` are the
+per-segment loop of ``path_integral`` (both rules) and the per-vertex tree
+fill and per-edge defect loop of ``reconstruct`` from before
+``calculus._edge_integrals``, with each dot product summed left to right by
+``conftest.row_dots`` as ``calculus._row_dots`` sums it.  Integrals,
+reconstructed values and warnings must agree bit for bit, for real and
+complex fields.
 
 The old tree fill visits vertices in (distance, index) order, which reads a
 predecessor's value before it is set when a vertex ties its predecessor's
@@ -19,13 +21,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import circle_points, connected_planar_graphs
+from conftest import circle_points, connected_planar_graphs, row_dots
 from qcalc import geometry
 from qcalc.calculus import _fsum, path_integral, reconstruct
 from qcalc.errors import BuildError, PathError
 from qcalc.fields import CovectorField, ScalarField, require_same_sample
 from qcalc.geometry import PolylinePath
 from qcalc.metric import predecessor_array
+
+
+def _dot(a, b):
+    return row_dots(a[None], b)[0]
 
 
 def path_integral_reference(A, path, rule="trapezoid", subdivisions=1):
@@ -40,8 +46,8 @@ def path_integral_reference(A, path, rule="trapezoid", subdivisions=1):
     for u, v in path.segments():
         dp = pts[v] - pts[u]
         if rule == "trapezoid":
-            mid = 0.5 * (cov[u] + cov[v])
-            parts.append(complex(mid @ dp) if A.is_complex else float(mid @ dp))
+            val = _dot(0.5 * (cov[u] + cov[v]), dp)
+            parts.append(complex(val) if A.is_complex else float(val))
         else:
             acc = []
             for q in range(subdivisions):
@@ -49,14 +55,14 @@ def path_integral_reference(A, path, rule="trapezoid", subdivisions=1):
                 # two weights swapped, as the same floats: its value is negated
                 a_mid = ((subdivisions - q - 0.5) / subdivisions * cov[u]
                          + (q + 0.5) / subdivisions * cov[v])
-                val = a_mid @ (dp / subdivisions)
+                val = _dot(a_mid, dp / subdivisions)
                 acc.append(complex(val) if A.is_complex else float(val))
             parts.append(_fsum(acc))
     return _fsum(parts)
 
 
 def _trapezoid_edge(pts, cov, u, v):
-    return 0.5 * (cov[u] + cov[v]) @ (pts[v] - pts[u])
+    return _dot(0.5 * (cov[u] + cov[v]), pts[v] - pts[u])
 
 
 def reconstruct_reference(sample, A, basepoint, base_value=0.0, defect_tol=1e-9):

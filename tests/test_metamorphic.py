@@ -6,8 +6,12 @@ only by an exact power of two or sign, and every edge length not at all or
 by an exact power of two.  ``path_integral``, ``verify_ftc``, ``loop_defect``
 and ``reconstruct`` (values and warning) must then give the same bits.
 
-Swapping coordinates is left out: it reorders the terms of each dot
-product, which an FMA dot does not round the same way.
+Swapping the two coordinates of a planar sample, and the two components of
+A, keeps every edge length (they are passed unchanged) and so every
+shortest-path tree, and turns each dot product a0 b0 + a1 b1 into
+a1 b1 + a0 b0: ``calculus._row_dots`` rounds each product once and adds
+them as whole columns, and a sum of two floats does not depend on their
+order, so the same four functions give the same bits.
 
 ``verify_local_to_global`` obeys its own relations.  Points times 2^-3, with
 C times 8 and the radius times 2^-3, scale every chord by exactly 2^-3, so
@@ -24,7 +28,9 @@ run's times a power of two and the covectors come out exactly 2^3 times
 larger.  x -> -x negates the system's x column and so A's x component,
 and nothing else (an exact zero is not negated: it stays +0).  Relabelling
 is left out: the adjoint's ``np.bincount`` then adds each vertex's edge
-terms in another order, which need not round the same way.
+terms in another order, which need not round the same way.  So is
+swapping coordinates: LSQR's norms are BLAS dots over the flat unknowns,
+whose rounding follows the order of the entries.
 
 ``verify_remainder_bound`` keeps its bits under points times 2^-3 with A
 times 2^3 (each term of A(x)(y - x) is the same product, the chords scale
@@ -33,9 +39,11 @@ keeps its bits) and under x -> -x with A_x negated (the same terms and
 chords).  The CSV buffers keep their bits too, but for the chords' exact
 2^-3.  Relabelling keeps each ordered pair's remainder and bound, so the
 violations are the same pairs and ``max_ratio`` keeps its bits; its pair
-is compared only where the maximum is unique.  Swapping the coordinates
-does not hold: the forward term ``diff @ A(x)`` is an OpenBLAS gemv, whose
-rounding follows the column order.
+is compared only where the maximum is unique.  Swapping the two
+coordinates of a planar sample, with A's components swapped, keeps the
+report and the CSV buffers bit for bit: every chord and every |A(w) - A(x)|
+is the root of two squares, and every A(x)(y - x) a sum of two products,
+added either way round.
 """
 from __future__ import annotations
 
@@ -46,7 +54,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import connected_planar_graphs
+from conftest import connected_planar_graphs, row_dots
 from qcalc import geometry, metric
 from qcalc.calculus import (discrete_gradient, loop_defect, path_integral, reconstruct,
                             verify_ftc, verify_remainder_bound)
@@ -71,7 +79,13 @@ def reflected(sample, A):
     return moved, A.covectors * flip
 
 
-TRANSFORMS = {"scaled": scaled, "reflected": reflected}
+def swapped(sample, A):
+    """The two coordinates of a planar sample swapped, and A's two components."""
+    moved = SetSample(2, sample.points_array[:, ::-1].tolist(), sample.edges)
+    return moved, A.covectors[:, ::-1]
+
+
+TRANSFORMS = {"scaled": scaled, "reflected": reflected, "swapped": swapped}
 
 
 def closed_walk(sample, rng, steps):
@@ -209,7 +223,7 @@ def test_local_to_global_relations_on_random_graphs(graph, C):
 
 def assert_gradient_relations(sample, f_values):
     A = discrete_gradient(sample, ScalarField(sample, f_values))
-    for name, transform in TRANSFORMS.items():
+    for name, transform in (("scaled", scaled), ("reflected", reflected)):
         # the transforms map A covariantly, so they give the expected covectors
         moved, expected = transform(sample, A)
         got = discrete_gradient(moved, ScalarField(moved, f_values)).covectors
@@ -256,7 +270,7 @@ def remainder_ties(sample, vals, cov, k, top):
         prefix = np.maximum.accumulate(row_norms(cov - cov[x])[order])
         pos = np.searchsorted(d[order], k * d, side="right") - 1
         rhs = k * d * prefix[np.maximum(pos, 0)]
-        lhs = np.abs(vals - vals[x] - diff @ cov[x])
+        lhs = np.abs(vals - vals[x] - row_dots(diff, cov[x]))
         with np.errstate(divide="ignore", invalid="ignore"):
             ratio = np.where(rhs > 0, lhs / rhs, np.where(lhs > 0, np.inf, 0.0))
         ratio[x] = 0.0
@@ -308,3 +322,34 @@ def test_remainder_relations_on_builder_samples(name):
         # the pairs may differ only where the maximum is tied
         if tuple(int(v) for v in perm[list(got.max_ratio_pair)]) != rep.max_ratio_pair:
             assert remainder_ties(sample, vals, cov, k, rep.max_ratio) > 1
+
+
+def assert_remainder_swap(sample, vals, cov, k):
+    """The report and the CSV buffers keep their bits under swapped coordinates."""
+    rep = remainder(sample, vals, cov, k)
+    moved, moved_cov = swapped(sample, CovectorField(sample, cov))
+    got = remainder(moved, vals, moved_cov, k)
+    assert got == rep and got.max_ratio.hex() == rep.max_ratio.hex()
+    assert buffers(got) == buffers(rep)
+    assert got.pair_dist.tobytes() == rep.pair_dist.tobytes()
+    return rep
+
+
+@pytest.mark.parametrize("name", ["gasket 5", "carpet 3"])
+def test_remainder_swap_relation_on_builder_samples(name):
+    sample = SAMPLES[name]()
+    x, y = sample.points_array.T
+    vals, cov = np.sin(3 * x) + x * y, np.c_[3 * np.cos(3 * x) + y, x]
+    for k in (2.3, 0.6):
+        assert assert_remainder_swap(sample, vals, cov, k).passed == (k > 1)
+
+
+@settings(max_examples=50, deadline=None)
+@given(graph=connected_planar_graphs(), complex_field=st.booleans(),
+       k=st.sampled_from([2.3, 0.6]), seed=st.integers(0, 2**32 - 1))
+def test_remainder_swap_relation_on_random_graphs(graph, complex_field, k, seed):
+    sample, f_values, _ = graph
+    cov = np.random.default_rng(seed).normal(size=(sample.vertex_count, 2))
+    if complex_field:
+        f_values, cov = f_values + 1j * f_values[::-1], cov + 1j * cov[::-1]
+    assert_remainder_swap(sample, f_values, cov, k)

@@ -4,8 +4,9 @@
 ``pair_modulus_profile`` and ``verify_local_to_global`` ran before they moved
 to the shared row kernel (``geometry.row_norms``, ``calculus._row_dots`` and
 ``np.bincount``) and then to the folded pair blocks of
-``geometry.pair_blocks``: ``np.linalg.norm(..., axis=1)``, ``np.einsum`` and
-``np.add.at``, one upper-triangle row at a time.  ``verify_local_to_global``
+``geometry.pair_blocks``: ``np.linalg.norm(..., axis=1)`` and ``np.add.at``,
+one upper-triangle row at a time, with both dot products of the profile
+summed left to right by ``conftest.row_dots``.  ``verify_local_to_global``
 has since moved on to pairs of kd leaves, skipping those whose proved bound
 lies below a measured ratio.  Their results must agree exactly, bit for bit.
 """
@@ -40,7 +41,7 @@ from qcalc.geometry import (
 )
 from qcalc.metric import LocalToGlobalReport, verify_local_to_global
 
-from conftest import NEAR_COINCIDENT_DOC
+from conftest import NEAR_COINCIDENT_DOC, row_dots
 
 
 def profile_reference(f, A, min_pairs=8):
@@ -57,8 +58,8 @@ def profile_reference(f, A, min_pairs=8):
     for i in range(nv - 1):
         diff = pts[i + 1 :] - pts[i]
         d = np.linalg.norm(diff, axis=1)
-        rem_fwd = np.abs(vals[i + 1 :] - vals[i] - diff @ cov[i])
-        rem_bwd = np.abs(vals[i] - vals[i + 1 :] + np.einsum("ij,ij->i", diff, cov[i + 1 :]))
+        rem_fwd = np.abs(vals[i + 1 :] - vals[i] - row_dots(diff, cov[i]))
+        rem_bwd = np.abs(vals[i] - vals[i + 1 :] + row_dots(diff, cov[i + 1 :]))
         ratio = np.maximum(rem_fwd, rem_bwd) / d
         da = np.linalg.norm(cov[i + 1 :] - cov[i], axis=1)
         octv = np.clip(np.floor(np.log2(d)).astype(int) + offset, 0, nbuckets - 1)
@@ -187,15 +188,29 @@ def test_row_norms_equal_linalg_norm_bit_for_bit(block):
 
 
 @settings(deadline=None, max_examples=200)
-@given(row_blocks(), st.integers(0, 2**32 - 1))
-def test_row_dots_equal_einsum_bit_for_bit(block, seed):
-    # the profile multiplies real coordinate differences by covectors
+@given(row_blocks(), st.integers(0, 2**32 - 1), st.booleans(), st.booleans())
+def test_row_dots_equal_the_left_to_right_sum_bit_for_bit(block, seed, one_row, swap):
+    # real coordinate differences against covectors, a 2-D b or one row for
+    # every row, and either side complex
     rng = np.random.default_rng(seed)
     diff = rng.normal(size=block.shape) * np.exp2(rng.integers(-150, 151, size=block.shape))
-    got = _row_dots(diff, block)
-    want = np.einsum("ij,ij->i", diff, block)
+    a, b = (block, diff) if swap else (diff, block)
+    if one_row:
+        b = b[0] if len(b) else rng.normal(size=b.shape[1])
+    got = _row_dots(a, b)
+    want = row_dots(a, b)
     assert got.dtype == want.dtype and got.shape == want.shape
     assert got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("n", range(1, 10))
+def test_row_dots_of_negative_zero_rows_are_positive_zero(n):
+    # -0.0 products, and -0.0 + -0.0 sums, give 0.0, in both parts of a complex row
+    neg = np.full((3, n), -0.0)
+    for a, b in ((neg, np.ones((3, n))), (np.ones((3, n)), -np.ones(n) * 0.0),
+                 (np.full((3, n), complex(-0.0, -0.0)), np.ones((3, n)))):
+        got = _row_dots(a, b)
+        assert got.tobytes() == row_dots(a, b).tobytes() == np.zeros(3, got.dtype).tobytes()
 
 
 def test_kernels_keep_numpy_summation_order():
@@ -203,10 +218,11 @@ def test_kernels_keep_numpy_summation_order():
     # (s0 + s2) + s1 give ...515; numpy's norm adds in index order
     row = np.array([[5.508, 3.111, 1.081]])
     assert row_norms(row)[0] == np.linalg.norm(row, axis=1)[0] == 6.417549843982514
-    # einsum adds three products as (p0 + p2) + p1, so 1 here, not 0
+    # products added left to right: (p0 + p1) + p2 is 0 here, (p0 + p2) + p1
+    # would be 1
     three = np.array([[1e20, 1.0, -1e20]] * 4)
-    dots = _row_dots(three, np.ones((4, 3)))
-    assert dots.tobytes() == np.einsum("ij,ij->i", three, np.ones((4, 3))).tobytes()
+    assert _row_dots(three, np.ones((4, 3))).tobytes() == np.zeros(4).tobytes()
+    assert _row_dots(three, np.ones(3)).tobytes() == np.zeros(4).tobytes()
 
 
 @pytest.mark.parametrize("name", sorted(SAMPLES))

@@ -1,9 +1,11 @@
 """The row-vectorised remainder scan against the per-pair reference loop.
 
 ``scalar_remainder_reference`` visits every ordered pair (x, y) one at a time
-and applies the tie rules of ``verify_remainder_bound`` literally.  The whole
-report must agree with it exactly: violations with their lhs/rhs values,
-``max_ratio`` and its pair, and the four unordered-pair buffers.
+and applies the tie rules of ``verify_remainder_bound`` literally; its
+A(x)(y - x) is ``conftest.row_dots``, the left-to-right sum the scan's row
+dot makes on every CPU.  The whole report must agree with it exactly:
+violations with their lhs/rhs values, ``max_ratio`` and its pair, and the
+four unordered-pair buffers.
 """
 from __future__ import annotations
 
@@ -17,7 +19,7 @@ from qcalc.calculus import verify_remainder_bound
 from qcalc.fields import CovectorField, ScalarField
 from qcalc.geometry import build_gasket, build_lipschitz_graph, build_polyline
 
-from conftest import circle_points
+from conftest import circle_points, row_dots
 
 
 def scalar_remainder_reference(f, A, sample, k, tol):
@@ -47,7 +49,7 @@ def scalar_remainder_reference(f, A, sample, k, tol):
         d_sorted = d[order]
         pos = np.searchsorted(d_sorted, k * d, side="right") - 1
         osc = prefix[np.maximum(pos, 0)]
-        lhs = np.abs(vals - vals[x] - (pts - pts[x]) @ cov[x])
+        lhs = np.abs(vals - vals[x] - row_dots(pts - pts[x], cov[x]))
         rhs = k * d * osc
         for y in range(nv):
             if y == x:
