@@ -24,8 +24,7 @@ _EXPORTS = {
     "errors": "QcalcError",
     "fields": "CovectorField ScalarField",
     "geometry": "PolylinePath SetSample build_carpet build_dumbbell build_gasket "
-                "build_lipschitz_graph build_polyline load_sample sample_from_dict "
-                "sample_to_dict validate",
+                "build_lipschitz_graph build_polyline load_sample sample_from_dict validate",
     "metric": "ChordArcReport estimate_chord_arc geodesic_distance shortest_path "
               "verify_local_to_global",
     "whitney": "check_whitney_c1 determined_subspace differential_stability local_flatness",

@@ -28,7 +28,7 @@ import numpy as np
 from .errors import BuildError, PathError, QcalcError, UndersampledError, require
 from .fields import CovectorField, ScalarField
 from .geometry import (PolylinePath, SetSample, _check_vertex, pair_blocks, report_dict,
-                       require_same_sample, row_map, row_norms)
+                       require_chords, require_same_sample, row_map, row_norms)
 
 
 def __getattr__(name: str):
@@ -42,6 +42,8 @@ def __getattr__(name: str):
 
 #: bucket sups below this are treated as exactly zero in modulus fits
 _EXACT_TOL = 1e-13
+#: fewest pairs of an octave that ``pair_modulus_profile`` reports
+_MIN_PAIRS = 8
 #: ``affine_rigidity_test``'s bound on the covector spread and on the fit residual
 _AFFINE_TOL = 1e-9
 #: LSQR stopping tolerances of ``discrete_gradient`` (atol = btol)
@@ -194,6 +196,7 @@ def whitney_remainder(f: ScalarField, A: CovectorField, x: int, y: int) -> float
 
 def oscillation(A: CovectorField, x: int, radius: float) -> float:
     """Sup of |A(w) - A(x)| over sample points w in the closed ball around x."""
+    require_chords(A.sample)
     require("radius", radius, "nonnegative")  # a NaN ball would hold no point, not even x
     _check_vertex(A.sample, x)
     pts = A.sample.points_array
@@ -265,6 +268,7 @@ def verify_remainder_bound(
     if sample is None:
         sample = f.sample
     require_same_sample(sample, f, A)
+    require_chords(sample)
     pts = sample.points_array
     vals = f.values
     cov = A.covectors
@@ -295,18 +299,20 @@ def verify_remainder_bound(
             order = np.argsort(d)
             prefix = np.maximum.accumulate(osc_all[order])
             d_sorted = d[order]
-            radius = k * d
-            pos = np.searchsorted(d_sorted, k * d_sorted, side="right") - 1
-            osc = np.empty_like(prefix)
-            osc[order] = prefix[np.maximum(pos, 0)]
             lhs = np.abs(vals - vals[x] - _row_dots(diff, cov[x]))
-            rhs = radius * osc
-
+            # an overflowing k d makes the ball the whole sample, and a zero osc
+            # bounds by 0 at every k (not inf * 0); y = x has lhs = rhs = ratio = 0
+            with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+                reach = k * d_sorted
+                pos = np.searchsorted(d_sorted, reach, side="right") - 1
+                osc = np.empty_like(prefix)
+                osc[order] = prefix[np.maximum(pos, 0)]
+                rhs = k * d * osc
+                if reach[-1] == np.inf:
+                    rhs[osc == 0] = 0.0
+                ratio = np.where(rhs > 0, lhs / rhs, np.where(lhs > 0, np.inf, 0.0))
             bad = np.nonzero(lhs > rhs + tol)[0]
             bad = bad[bad != x]
-            # the diagonal y = x has lhs = rhs = 0 and so ratio 0
-            with np.errstate(divide="ignore", invalid="ignore"):
-                ratio = np.where(rhs > 0, lhs / rhs, np.where(lhs > 0, np.inf, 0.0))
             ratio[np.isnan(ratio)] = 0.0
             best = int(np.argmax(ratio))
             if pairs:
@@ -405,13 +411,13 @@ class BucketStat:
 
 
 def pair_modulus_profile(
-    f: ScalarField, A: CovectorField, min_pairs: int = 8, *, covectors: bool = True
+    f: ScalarField, A: CovectorField, *, covectors: bool = True
 ) -> tuple[BucketStat, ...]:
     """Dyadic-distance profile of remainder ratios and covector oscillation.
 
     Pairs are bucketed by the octave floor(log2 |x-y|).  Each bucket records
     the sup over its pairs of remainder/|x-y| (worse of the two directions)
-    and of |A(x) - A(y)|.  Buckets with fewer than ``min_pairs`` pairs are
+    and of |A(x) - A(y)|.  Buckets with fewer than ``_MIN_PAIRS`` pairs are
     dropped.  With ``covectors=False`` the second sup is not computed and
     is NaN in every bucket.
 
@@ -422,6 +428,7 @@ def pair_modulus_profile(
     and its count their sum.
     """
     sample = require_same_sample(f, A)
+    require_chords(sample)
     pts = sample.points_array
     vals = f.values
     cov = A.covectors
@@ -477,7 +484,7 @@ def pair_modulus_profile(
         BucketStat(m - offset, 2.0 ** (m - offset), float(sup_ratio[m]),
                    float(sup_da[m]), int(counts[m]))
         for m in range(nbuckets)
-        if counts[m] >= min_pairs
+        if counts[m] >= _MIN_PAIRS
     ]
     return tuple(stats)
 

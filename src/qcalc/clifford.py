@@ -414,12 +414,11 @@ class GraphDerivativeReport:
 def _require_graph_chain(sample: SetSample) -> None:
     if sample.ambient_dim != 2:
         raise BuildError("graph samples live in the plane")
-    expected = {(i, i + 1) for i in range(sample.vertex_count - 1)}
-    got = {(min(i, j), max(i, j)) for i, j, _ in sample.edges}
-    if got != expected:
+    lo, hi = np.sort(sample.edge_ends, axis=0).tolist()
+    if set(zip(lo, hi)) != {(i, i + 1) for i in range(sample.vertex_count - 1)}:
         raise BuildError("sample is not a chained graph built over a grid")
-    xs = [p[0] for p in sample.points]
-    if any(b <= a for a, b in zip(xs, xs[1:])):
+    xs = sample.points_array[:, 0]
+    if (xs[1:] <= xs[:-1]).any():
         raise BuildError("graph sample must have strictly increasing x coordinates")
 
 

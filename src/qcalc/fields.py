@@ -12,8 +12,8 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .errors import BuildError, FormatError
-from .geometry import (SCHEMA_VERSION, SetSample, _expect, _is_finite_number, _is_index, as_lists,
-                       read_json, require_same_sample, write_json)
+from .geometry import (SCHEMA_VERSION, SetSample, _expect, _is_finite_number, _is_index, read_json,
+                       require_same_sample, write_json)
 
 
 def _coerce(values, shape, what: str) -> np.ndarray:
@@ -45,7 +45,7 @@ class ScalarField:
 
     @classmethod
     def from_function(cls, sample: SetSample, fn: Callable) -> "ScalarField":
-        return cls(sample, np.array([fn(p) for p in sample.points]))
+        return cls(sample, np.array([fn(tuple(p)) for p in sample.points_array.tolist()]))
 
     @property
     def is_complex(self) -> bool:
@@ -58,9 +58,6 @@ class ScalarField:
         if self.warning is not None:
             doc["warning"] = self.warning
         return doc
-
-    def as_dict(self) -> dict:
-        return as_lists(self.as_document())
 
 
 @dataclass(frozen=True, eq=False)
@@ -76,7 +73,7 @@ class CovectorField:
 
     @classmethod
     def from_function(cls, sample: SetSample, fn: Callable) -> "CovectorField":
-        return cls(sample, np.array([fn(p) for p in sample.points]))
+        return cls(sample, np.array([fn(tuple(p)) for p in sample.points_array.tolist()]))
 
     @classmethod
     def constant(cls, sample: SetSample, vector: Sequence[float]) -> "CovectorField":
@@ -90,9 +87,6 @@ class CovectorField:
     def as_document(self) -> dict:
         return {"version": SCHEMA_VERSION, "set": self.sample.fingerprint,
                 "covectors": self.covectors}
-
-    def as_dict(self) -> dict:
-        return as_lists(self.as_document())
 
 
 def _check_header(doc, sample: SetSample, source: str) -> None:

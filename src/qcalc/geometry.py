@@ -339,14 +339,6 @@ class SetSample:
         return len(self.edge_lengths)
 
     @cached_property
-    def points(self) -> tuple[tuple[float, ...], ...]:
-        return tuple(map(tuple, self.points_array.tolist()))
-
-    @cached_property
-    def edges(self) -> tuple[tuple[int, int, float], ...]:
-        return tuple(zip(*self.edge_ends.tolist(), self.edge_lengths.tolist()))
-
-    @cached_property
     def adjacency(self) -> tuple[tuple[tuple[int, float], ...], ...]:
         """Per-vertex neighbor list, sorted by neighbor index, then length."""
         (i, j), w = self.edge_ends, np.tile(self.edge_lengths, 2)
@@ -382,6 +374,12 @@ class SetSample:
         for arr in record:
             arr.setflags(write=False)
         return record
+
+    @cached_property
+    def chord_span(self) -> float:
+        """``row_norms`` of the points' extent: by monotone rounding no chord is longer."""
+        with np.errstate(over="ignore"):  # column by column: a reduction over axis 0 is slow
+            return float(row_norms(np.array([[np.ptp(c) for c in self.points_array.T]]))[0])
 
     @cached_property
     def max_edge_length(self) -> float:
@@ -442,6 +440,15 @@ def _check_vertex(sample: SetSample, v: int) -> None:
     """Reject vertex indices outside 0..nv-1 (no wrap-around from the end)."""
     if not 0 <= v < sample.vertex_count:
         raise BuildError(f"vertex {v} out of range")
+
+
+def require_chords(sample: SetSample) -> None:
+    """Refuse a sample whose chords may overflow in ``row_norms``; each kernel
+    that measures chords calls this first."""
+    if sample.chord_span == math.inf:
+        pts = sample.points_array
+        raise BuildError(f"the points span {pts.min(axis=0).tolist()} to "
+                         f"{pts.max(axis=0).tolist()}: their chords overflow")
 
 
 def require_same_sample(*objs) -> SetSample:
@@ -798,17 +805,6 @@ def sample_document(sample: SetSample) -> dict:
             "points": sample.points_array, "edges": edges, "label": sample.label}
 
 
-def sample_to_dict(sample: SetSample) -> dict:
-    return as_lists(sample_document(sample))
-
-
-def as_lists(doc: dict) -> dict:
-    """``doc`` with each array value as the nested lists ``json`` reads back
-    from the text ``write_json`` writes for it."""
-    return {key: json.loads(_array_text(v, None)) if isinstance(v, np.ndarray) else v
-            for key, v in doc.items()}
-
-
 def _expect(cond: bool, source: str, field: str, message: str) -> None:
     if not cond:
         raise FormatError(source, field, message)
@@ -914,7 +910,7 @@ def dump_sample(sample: SetSample, path: str) -> None:
 def write_json(doc, path: str | None = None) -> None:
     """Write ``json.dumps(doc, sort_keys=True, indent=2)`` and a newline to the
     file ``path``, or to stdout if ``path`` is empty; an array in ``doc`` is
-    written as its ``as_lists`` lists.  Every document qcalc writes goes through here."""
+    written as its nested lists.  Every document qcalc writes goes through here."""
     text = _json_text(doc, "\n") + "\n"
     if path:
         with open(path, "w") as fh:

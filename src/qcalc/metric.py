@@ -16,7 +16,7 @@ import numpy as np
 
 from .errors import BuildError, DisconnectedSampleError, ResourceLimitError, require
 from .geometry import (PAIR_BLOCK, POINT_CAP, PolylinePath, SetSample, _check_vertex, _leaf_box,
-                       report_dict, require_same_sample, row_norms)
+                       report_dict, require_chords, require_same_sample, row_norms)
 
 if TYPE_CHECKING:
     from .fields import ScalarField
@@ -168,6 +168,7 @@ def estimate_chord_arc(
     pairs, at most 2^24, a larger budget being refused before any is drawn.
     Ties go to the lexicographically smallest witness pair.
     """
+    require_chords(sample)
     nv = sample.vertex_count
     if nv < 2:
         raise BuildError("need at least 2 points")
@@ -396,6 +397,7 @@ def verify_local_to_global(
     nonnegative, or a k that is not finite and positive raises a ``BuildError``.
     """
     require_same_sample(sample, f)
+    require_chords(sample)
     if radius is None:
         radius = 2.0 * sample.max_edge_length
     require("radius", radius, "nonnegative")

@@ -16,7 +16,8 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from .errors import BuildError, UndersampledError, UnderdeterminedNeighborhoodError, require
-from .geometry import SetSample, _check_vertex, report_dict, require_same_sample, row_norms
+from .geometry import (SetSample, _check_vertex, report_dict, require_chords, require_same_sample,
+                       row_norms)
 
 if TYPE_CHECKING:
     from .fields import CovectorField, ScalarField
@@ -32,6 +33,7 @@ def __getattr__(name: str):
 
 
 def _ball_indices(sample: SetSample, x: int, radius: float) -> np.ndarray:
+    require_chords(sample)
     _check_vertex(sample, x)
     if not (np.isfinite(radius) and radius > 0):
         raise UnderdeterminedNeighborhoodError(

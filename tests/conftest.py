@@ -76,13 +76,23 @@ def khat_carpet3(carpet3):
 # independent oracles
 
 
+def point_rows(sample) -> list[tuple[float, ...]]:
+    """The sample's points as tuples of Python floats, read from its array."""
+    return [tuple(p) for p in sample.points_array.tolist()]
+
+
+def edge_rows(sample) -> list[tuple[int, int, float]]:
+    """The sample's edges as (i, j, length) tuples, read from its arrays."""
+    return list(zip(*sample.edge_ends.tolist(), sample.edge_lengths.tolist()))
+
+
 def scipy_distance_matrix(sample) -> np.ndarray:
     """All-pairs geodesic distances via scipy's graph machinery."""
     from scipy.sparse import coo_matrix
     from scipy.sparse.csgraph import dijkstra
 
     nv = sample.vertex_count
-    i, j, w = zip(*sample.edges)
+    i, j, w = zip(*edge_rows(sample))
     mat = coo_matrix((w + w, (i + j, j + i)), shape=(nv, nv))
     return dijkstra(mat.tocsr(), directed=False)
 
@@ -133,10 +143,11 @@ def brute_force_chord_arc(sample) -> tuple[float, tuple[int, int]]:
     The first pair in (i, j) order with the largest ratio is the witness.
     """
     dist = scipy_distance_matrix(sample)
+    pts = point_rows(sample)
     best, witness = -math.inf, (-1, -1)
     for i in range(sample.vertex_count - 1):
         for j in range(i + 1, sample.vertex_count):
-            ratio = dist[i, j] / chord(sample.points[i], sample.points[j])
+            ratio = dist[i, j] / chord(pts[i], pts[j])
             if ratio > best:
                 best, witness = ratio, (i, j)
     return max(best, 1.0), witness
@@ -158,7 +169,7 @@ def measured_local_constant(sample, f: ScalarField, radius: float) -> float:
 
 def vertex_at(sample, coords, tol=1e-9) -> int:
     """Index of the sample vertex at the given coordinates."""
-    for i, p in enumerate(sample.points):
+    for i, p in enumerate(point_rows(sample)):
         if math.dist(p, coords) <= tol:
             return i
     raise AssertionError(f"no vertex at {coords}")

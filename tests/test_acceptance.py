@@ -36,8 +36,10 @@ from qcalc.metric import estimate_chord_arc, verify_local_to_global
 from conftest import (
     brute_force_chord_arc,
     circle_points,
+    edge_rows,
     geodesic_field,
     measured_local_constant,
+    point_rows,
     vertex_at,
 )
 
@@ -284,8 +286,8 @@ def test_criterion_8_whitney_flatness(gasket3):
     from qcalc.geometry import SetSample
 
     moved = SetSample(
-        2, tuple(tuple(R @ np.array(p) + shift) for p in gasket3.points),
-        gasket3.edges, "moved",
+        2, tuple(tuple(R @ np.array(p) + shift) for p in point_rows(gasket3)),
+        edge_rows(gasket3), "moved",
     )
     a = whitney.local_flatness(gasket3, v, 0.26).flatness_score
     b = whitney.local_flatness(moved, v, 0.26).flatness_score
@@ -349,7 +351,7 @@ def test_criterion_10_graph_derivative_decay():
     residuals = []
     for k in range(5, 10):
         sample = build_lipschitz_graph([0.5], 2.0 ** -k, (0.0, 1.0))
-        zs = [complex(p[0], p[1]) for p in sample.points]
+        zs = [complex(x, y) for x, y in sample.points_array.tolist()]
         f = ScalarField(sample, np.array([z * z for z in zs]))
         a = ScalarField(sample, np.array([2 * z for z in zs]))
         rep = clifford.tangential_derivative_on_graph(f, a)
@@ -375,7 +377,7 @@ def test_criterion_10_companion_exactness_and_cubic_order():
     quad_ok = True
     for k in range(5, 10):
         sample = build_lipschitz_graph([0.5], 2.0 ** -k, (0.0, 1.0))
-        zs = [complex(p[0], p[1]) for p in sample.points]
+        zs = [complex(x, y) for x, y in sample.points_array.tolist()]
         f = ScalarField(sample, np.array([z * z for z in zs]))
         a = ScalarField(sample, np.array([2 * z for z in zs]))
         quad_ok &= clifford.tangential_derivative_on_graph(f, a).max_residual <= 1e-12
@@ -383,7 +385,7 @@ def test_criterion_10_companion_exactness_and_cubic_order():
     residuals = []
     for k in range(5, 10):
         sample = build_lipschitz_graph([0.5], 2.0 ** -k, (0.0, 1.0))
-        zs = [complex(p[0], p[1]) for p in sample.points]
+        zs = [complex(x, y) for x, y in sample.points_array.tolist()]
         f = ScalarField(sample, np.array([z ** 3 for z in zs]))
         a = ScalarField(sample, np.array([3 * z * z for z in zs]))
         residuals.append(clifford.tangential_derivative_on_graph(f, a).max_residual)
@@ -409,7 +411,7 @@ def test_criterion_11_cli_determinism(tmp_path):
     graph = build_lipschitz_graph([0.5], 0.125, (0.0, 1.0))
     graph_path = str(tmp_path / "graph.json")
     dump_sample(graph, graph_path)
-    zs = [complex(p[0], p[1]) for p in graph.points]
+    zs = [complex(x, y) for x, y in graph.points_array.tolist()]
     dump_field(ScalarField(graph, np.array([z * z for z in zs])),
                str(tmp_path / "gf.json"))
     dump_field(ScalarField(graph, np.array([2 * z for z in zs])),

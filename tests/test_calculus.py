@@ -2,19 +2,21 @@ from __future__ import annotations
 
 import itertools
 import math
+import warnings
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qcalc import metric
+from qcalc import metric, whitney
 from qcalc.calculus import (
     affine_rigidity_test,
     discrete_gradient,
     fit_holder_modulus,
     loop_defect,
     oscillation,
+    pair_modulus_profile,
     path_integral,
     reconstruct,
     verify_ftc,
@@ -23,9 +25,9 @@ from qcalc.calculus import (
 )
 from qcalc.errors import BuildError, FieldMismatchError, PathError, UndersampledError
 from qcalc.fields import CovectorField, ScalarField
-from qcalc.geometry import PolylinePath, build_gasket, build_polyline
+from qcalc.geometry import PolylinePath, build_dumbbell, build_gasket, build_polyline
 
-from conftest import circle_points, connected_planar_graphs, vertex_at
+from conftest import circle_points, connected_planar_graphs, point_rows, vertex_at
 
 
 def segment_grid(h: float, length: float = 1.0):
@@ -59,7 +61,7 @@ def test_gradient_integral_along_gasket_geodesic(gasket3):
     corner = vertex_at(gasket3, (0.0, 0.0))
     far = vertex_at(gasket3, (1.0, 0.0))
     p = metric.shortest_path(gasket3, corner, far)
-    start, end = gasket3.points[corner], gasket3.points[far]
+    start, end = gasket3.points_array[[corner, far]].tolist()
     expected = (end[0] ** 2 + end[1] ** 2 - start[0] ** 2 - start[1] ** 2) / 2
     got = path_integral(A, p)
     assert math.isclose(got, expected, abs_tol=1e-12)
@@ -228,7 +230,7 @@ def test_reconstruct_constant_field_gives_coordinate():
     A = CovectorField.constant(s, (1.0, 0.0))
     rec = reconstruct(s, A, 0, 0.0)
     assert rec.warning is None
-    np.testing.assert_allclose(rec.values, [p[0] for p in s.points], atol=1e-12)
+    np.testing.assert_allclose(rec.values, s.points_array[:, 0], atol=1e-12)
 
 
 def test_reconstruct_radial_gradient_on_circle(circle256):
@@ -309,7 +311,7 @@ def test_remainder_quadratic_on_unit_segment():
 def test_remainder_matches_direct_evaluation_on_gasket(gasket3):
     f = ScalarField.from_function(gasket3, lambda p: p[0] * p[1])
     A = CovectorField.from_function(gasket3, lambda p: (p[1], p[0]))
-    pts = gasket3.points
+    pts = point_rows(gasket3)
     for x, y in [(0, 9), (4, 31), (17, 2), (40, 41)]:
         direct = abs(
             pts[y][0] * pts[y][1]
@@ -334,7 +336,7 @@ def test_oscillation_linear_growth():
 def test_oscillation_matches_scan_oracle():
     seg = segment_grid(1.0 / 32)
     A = CovectorField.from_function(seg, lambda p: (math.cos(p[0]), 0.0))
-    pts = seg.points
+    pts = point_rows(seg)
     for x, radius in [(0, 0.3), (8, 0.5), (20, 1.0)]:
         scan = max(
             abs(math.cos(pts[w][0]) - math.cos(pts[x][0]))
@@ -473,7 +475,7 @@ def test_remainder_bound_matches_naive_oracle(gasket2):
     A = CovectorField(gasket2, rng.normal(size=(gasket2.vertex_count, 2)))
     k, tol = 2.5, 1e-9
     rep = verify_remainder_bound(f, A, gasket2, k=k, tol=tol)
-    pts = gasket2.points
+    pts = point_rows(gasket2)
     naive = []
     for x in range(gasket2.vertex_count):
         for y in range(gasket2.vertex_count):
@@ -513,6 +515,43 @@ def test_remainder_bound_pair_rows_cover_unordered_pairs(gasket2):
     nv = gasket2.vertex_count
     assert len(rep.pair_dist) == nv * (nv - 1) // 2
     assert np.all(rep.pair_dist > 0)
+
+
+def test_remainder_bound_of_zero_covectors_is_zero_at_every_k():
+    # with A = 0 every ball's oscillation is 0, so the bound is 0 whatever k;
+    # at k = 1e308, k |x - y| overflows on the dumbbell, and inf * 0 gave NaN
+    # bounds that no remainder exceeded (1,772 violations instead of 3,724)
+    s = build_dumbbell(1.0, 0.3, 0.2)
+    f = ScalarField.from_function(s, lambda p: p[0] ** 2)
+    A = CovectorField.constant(s, (0.0, 0.0))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        reports = [verify_remainder_bound(f, A, k=k) for k in (2.0, 1e300, 1e308)]
+    first = reports[0]
+    assert len(first.violations) == 3724 and not first.pair_bound.any()
+    for rep in reports[1:]:
+        assert (rep.violations, rep.max_ratio, rep.max_ratio_pair) == (
+            first.violations, first.max_ratio, first.max_ratio_pair)
+        for name in ("pair_dist", "pair_remainder", "pair_bound", "pair_index"):
+            assert getattr(rep, name).tobytes() == getattr(first, name).tobytes(), name
+
+
+def test_chord_kernels_refuse_chords_that_overflow():
+    # chords of 1e200 square to inf in row_norms, which read them as ratio 0
+    far = build_polyline([(0, 0), (1e200, 0), (1e200, 1e200)])
+    f = ScalarField(far, [0.0, 1.0, 2.0])
+    A = CovectorField.constant(far, (1.0, 0.0))
+    calls = [lambda: metric.estimate_chord_arc(far), lambda: verify_remainder_bound(f, A, k=2.0),
+             lambda: pair_modulus_profile(f, A), lambda: metric.verify_local_to_global(far, f),
+             lambda: oscillation(A, 0, 1.0), lambda: whitney.local_flatness(far, 0, 1e300)]
+    for call in calls:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(BuildError, match=r"span \[0.0, 0.0\] to \[1e\+200, 1e\+200\]"):
+                call()
+    # chords of 1e153 square to 1e306: measured, and the ratio is sqrt 2
+    near = build_polyline([(0, 0), (1e153, 0), (1e153, 1e153)])
+    assert math.isclose(metric.estimate_chord_arc(near).k_hat, math.sqrt(2), rel_tol=1e-15)
 
 
 # ---------------------------------------------------------------------------

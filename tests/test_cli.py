@@ -7,6 +7,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -139,7 +140,7 @@ def test_reconstruct_report(workspace):
     assert code == 0
     assert doc["warning"] is None
     vals = doc["field"]["values"]
-    np.testing.assert_allclose(vals, [p[0] ** 2 for p in sample.points], atol=1e-9)
+    np.testing.assert_allclose(vals, sample.points_array[:, 0] ** 2, atol=1e-9)
 
 
 def test_remainder_check_pass_and_csv(workspace, tmp_path):
@@ -295,7 +296,7 @@ def test_graph_derivative_cli(tmp_path):
     sample = cli.geometry.build_lipschitz_graph([0.5], 0.0625, (0.0, 1.0))
     set_path = str(tmp_path / "graph.json")
     dump_sample(sample, set_path)
-    zs = [complex(p[0], p[1]) for p in sample.points]
+    zs = [complex(x, y) for x, y in sample.points_array.tolist()]
     f = ScalarField(sample, np.array([z * z for z in zs]))
     a = ScalarField(sample, np.array([2 * z for z in zs]))
     fp, ap = str(tmp_path / "f.json"), str(tmp_path / "a.json")
@@ -766,6 +767,35 @@ def test_reconstruct_fills_a_vertex_that_ties_its_predecessor_and_has_a_smaller_
     assert report["warning"] is None
 
 
+def test_chord_overflow_and_unbounded_k_on_the_command_line(tmp_path, capsys):
+    far = str(tmp_path / "far.json")
+    assert main(["build", "polyline", "--coords", "[[0,0],[1e200,0],[1e200,1e200]]",
+                 "--out", far]) == 0
+    capsys.readouterr()
+    # the far polyline's chords overflow: exit 2, not k_hat 1.0
+    assert main(["k-estimate", far, "--exhaustive"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "points span" in captured.err
+    # with A = 0 the report and the pair rows do not depend on k
+    db, fp, ap = (str(tmp_path / name) for name in ("db.json", "f.json", "A.json"))
+    assert main(["build", "dumbbell", "--radius", "1", "--neck", "0.3", "--step", "0.2",
+                 "--out", db]) == 0
+    sample = load_sample(db)
+    dump_field(ScalarField.from_function(sample, lambda p: p[0] ** 2), fp)
+    dump_field(CovectorField.constant(sample, (0.0, 0.0)), ap)
+    seen = []
+    for k in ("2", "1e300", "1e308"):
+        csv = tmp_path / f"pairs-{k}.csv"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, doc = run(["remainder-check", db, fp, ap, "--k", k, "--csv", str(csv)],
+                            str(tmp_path / "rep.json"))
+        assert code == 1
+        seen.append((doc["violation_count"], doc["violations"], doc["max_ratio"],
+                     doc["max_ratio_pair"], csv.read_bytes()))
+    assert seen[0][0] == 3724 and seen[1] == seen[0] and seen[2] == seen[0]
+
+
 def test_holder_fit_rejects_nan_field(tmp_path, capsys):
     seg = build_polyline([(i / 64, 0.0) for i in range(65)])
     set_path = str(tmp_path / "seg.json")
@@ -773,7 +803,9 @@ def test_holder_fit_rejects_nan_field(tmp_path, capsys):
     f = ScalarField.from_function(seg, lambda p: p[0] ** 2)
     A = CovectorField.from_function(seg, lambda p: (2 * p[0], 0.0))
     fp, ap = str(tmp_path / "f.json"), str(tmp_path / "A.json")
-    doc = f.as_dict()
+    dump_field(f, fp)
+    with open(fp) as fh:
+        doc = json.load(fh)
     doc["values"][3] = float("nan")
     with open(fp, "w") as fh:
         json.dump(doc, fh)

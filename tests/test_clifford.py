@@ -355,7 +355,7 @@ def test_complex_embedding_is_an_algebra_map():
 
 
 def graph_fields(sample, fn, an):
-    zs = [complex(p[0], p[1]) for p in sample.points]
+    zs = [complex(x, y) for x, y in sample.points_array.tolist()]
     f = ScalarField(sample, np.array([fn(z) for z in zs]))
     a = ScalarField(sample, np.array([an(z) for z in zs]))
     return f, a

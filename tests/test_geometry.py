@@ -23,12 +23,11 @@ from qcalc.geometry import (
     build_lipschitz_graph,
     build_polyline,
     sample_from_dict,
-    sample_to_dict,
     validate,
 )
 from qcalc.metric import geodesic_distance, shortest_path
 
-from conftest import circle_points
+from conftest import circle_points, edge_rows
 
 
 # ---------------------------------------------------------------------------
@@ -38,14 +37,14 @@ from conftest import circle_points
 def test_polyline_single_segment():
     s = build_polyline([(0, 0), (1, 0)])
     assert s.vertex_count == 2
-    assert s.edges == ((0, 1, 1.0),)
+    assert edge_rows(s) == [(0, 1, 1.0)]
 
 
 def test_polyline_l_shape():
     s = build_polyline([(0, 0), (1, 0), (1, 1)])
     assert s.vertex_count == 3
     assert s.edge_count == 2
-    assert math.isclose(sum(l for _, _, l in s.edges), 2.0, abs_tol=1e-12)
+    assert math.isclose(sum(s.edge_lengths.tolist()), 2.0, abs_tol=1e-12)
 
 
 def test_polyline_256gon_perimeter():
@@ -53,7 +52,7 @@ def test_polyline_256gon_perimeter():
     assert s.edge_count == 256
     # closed form, cross-checked against plain summation of the edges
     closed_form = 256 * 2 * math.sin(math.pi / 256)
-    assert math.isclose(math.fsum(l for _, _, l in s.edges), closed_form, rel_tol=1e-12)
+    assert math.isclose(math.fsum(s.edge_lengths.tolist()), closed_form, rel_tol=1e-12)
 
 
 def test_polyline_rejects_duplicate_consecutive():
@@ -88,7 +87,7 @@ def test_polyline_rejects_mixed_dimensions():
 def test_closed_polyline_adds_wrap_edge():
     s = build_polyline([(0, 0), (1, 0), (1, 1), (0, 1)], closed=True)
     assert s.edge_count == 4
-    assert (3, 0, 1.0) in s.edges
+    assert (3, 0, 1.0) in edge_rows(s)
 
 
 # ---------------------------------------------------------------------------
@@ -136,7 +135,7 @@ def test_gasket_matches_float_enumeration_oracle():
 
 def test_gasket_vertex_set_geometry():
     s = build_gasket(1)
-    got = {tuple(round(c, 12) for c in p) for p in s.points}
+    got = {tuple(round(c, 12) for c in p) for p in s.points_array.tolist()}
     r3 = round(math.sqrt(3) / 4, 12)
     assert got == {(0.0, 0.0), (1.0, 0.0), (0.5, round(math.sqrt(3) / 2, 12)),
                    (0.5, 0.0), (0.25, r3), (0.75, r3)}
@@ -157,7 +156,7 @@ def test_carpet_level0():
     s = build_carpet(0)
     assert s.vertex_count == 1
     assert s.edge_count == 0
-    assert s.points[0] == (0.5, 0.5)
+    assert s.points_array.tolist() == [[0.5, 0.5]]
 
 
 def test_carpet_level1_ring():
@@ -166,7 +165,7 @@ def test_carpet_level1_ring():
     assert s.edge_count == 8
     # every retained cell has exactly two ring neighbors
     degree = [0] * 8
-    for i, j, _ in s.edges:
+    for i, j in s.edge_ends.T.tolist():
         degree[i] += 1
         degree[j] += 1
     assert degree == [2] * 8
@@ -189,12 +188,12 @@ def test_carpet_retained_cells_oracle():
                 retained.append((x, y))
     assert len(retained) == s.vertex_count
     centers = {((x + 0.5) / 9, (y + 0.5) / 9) for x, y in retained}
-    assert {tuple(p) for p in s.points} == centers
+    assert {tuple(p) for p in s.points_array.tolist()} == centers
 
 
 def test_carpet_edge_lengths_equal_pitch():
     s = build_carpet(2)
-    for _, _, l in s.edges:
+    for l in s.edge_lengths.tolist():
         assert math.isclose(l, 1.0 / 9.0, rel_tol=1e-12)
 
 
@@ -209,12 +208,12 @@ def test_carpet_level_cap():
 
 def test_graph_flat_three_points():
     s = build_lipschitz_graph([0.0], 0.5, (0.0, 1.0))
-    assert s.points == ((0.0, 0.0), (0.5, 0.0), (1.0, 0.0))
+    assert s.points_array.tolist() == [[0.0, 0.0], [0.5, 0.0], [1.0, 0.0]]
 
 
 def test_graph_tent():
     s = build_lipschitz_graph([1.0, -1.0], 1.0, (0.0, 2.0))
-    assert s.points == ((0.0, 0.0), (1.0, 1.0), (2.0, 0.0))
+    assert s.points_array.tolist() == [[0.0, 0.0], [1.0, 1.0], [2.0, 0.0]]
 
 
 def test_graph_label_records_lipschitz_constant():
@@ -271,9 +270,10 @@ def test_dumbbell_shape():
     assert s.edge_count == 2 * n + 2  # two cycles plus the two-segment bridge
     assert validate(s).ok
     # junctions sit at the neck ends, the midpoint at the origin
-    assert math.isclose(s.points[0][0], -0.005, abs_tol=1e-12) and s.points[0][1] == 0.0
-    assert math.isclose(s.points[n][0], 0.005, abs_tol=1e-12)
-    assert s.points[2 * n] == (0.0, 0.0)
+    pts = s.points_array.tolist()
+    assert math.isclose(pts[0][0], -0.005, abs_tol=1e-12) and pts[0][1] == 0.0
+    assert math.isclose(pts[n][0], 0.005, abs_tol=1e-12)
+    assert pts[2 * n] == [0.0, 0.0]
 
 
 def test_dumbbell_parameter_order():
@@ -343,8 +343,8 @@ def test_polyline_arrays_equal_the_tuple_route(points, closed):
 def test_graph_arrays_equal_the_tuple_route(slopes, step, a, width):
     built = build_lipschitz_graph(slopes, step, (a, a + width))
     nv = built.vertex_count
-    _assert_same_arrays(built, _tuple_route(2, built.points, [(i, i + 1) for i in range(nv - 1)],
-                                            built.label))
+    _assert_same_arrays(built, _tuple_route(2, built.points_array.tolist(),
+                                            [(i, i + 1) for i in range(nv - 1)], built.label))
 
 
 @settings(deadline=None, max_examples=150)
@@ -407,7 +407,7 @@ def test_builders_are_deterministic():
     a = build_gasket(3)
     b = build_gasket(3)
     assert a == b
-    assert sample_to_dict(a) == sample_to_dict(b)
+    assert _listed_sample(a) == _listed_sample(b)
     assert build_dumbbell(1.0, 0.1, 0.1) == build_dumbbell(1.0, 0.1, 0.1)
 
 
@@ -453,7 +453,7 @@ def test_sample_json_round_trip(tmp_path):
 
 
 def test_reader_rejects_unknown_version():
-    doc = sample_to_dict(build_polyline([(0, 0), (1, 0)]))
+    doc = _listed_sample(build_polyline([(0, 0), (1, 0)]))
     doc["version"] = 2
     with pytest.raises(FormatError) as err:
         sample_from_dict(doc)
@@ -473,7 +473,7 @@ def test_reader_rejects_unknown_version():
     ],
 )
 def test_reader_names_offending_field(corrupt, field):
-    doc = sample_to_dict(build_polyline([(0, 0), (1, 0)]))
+    doc = _listed_sample(build_polyline([(0, 0), (1, 0)]))
     corrupt(doc)
     with pytest.raises(FormatError) as err:
         sample_from_dict(doc, source="fixture.json")
@@ -497,7 +497,7 @@ def test_reader_names_offending_field(corrupt, field):
          "inf-length", "bool-index", "bool-dim"],
 )
 def test_reader_rejects_non_finite_and_bool_entries(key, value, field):
-    doc = sample_to_dict(build_polyline([(0, 0), (1, 0)]))
+    doc = _listed_sample(build_polyline([(0, 0), (1, 0)]))
     doc[key] = value
     with pytest.raises(FormatError) as err:
         sample_from_dict(doc, source="fixture.json")
@@ -563,7 +563,7 @@ def test_reader_rejects_wrong_edge_length(points, edges, bad):
 )
 def test_reader_accepts_edge_lengths_within_tolerance(points, length):
     doc = {"version": 1, "ambient_dim": 2, "points": points, "edges": [[0, 1, length]]}
-    assert sample_from_dict(doc).edges[0][2] == length
+    assert sample_from_dict(doc).edge_lengths.tolist() == [length]
 
 
 def test_reader_rejects_self_loop():
@@ -585,7 +585,7 @@ def test_reader_accepts_every_builder_sample():
     for s in (build_gasket(4), build_polyline(circle_points(64), closed=True), build_carpet(2),
               build_dumbbell(1.0, 0.1, math.pi / 16),
               build_lipschitz_graph([0.5, -2.0], 0.1, (0.0, 1.0))):
-        assert sample_from_dict(sample_to_dict(s)) == s
+        assert sample_from_dict(_listed_sample(s)) == s
 
 
 @pytest.mark.parametrize(
@@ -654,11 +654,11 @@ def test_fingerprints_are_pinned(make, fingerprint):
     # field files name their sample by this value in "set"
     sample = make()
     assert sample.fingerprint == fingerprint
-    assert sample_from_dict(sample_to_dict(sample)).fingerprint == fingerprint
+    assert sample_from_dict(_listed_sample(sample)).fingerprint == fingerprint
 
 
 def test_sample_stores_read_only_arrays():
-    for s in (build_gasket(2), sample_from_dict(sample_to_dict(build_gasket(2))),
+    for s in (build_gasket(2), sample_from_dict(_listed_sample(build_gasket(2))),
               SetSample(2, ((0, 0), (3, 4)), ((1, 0, 5),))):
         assert s.points_array.dtype == np.float64 and s.edge_lengths.dtype == np.float64
         assert s.edge_ends.dtype == np.intp and s.edge_ends.flags.c_contiguous
@@ -698,12 +698,13 @@ def test_path_over_parallel_edges_takes_the_shortest():
 
 def test_sample_keeps_edge_order_and_orientation():
     s = SetSample(2, [[0, 0], [3, 4], [3, 0]], [(1, 0, 5), (2, 1, 4.0), (0, 2, 3)])
-    assert s.points == ((0.0, 0.0), (3.0, 4.0), (3.0, 0.0))
-    assert s.edges == ((1, 0, 5.0), (2, 1, 4.0), (0, 2, 3.0))
+    assert s.points_array.tolist() == [[0.0, 0.0], [3.0, 4.0], [3.0, 0.0]]
+    assert edge_rows(s) == [(1, 0, 5.0), (2, 1, 4.0), (0, 2, 3.0)]
     assert s.edge_ends.tolist() == [[1, 2, 0], [0, 1, 2]]
     assert s.adjacency == (((1, 5.0), (2, 3.0)), ((0, 5.0), (2, 4.0)), ((0, 3.0), (1, 4.0)))
     assert s.max_edge_length == 5.0
-    assert s == SetSample(2, s.points, s.edges) and hash(s) == hash(SetSample(2, s.points, s.edges))
+    again = SetSample(2, s.points_array.tolist(), edge_rows(s))
+    assert s == again and hash(s) == hash(again)
 
 
 def test_load_sample_invalid_json(tmp_path):
@@ -808,7 +809,7 @@ def pool_samples(draw) -> SetSample:
 def _listed_sample(s: SetSample) -> dict:
     """A sample's document as the lists built entry by entry, the oracle."""
     return {"version": 1, "ambient_dim": s.ambient_dim, "points": s.points_array.tolist(),
-            "edges": [[i, j, length] for i, j, length in s.edges], "label": s.label}
+            "edges": [list(e) for e in edge_rows(s)], "label": s.label}
 
 
 def _indented(doc) -> str:
@@ -821,7 +822,6 @@ def test_samples_are_written_and_hashed_as_their_lists(tmp_path_factory, s):
     import hashlib
 
     doc = _listed_sample(s)
-    assert json.dumps(sample_to_dict(s)) == json.dumps(doc)
     path = tmp_path_factory.mktemp("doc") / "s.json"
     geometry.dump_sample(s, str(path))
     assert path.read_text() == _indented(doc)
@@ -851,7 +851,6 @@ def test_fields_are_written_as_their_lists(tmp_path_factory, s, data):
                  pairs(r) for r in (rows * 1j - 0.0).tolist()]})]
     path = tmp_path_factory.mktemp("doc") / "f.json"
     for field, doc in cases:
-        assert json.dumps(field.as_dict()) == json.dumps(doc)
         dump_field(field, str(path))
         assert path.read_text() == _indented(doc)
 

@@ -35,7 +35,7 @@ def dense_system(sample, values):
     nv, n = sample.vertex_count, sample.ambient_dim
     D = np.zeros((sample.edge_count, nv * n))
     b = np.zeros(sample.edge_count, dtype=values.dtype)
-    for row, (u, v, _) in enumerate(sample.edges):
+    for row, (u, v) in enumerate(sample.edge_ends.T.tolist()):
         half = 0.5 * (pts[v] - pts[u])
         D[row, u * n : u * n + n] = half
         D[row, v * n : v * n + n] = half

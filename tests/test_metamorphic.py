@@ -54,7 +54,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import connected_planar_graphs, row_dots
+from conftest import connected_planar_graphs, edge_rows, row_dots
 from qcalc import geometry, metric
 from qcalc.calculus import (discrete_gradient, loop_defect, path_integral, reconstruct,
                             verify_ftc, verify_remainder_bound)
@@ -66,7 +66,7 @@ SCALE = 2.0 ** -3
 
 def scaled(sample, A):
     """Points times 2^-3 and A times 2^3."""
-    edges = tuple((i, j, w * SCALE) for i, j, w in sample.edges)
+    edges = tuple((i, j, w * SCALE) for i, j, w in edge_rows(sample))
     moved = SetSample(sample.ambient_dim, (sample.points_array * SCALE).tolist(), edges)
     return moved, A.covectors / SCALE
 
@@ -75,13 +75,14 @@ def reflected(sample, A):
     """x -> -x, and A's x component negated."""
     flip = np.ones(sample.ambient_dim)
     flip[0] = -1.0
-    moved = SetSample(sample.ambient_dim, (sample.points_array * flip).tolist(), sample.edges)
+    moved = SetSample(sample.ambient_dim, (sample.points_array * flip).tolist(),
+                      edge_rows(sample))
     return moved, A.covectors * flip
 
 
 def swapped(sample, A):
     """The two coordinates of a planar sample swapped, and A's two components."""
-    moved = SetSample(2, sample.points_array[:, ::-1].tolist(), sample.edges)
+    moved = SetSample(2, sample.points_array[:, ::-1].tolist(), edge_rows(sample))
     return moved, A.covectors[:, ::-1]
 
 
@@ -162,7 +163,8 @@ def test_random_graphs(graph, complex_field, seed):
 
 
 def moved_sample(sample, pts, edges=None):
-    return SetSample(sample.ambient_dim, pts.tolist(), sample.edges if edges is None else edges)
+    return SetSample(sample.ambient_dim, pts.tolist(),
+                     edge_rows(sample) if edges is None else edges)
 
 
 def assert_local_to_global_relations(sample, vals, C):
@@ -171,7 +173,7 @@ def assert_local_to_global_relations(sample, vals, C):
     rep = metric.verify_local_to_global(sample, f, radius, C, 2.0)
     pts = sample.points_array
     # points * 2^-3, C * 8, radius * 2^-3: ratios * 8, the same pairs
-    edges = tuple((i, j, w * SCALE) for i, j, w in sample.edges)
+    edges = tuple((i, j, w * SCALE) for i, j, w in edge_rows(sample))
     small = moved_sample(sample, pts * SCALE, edges)
     got = metric.verify_local_to_global(small, ScalarField(small, vals), radius * SCALE,
                                         C / SCALE, 2.0)
@@ -185,7 +187,7 @@ def assert_local_to_global_relations(sample, vals, C):
     # a random relabelling: l_glob's bits and the set of violating pairs
     perm = np.random.default_rng(sample.vertex_count).permutation(sample.vertex_count)
     new_of = np.argsort(perm)
-    edges = tuple((int(new_of[i]), int(new_of[j]), w) for i, j, w in sample.edges)
+    edges = tuple((int(new_of[i]), int(new_of[j]), w) for i, j, w in edge_rows(sample))
     relabelled = moved_sample(sample, pts[perm], edges)
     got = metric.verify_local_to_global(relabelled, ScalarField(relabelled, vals[perm]),
                                         radius, C, 2.0)
@@ -313,7 +315,7 @@ def test_remainder_relations_on_builder_samples(name):
         # a random relabelling: vertex v of the relabelled sample is perm[v]
         perm = np.random.default_rng(sample.vertex_count).permutation(sample.vertex_count)
         new_of = np.argsort(perm)
-        edges = tuple((int(new_of[i]), int(new_of[j]), w) for i, j, w in sample.edges)
+        edges = tuple((int(new_of[i]), int(new_of[j]), w) for i, j, w in edge_rows(sample))
         relabelled = moved_sample(sample, pts[perm], edges)
         got = remainder(relabelled, vals[perm], cov[perm], k)
         assert got.max_ratio.hex() == rep.max_ratio.hex()

@@ -265,7 +265,7 @@ def test_chord_arc_report_invariants(gasket3):
     rep = estimate_chord_arc(gasket3)
     assert rep.k_hat >= 1.0 - 1e-12
     i, j = rep.witness_pair
-    ratio = geodesic_distance(gasket3, i, j) / math.dist(gasket3.points[i], gasket3.points[j])
+    ratio = geodesic_distance(gasket3, i, j) / math.dist(*gasket3.points_array[[i, j]].tolist())
     assert math.isclose(rep.k_hat, ratio, rel_tol=1e-12)
 
 

@@ -12,6 +12,7 @@ lies below a measured ratio.  Their results must agree exactly, bit for bit.
 """
 from __future__ import annotations
 
+import json
 import math
 import tracemalloc
 import warnings
@@ -21,7 +22,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qcalc import geometry, metric
+from qcalc import calculus, geometry, metric
 from qcalc.calculus import (
     BucketStat,
     _row_dots,
@@ -132,14 +133,15 @@ def smooth_fields(sample):
 
 @pytest.mark.parametrize("name", sorted(SAMPLES))
 @pytest.mark.parametrize("kind", ["smooth", "real", "complex"])
-def test_profile_matches_reference(name, kind):
+def test_profile_matches_reference(monkeypatch, name, kind):
     sample = SAMPLES[name]()
     if kind == "smooth":
         f, A = smooth_fields(sample)
     else:
         f, A = random_fields(sample, 4, kind == "complex")
     for min_pairs in (1, 8):
-        assert pair_modulus_profile(f, A, min_pairs) == profile_reference(f, A, min_pairs)
+        monkeypatch.setattr(calculus, "_MIN_PAIRS", min_pairs)
+        assert pair_modulus_profile(f, A) == profile_reference(f, A, min_pairs)
 
 
 @pytest.mark.parametrize("name", sorted(SAMPLES))
@@ -299,13 +301,14 @@ FOLD_SAMPLES = {
 
 @pytest.mark.parametrize("name", sorted(FOLD_SAMPLES))
 @pytest.mark.parametrize("kind", ["smooth", "real", "complex"])
-def test_folded_scans_match_row_references(name, kind):
+def test_folded_scans_match_row_references(monkeypatch, name, kind):
     sample = FOLD_SAMPLES[name]()
     if kind == "smooth":
         f, A = smooth_fields(sample)
     else:
         f, A = random_fields(sample, 12, kind == "complex")
-    assert pair_modulus_profile(f, A, 1) == profile_reference(f, A, 1)
+    monkeypatch.setattr(calculus, "_MIN_PAIRS", 1)
+    assert pair_modulus_profile(f, A) == profile_reference(f, A, 1)
     radius = 2.0 * sample.max_edge_length
     for C in (1.0, 0.25):
         rep = verify_local_to_global(sample, f, radius, C, 2.0, tol=1e-9)
@@ -360,7 +363,8 @@ def test_local_to_global_tie_found_in_a_later_block():
     assert rep.l_glob == 512.0 and rep.witness_pair == (200, 201)
 
 
-def test_coincident_point_row_offers_no_witness():
+def test_coincident_point_row_offers_no_witness(monkeypatch):
+    monkeypatch.setattr(calculus, "_MIN_PAIRS", 1)
     # points 3 and 40 coincide (a sample built in code; loading would reject
     # it) and carry the same value, so row 3 holds a 0/0 ratio.  Point 4 is
     # close to point 3, so (3, 4) has the largest ratio; the NaN hides it,
@@ -378,14 +382,15 @@ def test_coincident_point_row_offers_no_witness():
     with np.errstate(divide="ignore", invalid="ignore"):
         rep = verify_local_to_global(sample, f, radius, 1.0, 2.0)
         ref = local_to_global_reference(sample, f, radius, 1.0, 2.0, 1e-9)
-        profile = pair_modulus_profile(f, A, 1)
+        profile = pair_modulus_profile(f, A)
         # NaN sups make tuple equality fail, so compare the reprs
         assert repr(profile) == repr(profile_reference(f, A, 1))
     assert rep == ref
     assert rep.witness_pair == (4, 40)
 
 
-def test_coincident_pair_lands_in_bucket_zero():
+def test_coincident_pair_lands_in_bucket_zero(monkeypatch):
+    monkeypatch.setattr(calculus, "_MIN_PAIRS", 1)
     # points 2 and 9 coincide (built in code) and carry different values and
     # covectors: their ratio is x/0 = inf, and log2(0) = -inf must reach
     # bucket 0 without an invalid float-to-integer cast
@@ -396,14 +401,15 @@ def test_coincident_pair_lands_in_bucket_zero():
     f = ScalarField(sample, np.arange(12.0) ** 2)
     A = CovectorField(sample, np.random.default_rng(2).normal(size=(12, 2)))
     with np.errstate(divide="ignore", invalid="raise"):
-        profile = pair_modulus_profile(f, A, 1)
+        profile = pair_modulus_profile(f, A)
     da = float(row_norms(A.covectors[[9]] - A.covectors[2])[0])
     assert profile[0] == BucketStat(-80, 2.0 ** -80, math.inf, da, 1)
     assert all(b.octave > -10 for b in profile[1:])
     assert sum(b.count for b in profile) == 12 * 11 // 2
 
 
-def test_profile_on_near_coincident_points_warns_nothing():
+def test_profile_on_near_coincident_points_warns_nothing(monkeypatch):
+    monkeypatch.setattr(calculus, "_MIN_PAIRS", 1)
     # the chord of points 0 and 1 rounds to 0: their ratio is 0 / 0 and the
     # log2 of their distance -inf, which lands in bucket 0
     s = sample_from_dict(NEAR_COINCIDENT_DOC)
@@ -411,7 +417,7 @@ def test_profile_on_near_coincident_points_warns_nothing():
     A = CovectorField(s, [[1.0, 0.0]] * 3)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        profile = pair_modulus_profile(f, A, 1)
+        profile = pair_modulus_profile(f, A)
     assert [(b.octave, b.count) for b in profile] == [(-80, 1), (0, 2)]
     assert math.isnan(profile[0].remainder_ratio_sup)
 
@@ -644,8 +650,9 @@ def test_warm_reports_equal_cold_ones(case):
         assert_warm_equals_cold(sample, lambda: chain_sample(pts), vals, radius, C)
 
 
-def test_kd_leaves_are_read_only_and_per_sample():
-    doc = geometry.sample_to_dict(build_gasket(4))
+def test_kd_leaves_are_read_only_and_per_sample(tmp_path):
+    geometry.dump_sample(build_gasket(4), str(tmp_path / "g4.json"))
+    doc = json.loads((tmp_path / "g4.json").read_text())
     a, b = sample_from_dict(doc), sample_from_dict(doc)
     assert a == b and a.kd_leaves is a.kd_leaves and a.kd_leaves is not b.kd_leaves
     for name, x, y in zip(a.kd_leaves._fields, a.kd_leaves, b.kd_leaves):

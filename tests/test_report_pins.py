@@ -25,8 +25,7 @@ from qcalc.cli import main
 from qcalc.clifford import LinearCliffordMap, Multivector, complete_from_hyperplane
 from qcalc.fields import CovectorField, ScalarField, dump_field
 from qcalc.geometry import (SetSample, build_carpet, build_gasket, build_lipschitz_graph,
-                            build_polyline, dump_sample, sample_from_dict, sample_to_dict,
-                            validate)
+                            build_polyline, dump_sample, load_sample, validate)
 from qcalc.metric import verify_local_to_global
 from qcalc.whitney import determined_subspace, differential_stability
 
@@ -275,9 +274,10 @@ def test_dump_sample_is_pinned(tmp_path, name):
 
 
 @pytest.mark.parametrize("name", ["gasket 0", "gasket 5", "carpet 0", "carpet 3"])
-def test_built_arrays_are_laid_out_as_loaded_ones(name):
+def test_built_arrays_are_laid_out_as_loaded_ones(tmp_path, name):
     sample = _built(name)
-    loaded = sample_from_dict(sample_to_dict(sample))
+    dump_sample(sample, str(tmp_path / "sample.json"))
+    loaded = load_sample(str(tmp_path / "sample.json"))
     for built, read in ((sample.points_array, loaded.points_array),
                         (sample.edge_ends, loaded.edge_ends),
                         (sample.edge_lengths, loaded.edge_lengths)):

@@ -271,8 +271,8 @@ def test_split_profile_equals_serial(monkeypatch, forks, no_threshold, name, cov
     f, A = make_fields(sample)
     # one folded row per block, so that even a small sample has many blocks
     monkeypatch.setattr(geometry, "PAIR_BLOCK", 1)
-    one, two = one_and_two(monkeypatch, lambda: pair_modulus_profile(
-        f, A, min_pairs=1, covectors=covectors))
+    monkeypatch.setattr(calculus, "_MIN_PAIRS", 1)
+    one, two = one_and_two(monkeypatch, lambda: pair_modulus_profile(f, A, covectors=covectors))
     # == on the bucket tuples would fail on NaN; their reprs are equal strings
     assert repr(one) == repr(two)
     assert len(forks) == 1
@@ -295,18 +295,20 @@ def test_profile_nan_bucket_survives_the_merge(monkeypatch, forks, no_threshold)
                                 for i in range(len(pts) - 1)])
     f = ScalarField(sample, np.ones(len(pts)))
     A = CovectorField(sample, np.zeros((len(pts), 2)))
-    one, two = one_and_two(monkeypatch, lambda: pair_modulus_profile(f, A, min_pairs=1))
+    monkeypatch.setattr(calculus, "_MIN_PAIRS", 1)
+    one, two = one_and_two(monkeypatch, lambda: pair_modulus_profile(f, A))
     assert repr(one) == repr(two)
     assert math.isnan(one[0].remainder_ratio_sup)
     assert len(forks) == 1
 
 
-def test_profile_without_covectors_keeps_every_other_column():
+def test_profile_without_covectors_keeps_every_other_column(monkeypatch):
+    monkeypatch.setattr(calculus, "_MIN_PAIRS", 1)
     for build, make_fields in PROFILE_CASES.values():
         sample = build()
         f, A = make_fields(sample)
-        full = pair_modulus_profile(f, A, min_pairs=1)
-        bare = pair_modulus_profile(f, A, min_pairs=1, covectors=False)
+        full = pair_modulus_profile(f, A)
+        bare = pair_modulus_profile(f, A, covectors=False)
         assert [(b.octave, b.scale, b.remainder_ratio_sup, b.count) for b in full] == [
             (b.octave, b.scale, b.remainder_ratio_sup, b.count) for b in bare]
         assert all(math.isnan(b.covector_osc_sup) for b in bare)

@@ -16,7 +16,7 @@ from qcalc.whitney import (
     local_flatness,
 )
 
-from conftest import vertex_at
+from conftest import edge_rows, point_rows, vertex_at
 
 # a deep interior vertex of gasket m=3, away from the outer corners
 GASKET_PROBE = (0.375, math.sqrt(3) * 0.125)
@@ -28,8 +28,8 @@ def collinear_cloud():
 
 def rigid_motion(sample: SetSample, theta: float, shift) -> SetSample:
     R = np.array([[math.cos(theta), -math.sin(theta)], [math.sin(theta), math.cos(theta)]])
-    pts = tuple(tuple(R @ np.array(p) + np.asarray(shift)) for p in sample.points)
-    return SetSample(2, pts, sample.edges, label=sample.label + " moved")
+    pts = tuple(tuple(R @ np.array(p) + np.asarray(shift)) for p in point_rows(sample))
+    return SetSample(2, pts, edge_rows(sample), label=sample.label + " moved")
 
 
 # ---------------------------------------------------------------------------
@@ -267,8 +267,8 @@ def test_uniform_scaling_invariance(gasket3):
     v = vertex_at(gasket3, GASKET_PROBE)
     scaled = SetSample(
         2,
-        tuple(tuple(3.0 * c for c in p) for p in gasket3.points),
-        tuple((i, j, 3.0 * l) for i, j, l in gasket3.edges),
+        tuple(tuple(3.0 * c for c in p) for p in point_rows(gasket3)),
+        tuple((i, j, 3.0 * l) for i, j, l in edge_rows(gasket3)),
         label="scaled",
     )
     r1 = local_flatness(gasket3, v, 0.26)
